@@ -9,6 +9,12 @@ order we precompute full operation tables once and every array operation
 becomes a fancy-indexing lookup; beyond the table bound a slow generic
 path keeps the same API working.
 
+Row reduction does not go through the array operations.  Each GF picks
+once, at construction, the two scalar row operations the elimination
+kernel in linalg runs on Python lists: % arithmetic for prime fields,
+list copies of the tables for tabled fields, the scalar slow path for
+the rest.
+
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
 comparing coefficient sequences from the constant term up.  Two GF
@@ -154,6 +160,7 @@ class GF:
         self._tables = None
         if use_tables and e > 1:
             self._build_tables()
+        self._choose_row_ops()
 
     # -- construction of the lookup tables ---------------------------------
 
@@ -210,6 +217,48 @@ class GF:
             "inv": inv,
             "frob": frob,
         }
+        # list copies: scalar lookups in the elimination kernel and inv
+        self._lists = {name: self._tables[name].tolist() for name in ("add", "mul", "neg", "inv")}
+
+    def _choose_row_ops(self):
+        """Fix the two row operations the elimination kernel runs on.
+
+        Rows are Python lists of codes.  scale_row(row, c) is c * row and
+        sub_row(row, f, piv) is row - f * piv.  Prime fields use %, tabled
+        fields index the list tables, and the rest the scalar slow path.
+        """
+        if self.e == 1:
+            p = self.p
+
+            def scale_row(row, c):
+                return [x * c % p for x in row]
+
+            def sub_row(row, f, piv):
+                return [(x - f * y) % p for x, y in zip(row, piv)]
+
+        elif self._tables is not None:
+            add, mul, neg = self._lists["add"], self._lists["mul"], self._lists["neg"]
+
+            def scale_row(row, c):
+                mc = mul[c]
+                return [mc[x] for x in row]
+
+            def sub_row(row, f, piv):
+                mf = mul[neg[f]]
+                return [add[x][mf[y]] for x, y in zip(row, piv)]
+
+        else:
+            slow_add, slow_mul, slow_neg = self._slow_add, self._slow_mul, self._slow_neg
+
+            def scale_row(row, c):
+                return [slow_mul(c, x) for x in row]
+
+            def sub_row(row, f, piv):
+                nf = slow_neg(f)
+                return [slow_add(x, slow_mul(nf, y)) for x, y in zip(row, piv)]
+
+        self._scale_row = scale_row
+        self._sub_row = sub_row
 
     # -- generic slow path helpers -----------------------------------------
 
@@ -278,7 +327,7 @@ class GF:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         if self._tables is not None:
-            return int(self._tables["inv"][a])
+            return self._lists["inv"][a]
         return self.power(a, self.q - 2)
 
     def div(self, a, b):

@@ -109,6 +109,22 @@ def grassmannian_size(q, m, l):
     return gaussian_binomial(m, l, q)
 
 
+def check_enumeration_budget(gf, m, l, limit=None):
+    """Refuse an enumeration of G(l, m) larger than its budget.
+
+    The budget is the limit argument when given, otherwise the global
+    bound.  The size comes from the closed form, so nothing is built.
+    """
+    total = gaussian_binomial(m, l, gf.q)
+    bound = limit if limit is not None else enumeration_bound()
+    if total > bound:
+        raise BudgetExceededError(
+            f"Grassmannian has {total} points, over the bound {bound}",
+            requested=total,
+            bound=bound,
+        )
+
+
 def enumerate_grassmannian(gf, m, l, limit=None):
     """Yield every l-dimensional subspace of GF(q)^m in canonical order.
 
@@ -119,14 +135,7 @@ def enumerate_grassmannian(gf, m, l, limit=None):
         return
     # guard with the closed-form count first: the cell table itself can
     # be enormous and must not be built for over-budget requests
-    total = gaussian_binomial(m, l, gf.q)
-    bound = limit if limit is not None else enumeration_bound()
-    if total > bound:
-        raise BudgetExceededError(
-            f"Grassmannian has {total} points, over the bound {bound}",
-            requested=total,
-            bound=bound,
-        )
+    check_enumeration_budget(gf, m, l, limit)
     cells, _, _ = _cell_table(gf.q, m, l)
     for cell in cells:
         for t in range(cell.size):

@@ -1,8 +1,15 @@
 """Exact linear algebra over a GF context: RREF, kernels, subspaces.
 
 Subspaces are the unit of currency for everything downstream.  A
-Subspace stores the unique reduced-row-echelon basis of its row space,
-so equality is array equality and hashing is hashing the bytes.
+Subspace stores the unique reduced-row-echelon basis of its row space
+as a read-only int64 ndarray, so equality is array equality and hashing
+is hashing the bytes.
+
+Elimination itself runs on Python lists of int rows, not on arrays: the
+matrices here are 8x8 or smaller, where numpy's per-call overhead costs
+more than the arithmetic.  There is one kernel, _eliminate, driven by
+the two row operations each GF chose for itself.  rref wraps it for
+arrays, and intersection_dim gets dim(U & V) from a single rank.
 """
 
 import numpy as np
@@ -22,38 +29,53 @@ def as_matrix(gf, rows):
     return mat
 
 
-def rref(gf, mat):
-    """Reduced row echelon form.
+def _eliminate(gf, rows, ncols):
+    """Reduce a list of row lists to RREF in place; returns (rank, pivots).
 
-    Returns (R, rank, pivots) where R is the fully reduced matrix (zero
-    rows at the bottom), and pivots are the 0-based pivot columns in
-    order.  Deterministic: the pivot is always the topmost nonzero entry
-    of the leftmost unfinished column.
+    rows[:rank] is the reduced basis and every later row is zero.  The
+    pivot is always the topmost nonzero entry of the leftmost unfinished
+    column.  The row operations are the ones the field chose for itself.
     """
-    R = np.array(mat, dtype=np.int64)
-    nrows, ncols = R.shape
+    scale_row, sub_row, inv = gf._scale_row, gf._sub_row, gf.inv
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        pv = int(R[r, c])
+        piv = rows[i]
+        if i != r:
+            rows[i] = rows[r]
+        pv = piv[c]
         if pv != 1:
-            R[r] = gf.mul(gf.inv(pv), R[r])
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            f = R[others, c]
-            R[others] = gf.sub(R[others], gf.mul(f[:, None], R[r][None, :]))
+            piv = scale_row(piv, inv(pv))
+        rows[r] = piv
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                if f:
+                    rows[i] = sub_row(rows[i], f, piv)
         pivots.append(c)
         r += 1
-    return R, r, tuple(pivots)
+    return r, tuple(pivots)
+
+
+def rref(gf, mat):
+    """Reduced row echelon form.
+
+    Returns (R, rank, pivots) where R is the fully reduced int64 matrix
+    (zero rows at the bottom), and pivots are the 0-based pivot columns
+    in order.
+    """
+    mat = np.asarray(mat, dtype=np.int64)
+    rows = mat.tolist()
+    rk, pivots = _eliminate(gf, rows, mat.shape[1])
+    return np.array(rows, dtype=np.int64).reshape(mat.shape), rk, pivots
 
 
 def rank(gf, mat):
@@ -66,12 +88,24 @@ def row_space(gf, mat):
     return R[:rk], pivots
 
 
+def intersection_dim(U, V):
+    """dim(U & V) as dim U + dim V - rank[U; V], by one elimination."""
+    U._check_ambient(V)
+    rows = U.basis.tolist() + V.basis.tolist()
+    return U.dim + V.dim - _eliminate(U.gf, rows, U.m)[0]
+
+
 def matmul(gf, a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if gf.e == 1:
+        # every sum of products must fit in int64 before it is reduced
+        if a.shape[1] * (gf.p - 1) ** 2 >= 2**63:
+            raise OverflowError(
+                f"a {a.shape[1]}-term dot product over GF({gf.p}) overflows int64"
+            )
         return (a @ b) % gf.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):

@@ -21,10 +21,11 @@ from .grassmann import (
     Flag,
     adapted_basis,
     check_alpha,
+    check_enumeration_budget,
     enumerate_grassmannian,
     standard_flag,
 )
-from .linalg import Subspace
+from .linalg import Subspace, intersection_dim
 
 
 def alpha_nc(alpha):
@@ -135,8 +136,8 @@ class SchubertVariety:
     def contains(self, W, conditions="minimal"):
         """Whether a point of the Grassmannian lies on the variety.
 
-        Intersection dimensions are computed exactly, one member at a
-        time; conditions picks the full or the reduced condition list.
+        Each condition is one rank: dim(W & S) = dim W + dim S - rank[W; S].
+        conditions picks the full or the reduced condition list.
         """
         if not isinstance(W, Subspace):
             raise TypeError("expected a Subspace")
@@ -153,7 +154,7 @@ class SchubertVariety:
             conds = self.all_conditions()
         else:
             raise ValueError("conditions must be 'minimal' or 'all'")
-        return all((W & S).dim >= r for S, r in conds)
+        return all(intersection_dim(W, S) >= r for S, r in conds)
 
     def points(self, limit=None):
         """Yield the points in canonical Grassmannian order."""
@@ -162,6 +163,8 @@ class SchubertVariety:
                 yield W
 
     def point_set(self, limit=None):
+        # the budget holds on every call, not only the one that fills the cache
+        check_enumeration_budget(self.gf, self.m, self.l, limit)
         if self._point_set is None:
             self._point_set = frozenset(self.points(limit=limit))
         return self._point_set

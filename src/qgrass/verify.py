@@ -45,6 +45,7 @@ from .group import (
 )
 from .linalg import (
     Subspace,
+    intersection_dim,
     matmul,
     matrix_inverse,
     random_matrix,
@@ -214,7 +215,7 @@ def verify_redundancy(
             if broken is None:
                 reduced = omega.contains(W, "minimal")
             else:
-                reduced = all((W & S).dim >= r for S, r in broken)
+                reduced = all(intersection_dim(W, S) >= r for S, r in broken)
             full = omega.contains(W, "all")
             if reduced != full:
                 failures.append(

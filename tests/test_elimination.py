@@ -1,0 +1,105 @@
+"""Differential tests of the elimination kernel and of membership by rank.
+
+Prime fields are checked entry for entry against the textbook
+elimination in bruteforce.py (test_linalg.test_rref_matches_naive).
+Here extension fields, tabled and untabled, are checked for the
+structural RREF invariants and for q^rank being the size of the span
+enumerated from every coefficient tuple.  Membership is checked on whole
+Grassmannians against intersections of span sets.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+import bruteforce as bf
+from qgrass.field import make_field
+from qgrass.grassmann import enumerate_grassmannian, random_flag
+from qgrass.linalg import random_matrix, rank, rref
+from qgrass.schubert import SchubertVariety
+
+
+def _random_rows(gf, rng, max_rows, max_cols):
+    """A random matrix, sometimes with a zero, scaled or summed row."""
+    nrows = rng.randrange(1, max_rows + 1)
+    ncols = rng.randrange(1, max_cols + 1)
+    mat = random_matrix(gf, nrows, ncols, rng)
+    if nrows > 1:
+        kind = rng.randrange(4)
+        if kind == 1:
+            mat[rng.randrange(nrows)] = 0
+        elif kind == 2:
+            mat[-1] = gf.mul(rng.randrange(1, gf.q), mat[0])
+        elif kind == 3:
+            mat[-1] = gf.add(mat[0], mat[1])
+    return mat
+
+
+def _add_codes(a, b, p, e):
+    """Entrywise sum of code arrays, digit by digit mod p (no field tables)."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for k in range(e):
+        w = p**k
+        out += ((a // w % p + b // w % p) % p) * w
+    return out
+
+
+def _span_size(gf, mat):
+    """Size of the span, built from every coefficient tuple row by row."""
+    span = np.zeros((1, mat.shape[1]), dtype=np.int64)
+    coeffs = np.arange(gf.q, dtype=np.int64)[:, None]
+    for row in mat:
+        multiples = gf.mul(coeffs, row[None, :])  # (q, ncols)
+        span = _add_codes(span[:, None, :], multiples[None, :, :], gf.p, gf.e)
+        span = np.unique(span.reshape(-1, mat.shape[1]), axis=0)
+    return len(span)
+
+
+@pytest.mark.parametrize(
+    "p,e,max_rows,max_cols,trials",
+    [(2, 2, 5, 6, 60), (3, 2, 4, 6, 60), (7, 3, 2, 3, 6)],
+)
+def test_rref_invariants_and_span_size_over_extensions(p, e, max_rows, max_cols, trials):
+    gf = make_field(p, e)
+    assert (gf._tables is None) == (gf.q > 256)
+    rng = random.Random(31 * p + e)
+    for _ in range(trials):
+        mat = _random_rows(gf, rng, max_rows, max_cols)
+        R, rk, pivots = rref(gf, mat)
+        assert R.shape == mat.shape
+        assert len(pivots) == rk == rank(gf, mat)
+        assert list(pivots) == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            assert R[i, c] == 1
+            assert np.count_nonzero(R[:, c]) == 1
+            assert not np.any(R[i, :c])
+        assert not np.any(R[rk:])
+        assert rref(gf, R)[0].tolist() == R.tolist()
+        assert gf.q**rk == _span_size(gf, mat) == _span_size(gf, R[:rk])
+
+
+def _span_of(S, p):
+    return bf.span_set(S.to_rows(), p, S.m)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_contains_matches_span_sets_on_whole_grassmannian(p):
+    gf = make_field(p)
+    m, l = 4, 2
+    rng = random.Random(77 + p)
+    points = [(W, _span_of(W, p)) for W in enumerate_grassmannian(gf, m, l)]
+    for alpha in itertools.combinations(range(1, m + 1), l):
+        for _ in range(2):
+            omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng.randrange(2**30)))
+            for conditions in ("minimal", "all"):
+                conds = (
+                    omega.minimal_conditions()
+                    if conditions == "minimal"
+                    else omega.all_conditions()
+                )
+                spans = [(_span_of(S, p), r) for S, r in conds]
+                for W, span_w in points:
+                    expect = all(bf.span_dim(span_w & s, p) >= r for s, r in spans)
+                    assert omega.contains(W, conditions) == expect

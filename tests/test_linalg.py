@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from qgrass.field import make_field
+from qgrass.field import GF, make_field
 from qgrass.linalg import (
     Subspace,
     as_matrix,
@@ -23,13 +23,21 @@ from qgrass.linalg import (
 def test_rref_matches_naive(p):
     gf = make_field(p)
     rng = random.Random(p * 100)
-    for _ in range(40):
-        nrows = rng.randrange(1, 5)
-        ncols = rng.randrange(1, 6)
+    for _ in range(150):
+        nrows = rng.randrange(1, 9)
+        ncols = rng.randrange(1, 9)
         mat = random_matrix(gf, nrows, ncols, rng)
+        if nrows > 1:
+            # rank-deficient shapes: a zero row, or a multiple of another row
+            kind = rng.randrange(3)
+            if kind == 1:
+                mat[rng.randrange(nrows)] = 0
+            elif kind == 2:
+                mat[-1] = gf.mul(rng.randrange(1, p), mat[0])
         R, rk, pivots = rref(gf, mat)
         form, naive_piv = bf.naive_rref([list(r) for r in mat], p)
-        assert rk == len(form)
+        assert R.shape == mat.shape and R.dtype == np.int64
+        assert rk == len(form) == rank(gf, mat)
         assert pivots == naive_piv
         assert [list(map(int, r)) for r in R[:rk]] == [list(r) for r in form]
         assert not np.any(R[rk:])
@@ -96,6 +104,16 @@ def test_matmul_matches_naive(gf4):
             assert int(out[i, j]) == acc
     with pytest.raises(ValueError):
         matmul(gf4, a, a)
+
+
+def test_matmul_int64_headroom():
+    # the largest prime p with (p - 1)^2 < 2^63, so one product fits and two do not
+    p = 3037000493
+    assert (p - 1) ** 2 < 2**63 <= 2 * (p - 1) ** 2
+    gf = GF(p, order_bound=2**40)
+    assert matmul(gf, [[p - 1]], [[p - 1]]).tolist() == [[1]]
+    with pytest.raises(OverflowError):
+        matmul(gf, [[p - 1, 0]], [[p - 1], [0]])
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2)])

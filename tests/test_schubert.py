@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from qgrass.errors import DiscrepancyError
+from qgrass.errors import BudgetExceededError, DiscrepancyError
 from qgrass.field import make_field
 from qgrass.grassmann import (
     Flag,
@@ -228,3 +228,13 @@ def test_descriptor_identity(gf2):
         SchubertVariety(Flag(gf2, 4, (), ()))
     with pytest.raises(ValueError):
         equal_fast(o1, SchubertVariety.standard(make_field(3), 4, (1, 3)))
+
+
+def test_point_set_budget_holds_after_the_cache_is_filled(gf2):
+    omega = SchubertVariety.standard(gf2, 6, (3, 6))
+    assert omega.count_points() == 203
+    with pytest.raises(BudgetExceededError):
+        omega.count_points(limit=10)
+    with pytest.raises(BudgetExceededError):
+        omega.point_set(limit=10)
+    assert omega.count_points(limit=10**6) == 203
