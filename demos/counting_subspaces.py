@@ -10,7 +10,6 @@ cells in a fixed order, so every subspace has a stable integer rank.
 from qgrass import (
     enumerate_grassmannian,
     gaussian_binomial,
-    grassmannian_size,
     make_field,
     rank_subspace,
     unrank_subspace,
@@ -21,7 +20,7 @@ for q in (2, 3, 4, 5):
 
 # the count is exact however large the numbers get
 print("\n30-dim subspaces of 60-space over 2 elements:")
-print(" ", grassmannian_size(2, 60, 30))
+print(" ", gaussian_binomial(60, 30, 2))
 
 # full enumeration at small size, in canonical order
 gf = make_field(2)

@@ -32,7 +32,6 @@ from .grassmann import (
     dual_flag,
     enumerate_grassmannian,
     gaussian_binomial,
-    grassmannian_size,
     random_flag,
     random_subspace,
     rank_subspace,
@@ -48,11 +47,9 @@ from .schubert import (
     equal_fast,
     equal_oracle,
     equality_witness,
-    membership,
     polynomial_value,
 )
 from .group import (
-    AutomorphismRangeWarning,
     SemilinearMap,
     compose,
     enumerate_invertible,
@@ -100,7 +97,6 @@ __all__ = [
     "dual_flag",
     "enumerate_grassmannian",
     "gaussian_binomial",
-    "grassmannian_size",
     "random_flag",
     "random_subspace",
     "rank_subspace",
@@ -114,9 +110,7 @@ __all__ = [
     "equal_fast",
     "equal_oracle",
     "equality_witness",
-    "membership",
     "polynomial_value",
-    "AutomorphismRangeWarning",
     "SemilinearMap",
     "compose",
     "enumerate_invertible",

@@ -339,12 +339,21 @@ class GF:
         n = int(n)
         if n < 0:
             return self.power(self.inv(a), -n)
+        if self.e == 1:
+            return pow(a, n, self.p)
+        if self._tables is not None:
+            table = self._lists["mul"]
+
+            def mul(x, y):
+                return table[x][y]
+
+        else:
+            mul = self._slow_mul
         acc = 1
-        base = a
         while n:
             if n & 1:
-                acc = int(self.mul(acc, base))
-            base = int(self.mul(base, base))
+                acc = mul(acc, a)
+            a = mul(a, a)
             n >>= 1
         return acc
 

@@ -105,10 +105,6 @@ def _cell_member(gf, m, cell, t):
     return Subspace(gf, mat, cell.pivots, validate=False)
 
 
-def grassmannian_size(q, m, l):
-    return gaussian_binomial(m, l, q)
-
-
 def check_enumeration_budget(gf, m, l, limit=None):
     """Refuse an enumeration of G(l, m) larger than its budget.
 

@@ -15,7 +15,6 @@ image variety's flag comes from a completion of the original flag.
 """
 
 import itertools
-import warnings
 
 import numpy as np
 
@@ -31,15 +30,6 @@ from .linalg import (
     rref,
 )
 from .schubert import SchubertVariety, dual_index_set
-
-
-class AutomorphismRangeWarning(UserWarning):
-    """Emitted when the fast criterion runs at an extreme point dimension.
-
-    For points of dimension 1 or m - 1 the brute-force oracle is cheap
-    and unambiguous; the fast criterion is still checked against it in
-    the verification campaigns, but callers deserve a nudge.
-    """
 
 
 class SemilinearMap:
@@ -316,13 +306,6 @@ def is_automorphism_fast(tau, omega, paranoid=False):
         raise ValueError(
             "a contravariant map cannot preserve this Grassmannian "
             "unless m = 2l"
-        )
-    if omega.l in (1, omega.m - 1):
-        warnings.warn(
-            "point dimension at the edge of the range; the enumeration "
-            "oracle is cheap here and worth running",
-            AutomorphismRangeWarning,
-            stacklevel=2,
         )
     if tau.is_covariant:
         result = all(tau(S) == S for S in _nc_members(omega))

@@ -210,14 +210,6 @@ class SchubertVariety:
         return cls(flag)
 
 
-def membership(W, omega, conditions="all"):
-    return omega.contains(W, conditions=conditions)
-
-
-def enumerate_points(omega, limit=None):
-    return omega.points(limit=limit)
-
-
 def _check_comparable(o1, o2):
     if o1.gf != o2.gf or o1.m != o2.m:
         raise ValueError("varieties in different ambient spaces")

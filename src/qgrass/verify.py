@@ -15,8 +15,6 @@ import itertools
 import json
 import random
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +31,6 @@ from .grassmann import (
     random_subspace,
 )
 from .group import (
-    AutomorphismRangeWarning,
     SemilinearMap,
     compose,
     enumerate_invertible,
@@ -124,34 +121,44 @@ class CensusReport:
         return out
 
 
-def _check_mutant(mutant, valid):
-    if mutant is not None and mutant not in valid:
-        raise ValueError(
-            f"unknown mutant {mutant!r}; valid: {sorted(valid) or 'none'}"
-        )
+def _run_campaign(
+    theorem_id, trial, keys, q, m, l, seed, mutant, mutants, finish=None, **parameters
+):
+    """Run ``trial(gf, key, subseed)`` once per key and build the report.
 
-
-def _run_trials(trial, jobs, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(trial, jobs))
-    return [trial(job) for job in jobs]
-
-
-def _gather(results):
+    Subseeds are drawn from the master seed in key order.  A trial
+    returns a dict with its "cases", its "failures" and any further
+    counters; each counter is added to the report parameter of the same
+    name, which the campaign passes in with its starting value.
+    ``finish()``, when given, returns failures found across trials.
+    Failures are recorded in canonical order, at most
+    MAX_RECORDED_FAILURES of them.
+    """
+    if mutant is not None and mutant not in mutants:
+        raise ValueError(f"unknown mutant {mutant!r}; valid: {sorted(mutants)}")
+    gf = field_from_order(q)
+    started = time.perf_counter()
+    parameters = {"q": q, "m": m, "l": l, "seed": seed, "mutant": mutant, **parameters}
+    master = random.Random(seed)
     cases = 0
     failures = []
-    for r in results:
-        cases += r["cases"]
-        failures.extend(r["failures"])
+    for key in keys:
+        result = trial(gf, key, master.getrandbits(48))
+        cases += result.pop("cases")
+        failures.extend(result.pop("failures"))
+        for name, count in result.items():
+            parameters[name] += count
+    if finish is not None:
+        failures.extend(finish())
     failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
-    truncated = len(failures) > MAX_RECORDED_FAILURES
-    return cases, failures[:MAX_RECORDED_FAILURES], truncated
-
-
-def _subseeds(seed, n):
-    master = random.Random(seed)
-    return [master.getrandbits(48) for _ in range(n)]
+    parameters["failures_truncated"] = len(failures) > MAX_RECORDED_FAILURES
+    return VerificationReport(
+        theorem_id=theorem_id,
+        parameters=parameters,
+        cases_tested=cases,
+        failures=failures[:MAX_RECORDED_FAILURES],
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def _all_alphas(m, l):
@@ -169,7 +176,6 @@ def verify_redundancy(
     flags_per_alpha=50,
     seed=0,
     mutant=None,
-    threads=1,
     sample_points=200,
 ):
     """Check that the reduced condition list decides membership.
@@ -179,26 +185,14 @@ def verify_redundancy(
     satisfies all of them.  The mutant drops the first reduced condition
     (a load-bearing one) and must produce failures.
     """
-    _check_mutant(mutant, {"drop-nonredundant-condition"})
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
-    total_points = gaussian_binomial(m, l, q)
     if mode == "auto":
-        budget = len(alphas) * flags_per_alpha * total_points
+        budget = len(alphas) * flags_per_alpha * gaussian_binomial(m, l, q)
         mode = "exhaustive" if budget <= 2_000_000 else "sample"
-    started = time.perf_counter()
-    jobs = []
-    seeds = _subseeds(seed, len(alphas) * flags_per_alpha)
-    i = 0
-    for alpha in alphas:
-        for _ in range(flags_per_alpha):
-            jobs.append((alpha, seeds[i]))
-            i += 1
 
-    def trial(job):
-        alpha, s = job
+    def trial(gf, alpha, s):
         rng = random.Random(s)
         omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
         broken = None
@@ -229,23 +223,13 @@ def verify_redundancy(
                 )
         return {"cases": cases, "failures": failures}
 
-    results = _run_trials(trial, jobs, threads)
-    cases, failures, truncated = _gather(results)
-    return VerificationReport(
-        theorem_id="redundancy",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "mode": mode,
-            "flags_per_alpha": flags_per_alpha,
-            "seed": seed,
-            "mutant": mutant,
-            "failures_truncated": truncated,
-        },
-        cases_tested=cases,
-        failures=failures,
-        elapsed=time.perf_counter() - started,
+    return _run_campaign(
+        "redundancy",
+        trial,
+        [alpha for alpha in alphas for _ in range(flags_per_alpha)],
+        q, m, l, seed, mutant, {"drop-nonredundant-condition"},
+        mode=mode,
+        flags_per_alpha=flags_per_alpha,
     )
 
 
@@ -288,7 +272,6 @@ def verify_flag_equality(
     trials=1000,
     seed=1,
     mutant=None,
-    threads=1,
 ):
     """Check the descriptor test for variety equality against enumeration.
 
@@ -298,15 +281,10 @@ def verify_flag_equality(
     separating point.  The mutant compares members at every dimension
     (not just the non-redundant ones) and must flag false inequalities.
     """
-    _check_mutant(mutant, {"alpha-for-alpha-nc"})
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
     kinds = ("identical", "redundant-resample", "nc-differ", "independent")
-    started = time.perf_counter()
-    seeds = _subseeds(seed, trials)
 
-    def trial(job):
-        idx, s = job
+    def trial(gf, idx, s):
         rng = random.Random(s)
         alpha = alphas[rng.randrange(len(alphas))]
         kind = kinds[idx % len(kinds)]
@@ -363,30 +341,18 @@ def verify_flag_equality(
         return {
             "cases": 1,
             "failures": failures,
-            "negative": int(negative),
+            "negative_cases": int(negative),
             "witnessed": int(got_witness),
         }
 
-    results = _run_trials(trial, list(enumerate(seeds)), threads)
-    cases, failures, truncated = _gather(results)
-    negatives = sum(r["negative"] for r in results)
-    witnessed = sum(r["witnessed"] for r in results)
-    return VerificationReport(
-        theorem_id="flag-equality",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "trials": trials,
-            "seed": seed,
-            "mutant": mutant,
-            "negative_cases": negatives,
-            "witnessed": witnessed,
-            "failures_truncated": truncated,
-        },
-        cases_tested=cases,
-        failures=failures,
-        elapsed=time.perf_counter() - started,
+    return _run_campaign(
+        "flag-equality",
+        trial,
+        range(trials),
+        q, m, l, seed, mutant, {"alpha-for-alpha-nc"},
+        trials=trials,
+        negative_cases=0,
+        witnessed=0,
     )
 
 
@@ -410,7 +376,6 @@ def verify_dual_image(
     trials=100,
     seed=7,
     mutant=None,
-    threads=1,
 ):
     """Check the descriptor of a contravariant image against moved points.
 
@@ -419,16 +384,11 @@ def verify_dual_image(
     the pointwise image.  The mutant mis-reflects the dimension tuple
     and must fail (sometimes by building an invalid flag, which counts).
     """
-    _check_mutant(mutant, {"dual-formula-m-minus-j"})
     if m != 2 * l:
         raise ValueError("contravariant images need m = 2l")
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
-    started = time.perf_counter()
-    seeds = _subseeds(seed, trials)
 
-    def trial(job):
-        idx, s = job
+    def trial(gf, idx, s):
         rng = random.Random(s)
         tau = random_semilinear(gf, m, rng=rng, dual=True)
         failures = []
@@ -464,22 +424,12 @@ def verify_dual_image(
                 )
         return {"cases": cases, "failures": failures}
 
-    results = _run_trials(trial, list(enumerate(seeds)), threads)
-    cases, failures, truncated = _gather(results)
-    return VerificationReport(
-        theorem_id="dual-image",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "trials": trials,
-            "seed": seed,
-            "mutant": mutant,
-            "failures_truncated": truncated,
-        },
-        cases_tested=cases,
-        failures=failures,
-        elapsed=time.perf_counter() - started,
+    return _run_campaign(
+        "dual-image",
+        trial,
+        range(trials),
+        q, m, l, seed, mutant, {"dual-formula-m-minus-j"},
+        trials=trials,
     )
 
 
@@ -573,7 +523,6 @@ def verify_covariant_criterion(
     trials=400,
     seed=5,
     mutant=None,
-    threads=1,
 ):
     """Check that fixing the non-redundant members is exactly stabilizing.
 
@@ -581,16 +530,13 @@ def verify_covariant_criterion(
     must pass), moves of a single non-redundant member (which must
     fail), and random maps with a Frobenius twist when the field has
     one.  Every trial compares the flag criterion with the point oracle.
+    The mutant demands that every member be fixed, redundant ones too,
+    and must fail on the constructed stabilizers.
     """
-    _check_mutant(mutant, set())
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
     kinds = ("random", "stabilizing", "mover", "twisted")
-    started = time.perf_counter()
-    seeds = _subseeds(seed, trials)
 
-    def trial(job):
-        idx, s = job
+    def trial(gf, idx, s):
         rng = random.Random(s)
         alpha = alphas[rng.randrange(len(alphas))]
         kind = kinds[idx % len(kinds)]
@@ -615,7 +561,10 @@ def verify_covariant_criterion(
         else:
             kind = "random" if kind == "twisted" else kind
             tau = random_semilinear(gf, m, rng=rng)
-        fast = is_automorphism_fast(tau, omega)
+        if mutant == "fix-every-member":
+            fast = all(tau(S) == S for S in flag.subspaces)
+        else:
+            fast = is_automorphism_fast(tau, omega)
         oracle = is_automorphism_oracle(tau, omega)
         failures = []
         record = {
@@ -632,25 +581,12 @@ def verify_covariant_criterion(
             failures.append({**record, "problem": "constructed-case-surprised"})
         return {"cases": 1, "failures": failures}
 
-    # every trial replays the point oracle, which is what the warning asks for
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AutomorphismRangeWarning)
-        results = _run_trials(trial, list(enumerate(seeds)), threads)
-    cases, failures, truncated = _gather(results)
-    return VerificationReport(
-        theorem_id="covariant-criterion",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "trials": trials,
-            "seed": seed,
-            "mutant": mutant,
-            "failures_truncated": truncated,
-        },
-        cases_tested=cases,
-        failures=failures,
-        elapsed=time.perf_counter() - started,
+    return _run_campaign(
+        "covariant-criterion",
+        trial,
+        range(trials),
+        q, m, l, seed, mutant, {"fix-every-member"},
+        trials=trials,
     )
 
 
@@ -664,7 +600,6 @@ def verify_automorphism_criterion(
     trials=1000,
     seed=3,
     mutant=None,
-    threads=1,
 ):
     """Check the full stabilizer criterion over mixed map populations.
 
@@ -675,8 +610,6 @@ def verify_automorphism_criterion(
     mutant skips the member matching for contravariant maps, keeping
     only the tuple self-duality test, and must produce failures.
     """
-    _check_mutant(mutant, {"skip-contravariant-set-check"})
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
     middle = m == 2 * l
     self_dual = [a for a in alphas if dual_index_set(a, m) == a]
@@ -689,8 +622,6 @@ def verify_automorphism_criterion(
         "non-self-dual-contra",
         "mover",
     )
-    started = time.perf_counter()
-    seeds = _subseeds(seed, trials)
 
     def fast_check(tau, omega):
         if mutant == "skip-contravariant-set-check" and tau.dual:
@@ -699,8 +630,7 @@ def verify_automorphism_criterion(
             return dual_index_set(omega.alpha, omega.m) == omega.alpha
         return is_automorphism_fast(tau, omega)
 
-    def trial(job):
-        idx, s = job
+    def trial(gf, idx, s):
         rng = random.Random(s)
         kind = kinds[idx % len(kinds)]
         expected = None
@@ -771,25 +701,12 @@ def verify_automorphism_criterion(
             failures.append({**record, "problem": "constructed-case-surprised"})
         return {"cases": 1, "failures": failures}
 
-    # every trial replays the point oracle, which is what the warning asks for
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AutomorphismRangeWarning)
-        results = _run_trials(trial, list(enumerate(seeds)), threads)
-    cases, failures, truncated = _gather(results)
-    return VerificationReport(
-        theorem_id="automorphism-criterion",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "trials": trials,
-            "seed": seed,
-            "mutant": mutant,
-            "failures_truncated": truncated,
-        },
-        cases_tested=cases,
-        failures=failures,
-        elapsed=time.perf_counter() - started,
+    return _run_campaign(
+        "automorphism-criterion",
+        trial,
+        range(trials),
+        q, m, l, seed, mutant, {"skip-contravariant-set-check"},
+        trials=trials,
     )
 
 
@@ -803,62 +720,45 @@ def verify_alpha_uniqueness(
     flags_per_alpha=50,
     seed=0,
     mutant=None,
-    threads=1,
 ):
     """Check that equal point sets force equal dimension tuples.
 
     Enumerates the point set of many random varieties per tuple and
     buckets them; any bucket fed by two different tuples is a failure.
     Point counts may tie across tuples; the sets themselves must not.
+    The mutant buckets varieties by point count alone and must fail
+    wherever two tuples give the same count.
     """
-    _check_mutant(mutant, set())
-    gf = field_from_order(q)
     alphas = _all_alphas(m, l)
-    started = time.perf_counter()
-    seeds = _subseeds(seed, len(alphas) * flags_per_alpha)
-    jobs = []
-    i = 0
-    for alpha in alphas:
-        for _ in range(flags_per_alpha):
-            jobs.append((alpha, seeds[i]))
-            i += 1
-
-    def trial(job):
-        alpha, s = job
-        rng = random.Random(s)
-        omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
-        return alpha, omega.point_set()
-
-    results = _run_trials(trial, jobs, threads)
     buckets = {}
-    for alpha, pts in results:
-        buckets.setdefault(pts, set()).add(alpha)
-    failures = []
-    for pts, owners in buckets.items():
-        if len(owners) > 1:
-            failures.append(
-                {
-                    "problem": "point-set-shared-across-tuples",
-                    "alphas": sorted(list(a) for a in owners),
-                    "size": len(pts),
-                }
-            )
-    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
-    return VerificationReport(
-        theorem_id="alpha-uniqueness",
-        parameters={
-            "q": q,
-            "m": m,
-            "l": l,
-            "flags_per_alpha": flags_per_alpha,
-            "seed": seed,
-            "mutant": mutant,
-            "distinct_point_sets": len(buckets),
-            "failures_truncated": False,
-        },
-        cases_tested=len(jobs),
-        failures=failures[:MAX_RECORDED_FAILURES],
-        elapsed=time.perf_counter() - started,
+
+    def trial(gf, alpha, s):
+        rng = random.Random(s)
+        pts = SchubertVariety(random_flag(gf, m, alpha, rng=rng)).point_set()
+        key = (len(pts),) if mutant == "bucket-by-point-count" else (len(pts), pts)
+        new = key not in buckets
+        buckets.setdefault(key, set()).add(alpha)
+        return {"cases": 1, "failures": [], "distinct_point_sets": int(new)}
+
+    def finish():
+        return [
+            {
+                "problem": "point-set-shared-across-tuples",
+                "alphas": sorted(list(a) for a in owners),
+                "size": key[0],
+            }
+            for key, owners in buckets.items()
+            if len(owners) > 1
+        ]
+
+    return _run_campaign(
+        "alpha-uniqueness",
+        trial,
+        [alpha for alpha in alphas for _ in range(flags_per_alpha)],
+        q, m, l, seed, mutant, {"bucket-by-point-count"},
+        finish=finish,
+        flags_per_alpha=flags_per_alpha,
+        distinct_point_sets=0,
     )
 
 
@@ -867,7 +767,6 @@ def verify_alpha_uniqueness(
 
 def stabilizer_census(
     omega,
-    mode="auto",
     budget=10**7,
     include_frobenius=True,
     include_dual=False,
@@ -882,8 +781,6 @@ def stabilizer_census(
     (oracle="full"), a seeded subsample, or none.  Any disagreement is a
     mismatch and fails the census.
     """
-    if mode not in ("auto", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
     if oracle not in ("full", "subsample", "none"):
         raise ValueError(f"unknown oracle setting {oracle!r}")
     gf, m, l = omega.gf, omega.m, omega.l
@@ -910,37 +807,33 @@ def stabilizer_census(
     oracle_checked = 0
     mismatches = []
     idx = 0
-    # the edge-dimension warning would repeat once per group element here;
-    # the census cross-checks against the oracle anyway, so silence it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AutomorphismRangeWarning)
-        for dual in dual_opts:
-            for k in frob_powers:
-                for M in enumerate_invertible(gf, m):
-                    tau = SemilinearMap(gf, m, M, k, dual, validate=False)
-                    fast = is_automorphism_fast(tau, omega)
-                    fast_count += fast
-                    run_oracle = oracle == "full" or (
-                        oracle_targets is not None and idx in oracle_targets
-                    )
-                    if run_oracle:
-                        truth = all(tau(W) in pts for W in pts)
-                        oracle_checked += 1
-                        oracle_count += truth
-                        if truth != fast:
-                            if len(mismatches) < MAX_RECORDED_FAILURES:
-                                mismatches.append(
-                                    {
-                                        "matrix": [
-                                            [int(x) for x in row] for row in M
-                                        ],
-                                        "frobenius_power": k,
-                                        "dual": dual,
-                                        "fast": fast,
-                                        "oracle": truth,
-                                    }
-                                )
-                    idx += 1
+    for dual in dual_opts:
+        for k in frob_powers:
+            for M in enumerate_invertible(gf, m):
+                tau = SemilinearMap(gf, m, M, k, dual, validate=False)
+                fast = is_automorphism_fast(tau, omega)
+                fast_count += fast
+                run_oracle = oracle == "full" or (
+                    oracle_targets is not None and idx in oracle_targets
+                )
+                if run_oracle:
+                    truth = all(tau(W) in pts for W in pts)
+                    oracle_checked += 1
+                    oracle_count += truth
+                    if truth != fast:
+                        if len(mismatches) < MAX_RECORDED_FAILURES:
+                            mismatches.append(
+                                {
+                                    "matrix": [
+                                        [int(x) for x in row] for row in M
+                                    ],
+                                    "frobenius_power": k,
+                                    "dual": dual,
+                                    "fast": fast,
+                                    "oracle": truth,
+                                }
+                            )
+                idx += 1
     return CensusReport(
         parameters={
             "q": gf.q,

@@ -18,6 +18,7 @@ from qgrass.verify import (
     stabilizer_census,
     verify_alpha_uniqueness,
     verify_automorphism_criterion,
+    verify_covariant_criterion,
     verify_dual_image,
     verify_flag_equality,
     verify_redundancy,
@@ -112,7 +113,7 @@ def test_acceptance_07_alpha_uniqueness_campaign():
 def test_acceptance_08_stabilizer_census():
     gf = make_field(2)
     omega = SchubertVariety.standard(gf, 4, (1, 4))
-    rep = stabilizer_census(omega, mode="exhaustive", oracle="full")
+    rep = stabilizer_census(omega, oracle="full")
     assert rep.group_size == 20160
     assert rep.tested == 20160
     assert rep.fast_count == rep.oracle_count == 1344  # 20160 / 15 lines
@@ -130,7 +131,11 @@ def test_acceptance_09_mutation_sensitivity():
     assert rep.verdict == "fail" and rep.failures
     rep = verify_dual_image(2, 4, 2, trials=20, seed=7, mutant="dual-formula-m-minus-j")
     assert rep.verdict == "fail" and rep.failures
-    _report(9, "all three injected criterion bugs were caught")
+    rep = verify_covariant_criterion(2, 4, 2, trials=200, seed=5, mutant="fix-every-member")
+    assert rep.verdict == "fail" and rep.failures
+    rep = verify_alpha_uniqueness(2, 4, 2, flags_per_alpha=10, seed=0, mutant="bucket-by-point-count")
+    assert rep.verdict == "fail" and rep.failures
+    _report(9, "all five injected criterion bugs were caught")
 
 
 def test_acceptance_10_cli_determinism(tmp_path, capsys):

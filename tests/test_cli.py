@@ -167,6 +167,16 @@ def test_verify_verb_timing_and_mutant(capsys):
     assert "elapsed_seconds" in doc
 
 
+def test_verify_rejects_an_option_the_campaign_does_not_take(capsys):
+    rc, out, err = run(
+        capsys, "verify", "redundancy", "--q", "2", "--m", "3", "--l", "1",
+        "--trials", "5",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "trials" in err
+
+
 def test_verify_unknown_campaign(capsys):
     rc, _, err = run(capsys, "verify", "nonsense", "--q", "2", "--m", "3", "--l", "1")
     assert rc == 2

@@ -181,6 +181,20 @@ def test_power_and_order(gf4, gf9):
         assert gf.power(a, -1) == gf.inv(a)
 
 
+@pytest.mark.parametrize("q", [7, 243, 343, 512])
+def test_inverse_and_power_by_scalar_products(q):
+    # prime, tabled and untabled fields each take their own scalar path
+    gf = field_from_order(q)
+    for a in range(1, q):
+        assert int(gf.mul(gf.inv(a), a)) == 1
+    rng = random.Random(q)
+    for a in [rng.randrange(q) for _ in range(20)]:
+        acc = 1
+        for n in range(12):
+            assert gf.power(a, n) == acc
+            acc = int(gf.mul(acc, a))
+
+
 def test_dot_products(gf4):
     assert gf4.dot([1, 2], [2, 2]) == 1  # x + x^2 = 1 when x^2 = x + 1
     assert gf4.dot([0, 0, 0], [1, 2, 3]) == 0

@@ -15,7 +15,6 @@ from qgrass.grassmann import (
     standard_flag,
 )
 from qgrass.group import (
-    AutomorphismRangeWarning,
     SemilinearMap,
     compose,
     enumerate_invertible,
@@ -213,11 +212,10 @@ def test_contravariant_criterion_rejects_non_self_dual(gf2):
     assert not is_automorphism_oracle(tau, omega)
 
 
-def test_edge_dimension_warning(gf2):
+def test_fast_criterion_agrees_with_oracle_at_edge_dimension(gf2):
     omega = SchubertVariety.standard(gf2, 3, (2,))
     tau = SemilinearMap.identity(gf2, 3)
-    with pytest.warns(AutomorphismRangeWarning):
-        fast = is_automorphism_fast(tau, omega)
+    fast = is_automorphism_fast(tau, omega)
     assert fast == is_automorphism_oracle(tau, omega) == True  # noqa: E712
 
 
