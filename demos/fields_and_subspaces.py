@@ -4,8 +4,9 @@ Finite fields and row-reduced subspaces
 
 Elements of a field with q = p^e elements are integer codes 0..q-1;
 the base-p digits of a code are the coefficients of a polynomial in a
-fixed generator.  Subspaces are stored as reduced row echelon matrices,
-so two equal subspaces are literally the same array.
+fixed generator.  A subspace is stored as its reduced row echelon
+basis, a tuple of rows of Python ints, so two equal subspaces hold
+equal tuples.
 """
 
 import numpy as np
@@ -33,12 +34,15 @@ print("frobenius(5) =", gf.frobenius(x), " applied twice:", gf.frobenius(gf.frob
 
 # subspaces canonicalize on construction: any spanning set gives the
 # same stored basis
-rows = [[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 1, 1]]
+# (in GF(9), 2 * 2 = 1, so the second row is twice the first)
+rows = [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]]
 S = Subspace.from_rows(gf, rows)
 print("\nspan of three rows (one dependent):")
-print(S.basis, " dim =", S.dim)
+print(S.basis, " dim =", S.dim, " pivots =", S.pivots)
+print("same basis from the rows in another order:",
+      Subspace.from_rows(gf, rows[::-1]).basis == S.basis)
 
-T = Subspace.from_rows(gf, [[1, 2, 1, 2], [0, 0, 1, 1]])
+T = Subspace.from_rows(gf, [[1, 1, 1, 2], [0, 0, 1, 1]])
 print("\nsecond plane:")
 print(T.basis)
 

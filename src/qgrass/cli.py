@@ -121,16 +121,19 @@ def _cmd_points(args):
     if (args.l is None) == (args.alpha is None):
         raise ValueError("give exactly one of --l or --alpha")
     if args.l is not None:
-        pts = list(enumerate_grassmannian(gf, args.m, args.l, limit=args.limit))
+        pts = enumerate_grassmannian(gf, args.m, args.l, limit=args.limit)
         doc = {"q": gf.q, "m": args.m, "l": args.l}
     else:
         alpha = _parse_alpha(args.alpha)
         omega = SchubertVariety(_flag_for(args, gf, args.m, alpha))
-        pts = list(omega.points(limit=args.limit))
+        pts = omega.points(limit=args.limit)
         doc = {"q": gf.q, "m": args.m, "alpha": list(alpha)}
-    doc["count"] = len(pts)
-    if not args.count_only:
-        doc["points"] = [W.to_rows() for W in pts]
+    if args.count_only:
+        doc["count"] = sum(1 for _ in pts)
+    else:
+        rows = [W.to_rows() for W in pts]
+        doc["count"] = len(rows)
+        doc["points"] = rows
     _emit(doc)
     return 0
 

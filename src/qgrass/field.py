@@ -392,7 +392,7 @@ class GF:
         return self._code_of(list(digits))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GF)
             and self.p == other.p
             and self.e == other.e

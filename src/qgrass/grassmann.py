@@ -94,15 +94,13 @@ def _cell_table(q, m, l):
 
 
 def _cell_member(gf, m, cell, t):
-    l = len(cell.pivots)
-    mat = np.zeros((l, m), dtype=np.int64)
-    for i, c in enumerate(cell.pivots):
-        mat[i, c] = 1
-    for k in range(len(cell.free) - 1, -1, -1):
-        i, j = cell.free[k]
-        mat[i, j] = t % gf.q
-        t //= gf.q
-    return Subspace(gf, mat, cell.pivots, validate=False)
+    q = gf.q
+    rows = [[0] * m for _ in cell.pivots]
+    for row, c in zip(rows, cell.pivots):
+        row[c] = 1
+    for i, j in reversed(cell.free):
+        t, rows[i][j] = divmod(t, q)
+    return Subspace(gf, tuple(map(tuple, rows)), cell.pivots, validate=False, ambient=m)
 
 
 def check_enumeration_budget(gf, m, l, limit=None):
@@ -144,7 +142,7 @@ def rank_subspace(W):
     cell = by_pivots[W.pivots]
     t = 0
     for i, j in cell.free:
-        t = t * W.gf.q + int(W.basis[i, j])
+        t = t * W.gf.q + W.basis[i][j]
     return cell.offset + t
 
 
@@ -243,9 +241,10 @@ class Flag:
 def standard_flag(gf, m, alpha):
     """The flag of leading-coordinate subspaces at the given dimensions."""
     alpha = check_alpha(alpha, m)
-    eye = np.eye(m, dtype=np.int64)
+    full = Subspace.full(gf, m)
     subs = tuple(
-        Subspace(gf, eye[:a], tuple(range(a)), validate=False) for a in alpha
+        Subspace(gf, full.basis[:a], full.pivots[:a], validate=False, ambient=m)
+        for a in alpha
     )
     return Flag(gf, m, alpha, subs)
 

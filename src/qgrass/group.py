@@ -82,7 +82,7 @@ class SemilinearMap:
     # -- action -------------------------------------------------------------
 
     def _on_subspace(self, W):
-        B = W.basis
+        B = np.array(W.basis, dtype=np.int64).reshape(W.dim, self.m)
         if self.frobenius_power:
             B = self.gf.frobenius(B, self.frobenius_power)
         B = matmul(self.gf, B, self.matrix)

@@ -2,14 +2,18 @@
 
 Subspaces are the unit of currency for everything downstream.  A
 Subspace stores the unique reduced-row-echelon basis of its row space
-as a read-only int64 ndarray, so equality is array equality and hashing
-is hashing the bytes.
+as a tuple of rows, each a tuple of Python int codes, so equality is
+tuple equality and hashing is hashing that tuple.
 
-Elimination itself runs on Python lists of int rows, not on arrays: the
-matrices here are 8x8 or smaller, where numpy's per-call overhead costs
-more than the arithmetic.  There is one kernel, _eliminate, driven by
-the two row operations each GF chose for itself.  rref wraps it for
-arrays, and intersection_dim gets dim(U & V) from a single rank.
+Elimination runs on those rows too, not on arrays: the matrices here
+are 8x8 or smaller, where numpy's per-call overhead costs more than the
+arithmetic.  There is one kernel, _eliminate, driven by the two row
+operations each GF chose for itself.  Spans, sums and intersection_dim
+(dim(U & V) from a single rank) hand it the basis tuples directly, so
+enumerating a point or testing membership builds no array.  numpy stays
+at the edges: as_matrix, rref and row_space on arrays, matmul,
+matrix_inverse, kernel and intersect, the random matrices, and the
+field tables.  from_rows still accepts arrays.
 """
 
 import numpy as np
@@ -91,8 +95,8 @@ def row_space(gf, mat):
 def intersection_dim(U, V):
     """dim(U & V) as dim U + dim V - rank[U; V], by one elimination."""
     U._check_ambient(V)
-    rows = U.basis.tolist() + V.basis.tolist()
-    return U.dim + V.dim - _eliminate(U.gf, rows, U.m)[0]
+    rows = [*U.basis, *V.basis]
+    return len(rows) - _eliminate(U.gf, rows, U.m)[0]
 
 
 def matmul(gf, a, b):
@@ -154,52 +158,87 @@ def random_invertible(gf, n, rng):
             return mat
 
 
+def _code_rows(gf, rows, ambient=None):
+    """Spanning rows as a tuple of int tuples, checked; returns (rows, m).
+
+    Takes nested sequences or an array; a single vector is one row.  The
+    rows must be equally long and hold codes in [0, q).  An empty set of
+    rows takes its length from the array shape or from ambient.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim == 1:
+            rows = rows[None, :]
+        if rows.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {rows.shape}")
+        if ambient is None:
+            ambient = rows.shape[1]
+        rows = tuple(map(tuple, rows.astype(np.int64, copy=False).tolist()))
+    else:
+        if rows and not isinstance(rows[0], (list, tuple, np.ndarray)):
+            rows = [rows]
+        try:
+            rows = tuple(tuple(map(int, row)) for row in rows)
+        except TypeError:
+            raise ValueError("expected a 2-d matrix of codes") from None
+    m = len(rows[0]) if rows else ambient
+    if m is None:
+        raise ValueError("an empty set of rows needs the ambient dimension")
+    if ambient is not None and m != ambient:
+        raise ValueError(f"rows of length {m} in ambient dimension {ambient}")
+    q = gf.q
+    for row in rows:
+        if len(row) != m:
+            raise ValueError("rows of different lengths")
+        if row and (min(row) < 0 or max(row) >= q):
+            raise ValueError(f"entries must be codes in [0, {q})")
+    return rows, m
+
+
 class Subspace:
     """A subspace of GF(q)^m held by its unique RREF basis.
 
-    Instances are immutable and hashable; two Subspace objects compare
-    equal exactly when they are the same subspace of the same ambient
-    space over the same field.
+    basis is a tuple of rows, each a tuple of int codes, and pivots the
+    pivot column of each row.  Instances are immutable and hashable; two
+    Subspace objects compare equal exactly when they are the same
+    subspace of the same ambient space over the same field.
+
+    With validate=False the basis, pivots and ambient dimension are taken
+    as given: the caller vouches for a canonical tuple basis.
     """
 
     __slots__ = ("gf", "m", "basis", "pivots", "_hash")
 
-    def __init__(self, gf, basis, pivots=None, validate=True):
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.ndim != 2:
-            raise ValueError("basis must be a 2-d matrix")
-        d, m = basis.shape
-        if pivots is None:
-            pivots = []
-            for i in range(d):
-                nz = np.nonzero(basis[i])[0]
-                if nz.size == 0:
-                    raise ValueError("zero row in a subspace basis")
-                pivots.append(int(nz[0]))
-            pivots = tuple(pivots)
-        else:
-            pivots = tuple(int(c) for c in pivots)
+    def __init__(self, gf, basis, pivots=None, validate=True, ambient=None):
         if validate:
-            if d > m:
+            basis, ambient = _code_rows(gf, basis, ambient)
+            d = len(basis)
+            if pivots is None:
+                pivots = []
+                for row in basis:
+                    for c, x in enumerate(row):
+                        if x:
+                            pivots.append(c)
+                            break
+                    else:
+                        raise ValueError("zero row in a subspace basis")
+            pivots = tuple(int(c) for c in pivots)
+            if d > ambient:
                 raise ValueError("more rows than the ambient dimension")
             if len(pivots) != d or any(
                 pivots[i] >= pivots[i + 1] for i in range(d - 1)
             ):
                 raise ValueError("pivot columns must strictly increase")
+            if pivots and (pivots[0] < 0 or pivots[-1] >= ambient):
+                raise ValueError("pivot column outside the ambient space")
             for i, c in enumerate(pivots):
-                if int(basis[i, c]) != 1:
+                if basis[i][c] != 1:
                     raise ValueError("pivot entries must be 1")
-                if np.any(basis[i, :c]):
+                if any(basis[i][:c]):
                     raise ValueError("nonzero entry left of a pivot")
-                col = basis[:, c]
-                if np.count_nonzero(col) != 1:
+                if sum(1 for row in basis if row[c]) != 1:
                     raise ValueError("pivot column must be a unit column")
-            if basis.size and (basis.min() < 0 or basis.max() >= gf.q):
-                raise ValueError("basis entries out of range")
-        basis = basis.copy()
-        basis.setflags(write=False)
         object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_hash", None)
@@ -210,40 +249,46 @@ class Subspace:
     @classmethod
     def from_rows(cls, gf, rows, ambient=None):
         """Canonicalize arbitrary spanning rows into a Subspace."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.size == 0 and ambient is not None:
-            rows = rows.reshape(0, ambient)
-        basis, pivots = row_space(gf, rows)
-        return cls(gf, basis, pivots, validate=False)
+        rows, m = _code_rows(gf, rows, ambient)
+        return cls._span(gf, list(rows), m)
+
+    @classmethod
+    def _span(cls, gf, rows, m):
+        """The span of valid code rows; rows is a list _eliminate may reorder."""
+        rk, pivots = _eliminate(gf, rows, m)
+        return cls(gf, tuple(map(tuple, rows[:rk])), pivots, validate=False, ambient=m)
 
     @classmethod
     def zero(cls, gf, m):
-        return cls(gf, np.zeros((0, m), dtype=np.int64), (), validate=False)
+        return cls(gf, (), (), validate=False, ambient=m)
 
     @classmethod
     def full(cls, gf, m):
-        return cls(gf, np.eye(m, dtype=np.int64), tuple(range(m)), validate=False)
+        eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        return cls(gf, eye, tuple(range(m)), validate=False, ambient=m)
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return len(self.basis)
 
     def to_rows(self):
-        return [[int(x) for x in row] for row in self.basis]
+        return [list(row) for row in self.basis]
+
+    def _residual(self, v):
+        """v less its combination of basis rows at the pivot coordinates."""
+        sub_row = self.gf._sub_row
+        for row, c in zip(self.basis, self.pivots):
+            f = v[c]
+            if f:
+                v = sub_row(v, f, row)
+        return v
 
     def reduce(self, vec):
         """Residual of a vector after eliminating all pivot coordinates."""
-        v = np.array(vec, dtype=np.int64)
+        v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.m,):
             raise ValueError(f"expected a vector of length {self.m}")
-        gf = self.gf
-        for i, c in enumerate(self.pivots):
-            coeff = int(v[c])
-            if coeff:
-                v = gf.sub(v, gf.mul(coeff, self.basis[i]))
-        return v
+        return np.array(self._residual(v.tolist()), dtype=np.int64)
 
     def contains_vector(self, vec):
         return not np.any(self.reduce(vec))
@@ -252,7 +297,7 @@ class Subspace:
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        return all(other.contains_vector(row) for row in self.basis)
+        return not any(any(other._residual(row)) for row in self.basis)
 
     def __lt__(self, other):
         return self.dim < other.dim and self.__le__(other)
@@ -265,9 +310,7 @@ class Subspace:
 
     def __add__(self, other):
         self._check_ambient(other)
-        return Subspace.from_rows(
-            self.gf, np.vstack([self.basis, other.basis]), ambient=self.m
-        )
+        return Subspace._span(self.gf, [*self.basis, *other.basis], self.m)
 
     def intersect(self, other):
         """Intersection via the left null space of the stacked bases."""
@@ -276,7 +319,9 @@ class Subspace:
             return Subspace.zero(self.gf, self.m)
         stacked = np.vstack([self.basis, other.basis])
         relations = kernel(self.gf, stacked.T)
-        coeffs = relations.basis[:, : self.dim]
+        if relations.dim == 0:
+            return Subspace.zero(self.gf, self.m)
+        coeffs = [row[: self.dim] for row in relations.basis]
         rows = matmul(self.gf, coeffs, self.basis)
         return Subspace.from_rows(self.gf, rows, ambient=self.m)
 
@@ -319,16 +364,14 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.gf == other.gf
-            and self.m == other.m
-            and np.array_equal(self.basis, other.basis)
+        return self is other or (
+            self.basis == other.basis and self.m == other.m and self.gf == other.gf
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.gf, self.m, self.basis.tobytes()))
+            h = hash((self.gf, self.m, self.basis))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -148,13 +148,15 @@ class SchubertVariety:
                 f"point has dimension {W.dim}, the variety lives in "
                 f"dimension {self.l}"
             )
-        if conditions == "minimal":
-            conds = self.minimal_conditions()
-        elif conditions == "all":
-            conds = self.all_conditions()
-        else:
-            raise ValueError("conditions must be 'minimal' or 'all'")
+        try:
+            conds = self._condition_lists[conditions]
+        except KeyError:
+            raise ValueError("conditions must be 'minimal' or 'all'") from None
         return all(intersection_dim(W, S) >= r for S, r in conds)
+
+    @cached_property
+    def _condition_lists(self):
+        return {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
 
     def points(self, limit=None):
         """Yield the points in canonical Grassmannian order."""

@@ -1,10 +1,18 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 import bruteforce as bf
+from qgrass import grassmann, linalg, schubert
 from qgrass.field import GF, make_field
+from qgrass.grassmann import (
+    enumerate_grassmannian,
+    random_subspace,
+    rank_subspace,
+    unrank_subspace,
+)
 from qgrass.linalg import (
     Subspace,
     as_matrix,
@@ -83,7 +91,8 @@ def test_kernel_annihilates(p, e):
         ker = kernel(gf, mat)
         assert ker.dim == mat.shape[1] - rank(gf, mat)
         for vec in ker.basis:
-            assert not np.any(matmul(gf, mat, vec[:, None]))
+            column = np.array(vec, dtype=np.int64)[:, None]
+            assert not np.any(matmul(gf, mat, column))
 
 
 def test_kernel_edge_cases(gf2):
@@ -238,8 +247,10 @@ def test_subspace_validation_and_immutability(gf2):
     A = Subspace.from_rows(gf2, [[1, 0, 1]], ambient=3)
     with pytest.raises(AttributeError):
         A.m = 7
-    with pytest.raises(ValueError):
-        A.basis[0, 0] = 0
+    with pytest.raises(TypeError):
+        A.basis[0][0] = 0
+    with pytest.raises(TypeError):
+        A.basis[0] = (0, 0, 0)
 
 
 def test_reduce_residual(gf3):
@@ -248,3 +259,80 @@ def test_reduce_residual(gf3):
     # residual has zeros on pivot coordinates
     assert int(res[0]) == 0 and int(res[1]) == 0
     assert A.contains_vector([2, 2, 0]) == (not np.any(A.reduce([2, 2, 0])))
+
+
+def _assert_int_tuples(W):
+    assert type(W.basis) is tuple and all(type(row) is tuple for row in W.basis)
+    assert all(type(x) is int for row in W.basis for x in row)
+    assert all(type(c) is int for c in W.pivots)
+    json.dumps(W.to_rows())
+
+
+def _check_tuple_basis(W, rng):
+    """W is held by int tuples and is found again from any spanning rows."""
+    gf, m = W.gf, W.m
+    _assert_int_tuples(W)
+    mix = random_invertible(gf, W.dim, rng)
+    rows = matmul(gf, mix, np.array(W.basis, dtype=np.int64)).tolist()
+    for twin in (
+        Subspace.from_rows(gf, rows, ambient=m),
+        unrank_subspace(gf, m, W.dim, rank_subspace(W)),
+    ):
+        _assert_int_tuples(twin)
+        assert twin == W and hash(twin) == hash(W)
+        assert twin.basis == W.basis and twin.pivots == W.pivots
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_tuple_basis_over_whole_g24(p, e):
+    gf = make_field(p, e)
+    rng = random.Random(7 * p + e)
+    for W in enumerate_grassmannian(gf, 4, 2):
+        _check_tuple_basis(W, rng)
+
+
+def test_tuple_basis_untabled_field():
+    gf = make_field(7, 3)
+    rng = random.Random(343)
+    for l in (1, 2, 3):
+        for _ in range(4):
+            _check_tuple_basis(random_subspace(gf, 4, l, rng), rng)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (7, 3)])
+def test_subspace_rejects_ragged_and_out_of_range_rows(p, e):
+    gf = make_field(p, e)
+    with pytest.raises(ValueError):
+        Subspace(gf, [[1, 0, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        Subspace.from_rows(gf, [[1, 0, 0], [0, 1]])
+    for bad in (gf.q, -1):
+        with pytest.raises(ValueError):
+            Subspace(gf, [[1, 0, bad]])
+        with pytest.raises(ValueError):
+            Subspace.from_rows(gf, [[1, 0, bad]], ambient=3)
+
+
+class _NoArrays:
+    """Stands in for numpy: isinstance checks work, any other use fails."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_points_sums_and_membership_build_no_array(monkeypatch, p, e):
+    gf = make_field(p, e)
+    omega = schubert.SchubertVariety.standard(gf, 4, (2, 4))
+    S = Subspace.from_rows(gf, [[1, 1, 0, 1], [0, 1, 1, 1]], ambient=4)
+    for module in (grassmann, linalg, schubert):
+        monkeypatch.setattr(module, "np", _NoArrays())
+    pts = list(enumerate_grassmannian(gf, 4, 2))
+    assert unrank_subspace(gf, 4, 2, rank_subspace(pts[-1])) == pts[-1]
+    assert len(set(pts)) == len(pts)
+    assert Subspace.from_rows(gf, S.to_rows(), ambient=4) == S
+    assert sum(linalg.intersection_dim(W, S) == 1 for W in pts) > 0
+    assert all((W + S).dim == 4 - linalg.intersection_dim(W, S) for W in pts)
+    assert len(omega.point_set()) == omega.count_points()
