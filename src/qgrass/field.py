@@ -4,22 +4,31 @@ Elements of GF(p^e) are stored as plain integers in [0, p^e).  The base-p
 digits of a code, least significant first, are the coefficients of a
 polynomial in the canonical generator, constant term first.  For prime
 fields this makes codes and residues mod p coincide, so arithmetic is
-direct modular arithmetic on arrays.  For proper extensions with small
-order we precompute full operation tables once and every array operation
-becomes a fancy-indexing lookup; beyond the table bound a slow generic
-path keeps the same API working.
+direct modular arithmetic.
+
+A proper extension (e > 1) builds one set of O(q) tables at construction
+and every operation reads them.  With g the smallest primitive element
+and n = q - 1, exp[k] = g^k (the powers written out twice, so a sum of
+two logs needs no % n), log inverts it, and zech[k] = log(1 + g^k) is the
+Zech logarithm (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Zero has
+the log 2n and exp reads 0 from there on, so a product is always
+exp[log a + log b].  In characteristic 2 a sum is the XOR of the codes;
+otherwise a + b = g^(log a + zech[log b - log a]) for nonzero a and b.
+Negation is exp[log a + n/2] in odd characteristic and the identity in
+characteristic 2, inverses are exp[n - log a] and the Frobenius map
+multiplies logs by p^k.
 
 Row reduction does not go through the array operations.  Each GF picks
 once, at construction, the two scalar row operations the elimination
 kernel in linalg runs on Python lists: % arithmetic for prime fields,
-list copies of the tables for tabled fields, the scalar slow path for
-the rest.
+list lookups in the same tables for the rest.
 
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
 comparing coefficient sequences from the constant term up.  Two GF
 instances with equal (p, e) therefore agree element-for-element, and
-serialized data round-trips between processes.
+serialized data round-trips between processes.  The choice of g is
+internal: it never shows in a code.
 """
 
 import itertools
@@ -29,9 +38,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError
-
-# Largest field order for which full op tables are built by default.
-TABLE_BOUND = 256
 
 # Fields at or above this order are refused outright: every structure in
 # this package enumerates vectors or subspaces sooner or later, and a huge
@@ -54,30 +60,19 @@ def _is_prime(n):
     return True
 
 
-def _poly_mod(poly, modulus, p):
-    """Reduce poly (low-to-high coefficient list) modulo a monic modulus."""
-    poly = [c % p for c in poly]
-    e = len(modulus) - 1
-    while len(poly) > e:
-        lead = poly.pop()
-        if lead:
-            # subtract lead * x^(len(poly)-e) * modulus
-            shift = len(poly) - e
-            for i, c in enumerate(modulus[:-1]):
-                poly[shift + i] = (poly[shift + i] - lead * c) % p
-    while len(poly) < e:
-        poly.append(0)
-    return poly
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, modulus, p)
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _divides(small, big, p):
@@ -130,6 +125,17 @@ def _smallest_irreducible(p, e):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _matrix_power(mat, k, p):
+    """mat^k mod p for a square int64 matrix with entries below p."""
+    out = np.eye(len(mat), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        k >>= 1
+    return out
+
+
 class GF:
     """Arithmetic context for GF(p^e) acting on integer-code arrays.
 
@@ -138,7 +144,7 @@ class GF:
     (inv, power, frobenius on scalars) take and return ints.
     """
 
-    def __init__(self, p, e=1, order_bound=None, use_tables=None):
+    def __init__(self, p, e=1, order_bound=None):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
@@ -155,77 +161,82 @@ class GF:
         self.e = e
         self.q = q
         self.modulus = _smallest_irreducible(p, e)
-        if use_tables is None:
-            use_tables = e > 1 and q <= TABLE_BOUND
         self._tables = None
-        if use_tables and e > 1:
+        if e > 1:
             self._build_tables()
         self._choose_row_ops()
 
-    # -- construction of the lookup tables ---------------------------------
+    # -- construction of the log tables --------------------------------------
 
-    def _reduction_rows(self):
-        """Row k holds the digit vector of x^k mod modulus, k in [0, 2e-2]."""
-        e, p = self.e, self.p
-        rows = np.zeros((2 * e - 1, e), dtype=np.int64)
-        cur = [1] + [0] * (e - 1)
-        for k in range(2 * e - 1):
-            rows[k] = cur
-            cur = _poly_mod([0] + cur, list(self.modulus), p)
-        return rows
+    def _primitive_element(self):
+        """Matrix of multiplication by the smallest primitive element.
+
+        Multiplication by a code is GF(p)-linear on digit vectors, and its
+        matrix is that code's polynomial evaluated at the companion matrix
+        of the modulus.  g is primitive when g^((q-1)/r) != 1 for every
+        prime r dividing q - 1.
+        """
+        p, e, q = self.p, self.e, self.q
+        x = np.zeros((e, e), dtype=np.int64)
+        x[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+        x[:, -1] = [-c % p for c in self.modulus[:-1]]
+        x_powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(e - 1):
+            x_powers.append(x_powers[-1] @ x % p)
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        for g in range(2, q):
+            mat = sum(d * xp for d, xp in zip(self._digits_of(g), x_powers)) % p
+            if not any(np.array_equal(_matrix_power(mat, k, p), x_powers[0]) for k in exponents):
+                return mat
+        raise RuntimeError("no primitive element found")  # unreachable
+
+    def _times_table(self, mat):
+        """times[c] = the code of b * c for every c, where mat multiplies by b.
+
+        Built one digit position at a time: a code c + d * p^j maps to the
+        image of c plus d times column j, a digit-wise sum.
+        """
+        p = self.p
+        weights = p ** np.arange(self.e, dtype=np.int64)
+        table = np.zeros(1, dtype=np.int64)
+        for j in range(self.e):
+            blocks = []
+            for d in range(p):
+                col = np.full_like(table, (d * mat[:, j] % p) @ weights)
+                blocks.append(self.sum(np.stack([table, col]), axis=0))
+            table = np.concatenate(blocks)
+        return table
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        codes = np.arange(q, dtype=np.int64)
-        powers = p ** np.arange(e, dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % p  # (q, e)
-
-        add_digits = (digits[:, None, :] + digits[None, :, :]) % p
-        add = (add_digits * powers).sum(axis=2)
-
-        red = self._reduction_rows()  # (2e-1, e)
-        conv = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
-        for i in range(e):
-            for j in range(e):
-                conv[:, :, i + j] += np.multiply.outer(digits[:, i], digits[:, j])
-        mul_digits = np.tensordot(conv, red, axes=([2], [0])) % p
-        mul = (mul_digits * powers).sum(axis=2)
-
-        neg_digits = (-digits) % p
-        neg = (neg_digits * powers).sum(axis=1)
-
-        inv = np.zeros(q, dtype=np.int64)
-        nz_rows, nz_cols = np.nonzero(mul == 1)
-        inv[nz_rows] = nz_cols
-
-        # frob[k] = frob1 iterated k times, frob1[a] = a^p via the mul table
-        frob1 = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            acc = 1
-            for _ in range(p):
-                acc = mul[acc, a]
-            frob1[a] = acc
-        frob = np.zeros((e, q), dtype=np.int64)
-        frob[0] = np.arange(q)
-        for k in range(1, e):
-            frob[k] = frob1[frob[k - 1]]
-
+        p, q = self.p, self.q
+        n = q - 1
+        times_g = self._times_table(self._primitive_element()).tolist()
+        powers = [0] * n
+        x = 1
+        for k in range(n):
+            powers[k] = x
+            x = times_g[x]
+        g_k = np.array(powers, dtype=np.int64)
+        log = np.full(q, 2 * n, dtype=np.int64)  # log of zero: exp reads 0 from 2n on
+        log[g_k] = np.arange(n)
+        # 1 + g^k: one more in the constant digit
+        zech = log[g_k - g_k % p + (g_k + 1) % p]
         self._tables = {
-            "add": add,
-            "mul": mul,
-            "neg": neg,
-            "inv": inv,
-            "frob": frob,
+            "exp": np.concatenate([g_k, g_k, np.zeros(2 * n + 1, dtype=np.int64)]),
+            "log": log,
+            "zech": zech,
         }
-        # list copies: scalar lookups in the elimination kernel and inv
-        self._lists = {name: self._tables[name].tolist() for name in ("add", "mul", "neg", "inv")}
+        # list copies for scalar lookups in the row operations and inv
+        self._exp = powers + powers + [0] * (2 * n + 1)
+        self._log = log.tolist()
+        self._zech = zech.tolist()
 
     def _choose_row_ops(self):
         """Fix the two row operations the elimination kernel runs on.
 
         Rows are Python lists of codes.  scale_row(row, c) is c * row and
-        sub_row(row, f, piv) is row - f * piv.  Prime fields use %, tabled
-        fields index the list tables, and the rest the scalar slow path.
+        sub_row(row, f, piv) is row - f * piv, for nonzero c and f.  Prime
+        fields use %, extensions the list copies of the log tables.
         """
         if self.e == 1:
             p = self.p
@@ -236,31 +247,42 @@ class GF:
             def sub_row(row, f, piv):
                 return [(x - f * y) % p for x, y in zip(row, piv)]
 
-        elif self._tables is not None:
-            add, mul, neg = self._lists["add"], self._lists["mul"], self._lists["neg"]
-
-            def scale_row(row, c):
-                mc = mul[c]
-                return [mc[x] for x in row]
-
-            def sub_row(row, f, piv):
-                mf = mul[neg[f]]
-                return [add[x][mf[y]] for x, y in zip(row, piv)]
-
         else:
-            slow_add, slow_mul, slow_neg = self._slow_add, self._slow_mul, self._slow_neg
+            exp, log, zech = self._exp, self._log, self._zech
+            n = self.q - 1
 
             def scale_row(row, c):
-                return [slow_mul(c, x) for x in row]
+                lc = log[c]
+                return [exp[lc + log[x]] for x in row]
 
-            def sub_row(row, f, piv):
-                nf = slow_neg(f)
-                return [slow_add(x, slow_mul(nf, y)) for x, y in zip(row, piv)]
+            if self.p == 2:
+
+                def sub_row(row, f, piv):
+                    lf = log[f]
+                    return [x ^ exp[lf + log[y]] for x, y in zip(row, piv)]
+
+            else:
+                half = n // 2
+
+                def sub_row(row, f, piv):
+                    # row + (-f) * piv, each sum through its Zech log
+                    lt = (log[f] + half) % n
+                    out = []
+                    for x, y in zip(row, piv):
+                        if y:
+                            t = lt + log[y]
+                            if x:
+                                lx = log[x]
+                                x = exp[lx + zech[(t - lx) % n]]
+                            else:
+                                x = exp[t]
+                        out.append(x)
+                    return out
 
         self._scale_row = scale_row
         self._sub_row = sub_row
 
-    # -- generic slow path helpers -----------------------------------------
+    # -- digits ---------------------------------------------------------------
 
     def _digits_of(self, a):
         p = self.p
@@ -276,27 +298,20 @@ class GF:
             code = code * self.p + (c % self.p)
         return code
 
-    def _slow_add(self, a, b):
-        da, db = self._digits_of(int(a)), self._digits_of(int(b))
-        return self._code_of([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _slow_neg(self, a):
-        return self._code_of([(-x) % self.p for x in self._digits_of(int(a))])
-
-    def _slow_mul(self, a, b):
-        da, db = self._digits_of(int(a)), self._digits_of(int(b))
-        prod = _poly_mul_mod(da, db, list(self.modulus), self.p)
-        return self._code_of(prod)
-
     # -- public arithmetic --------------------------------------------------
 
     def add(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
-            return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
-        if self._tables is not None:
-            return self._tables["add"][a, b]
-        fn = np.frompyfunc(self._slow_add, 2, 1)
-        return np.asarray(fn(a, b)).astype(np.int64)
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        exp, log, zech = self._tables["exp"], self._tables["log"], self._tables["zech"]
+        la = log[a]
+        s = exp[la + zech[(log[b] - la) % (self.q - 1)]]
+        # [()] turns a 0-d result into a scalar, as the other operations give
+        return np.where(a == 0, b, np.where(b == 0, a, s))[()]
 
     def sub(self, a, b):
         if self.e == 1:
@@ -306,18 +321,17 @@ class GF:
     def neg(self, a):
         if self.e == 1:
             return (-np.asarray(a, dtype=np.int64)) % self.p
-        if self._tables is not None:
-            return self._tables["neg"][a]
-        fn = np.frompyfunc(self._slow_neg, 1, 1)
-        return np.asarray(fn(a)).astype(np.int64)
+        # -1 = g^(n/2) in odd characteristic and 1 = g^0 in characteristic 2
+        shift = (self.q - 1) // 2 if self.p != 2 else 0
+        return self._tables["exp"][self._tables["log"][np.asarray(a, dtype=np.int64)] + shift]
 
     def mul(self, a, b):
         if self.e == 1:
             return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-        if self._tables is not None:
-            return self._tables["mul"][a, b]
-        fn = np.frompyfunc(self._slow_mul, 2, 1)
-        return np.asarray(fn(a, b)).astype(np.int64)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        log = self._tables["log"]
+        return self._tables["exp"][log[a] + log[b]]
 
     def inv(self, a):
         """Multiplicative inverse of a single nonzero element."""
@@ -326,9 +340,7 @@ class GF:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._tables is not None:
-            return self._lists["inv"][a]
-        return self.power(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -341,43 +353,40 @@ class GF:
             return self.power(self.inv(a), -n)
         if self.e == 1:
             return pow(a, n, self.p)
-        if self._tables is not None:
-            table = self._lists["mul"]
-
-            def mul(x, y):
-                return table[x][y]
-
-        else:
-            mul = self._slow_mul
-        acc = 1
-        while n:
-            if n & 1:
-                acc = mul(acc, a)
-            a = mul(a, a)
-            n >>= 1
-        return acc
+        if a == 0:
+            return int(n == 0)
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def frobenius(self, a, k=1):
         """Apply x -> x^(p^k) elementwise; k must lie in [0, e)."""
         k = int(k)
         if not 0 <= k < self.e:
             raise ValueError(f"frobenius power {k} outside [0, {self.e})")
+        scalar = np.isscalar(a)
         if k == 0 or self.e == 1:
-            return np.asarray(a, dtype=np.int64) if not np.isscalar(a) else a
-        if self._tables is not None:
-            return self._tables["frob"][k][a]
-        fn = np.frompyfunc(lambda x: self.power(x, self.p**k), 1, 1)
-        return np.asarray(fn(a)).astype(np.int64)
+            return int(a) if scalar else np.asarray(a, dtype=np.int64)
+        if scalar:
+            return self.power(a, self.p**k)
+        a = np.asarray(a, dtype=np.int64)
+        twisted = self._tables["exp"][self._tables["log"][a] * self.p**k % (self.q - 1)]
+        return np.where(a == 0, 0, twisted)[()]
+
+    def sum(self, a, axis):
+        """Field sum of a code array along one axis."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.e == 1:
+            return a.sum(axis=axis) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        # sum each base-p digit mod p; the digits sit on a new last axis
+        p = self.p
+        weights = p ** np.arange(self.e, dtype=np.int64)
+        digits = a[..., None] // weights % p
+        return digits.sum(axis=axis % a.ndim) % p @ weights
 
     def dot(self, u, v):
         """Standard bilinear form sum_i u_i * v_i of two code vectors."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        prods = self.mul(u, v)
-        acc = 0
-        for x in np.ravel(prods):
-            acc = int(self.add(acc, int(x)))
-        return acc
+        return int(self.sum(np.ravel(self.mul(u, v)), axis=0))
 
     # -- structure ----------------------------------------------------------
 

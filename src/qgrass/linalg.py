@@ -111,10 +111,8 @@ def matmul(gf, a, b):
                 f"a {a.shape[1]}-term dot product over GF({gf.p}) overflows int64"
             )
         return (a @ b) % gf.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = gf.add(out, gf.mul(a[:, k][:, None], b[k][None, :]))
-    return out
+    # every product a[i, k] * b[k, j] at once, then one sum over k
+    return gf.sum(gf.mul(a[:, :, None], b[None, :, :]), axis=1)
 
 
 def matrix_inverse(gf, mat):

@@ -160,3 +160,120 @@ def poly_eval(coeffs, x):
     for c in reversed(tuple(coeffs)):
         acc = acc * x + c
     return acc
+
+
+# -- GF(p^e) as polynomials modulo the canonical irreducible -----------------
+
+
+def _poly_divides(small, big, p):
+    """Whether the monic polynomial small divides big over GF(p)."""
+    rem = list(big)
+    ds = len(small) - 1
+    while len(rem) - 1 >= ds:
+        lead = rem[-1]
+        if lead == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - 1 - ds
+        for i, c in enumerate(small):
+            rem[shift + i] = (rem[shift + i] - lead * c) % p
+        rem.pop()
+    return all(c == 0 for c in rem)
+
+
+def smallest_irreducible(p, e):
+    """Canonical modulus by naive factor search: the smallest monic
+    irreducible of degree e, comparing coefficients constant term first."""
+
+    def has_root(poly):
+        for x in range(p):
+            acc = 0
+            for c in reversed(poly):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                return True
+        return False
+
+    def irreducible(poly):
+        deg = len(poly) - 1
+        if deg == 1:
+            return True
+        if has_root(poly):
+            return False
+        for d in range(2, deg // 2 + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                if _poly_divides(list(tail) + [1], poly, p):
+                    return False
+        return True
+
+    if e == 1:
+        return (0, 1)
+    for tail in itertools.product(range(p), repeat=e):
+        poly = list(tail) + [1]
+        if irreducible(poly):
+            return tuple(poly)
+    raise AssertionError("unreachable")
+
+
+class PolyField:
+    """GF(p^e) as polynomials over GF(p) modulo the canonical irreducible.
+
+    A code is read as its base-p digits, constant term first, the way the
+    package stores elements, so answers compare code for code.  Products
+    are schoolbook polynomial products reduced by long division.
+    """
+
+    def __init__(self, p, e):
+        self.p, self.e, self.q = p, e, p**e
+        self.modulus = smallest_irreducible(p, e)
+        self._digits = []
+        for a in range(self.q):
+            out = []
+            for _ in range(e):
+                a, d = divmod(a, p)
+                out.append(d)
+            self._digits.append(out)
+
+    def digits(self, a):
+        return self._digits[a]
+
+    def code(self, digits):
+        a = 0
+        for d in reversed(digits):
+            a = a * self.p + d % self.p
+        return a
+
+    def add(self, a, b):
+        return self.code([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.code([-x for x in self.digits(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, e = self.p, self.e
+        da, db = self.digits(a), self.digits(b)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * e - 2, e - 1, -1):
+            lead = prod[top]
+            if lead:
+                for i, c in enumerate(self.modulus):
+                    prod[top - e + i] = (prod[top - e + i] - lead * c) % p
+        return self.code(prod[:e])
+
+    def power(self, a, n):
+        acc = 1
+        while n:
+            if n & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return acc
+
+    def frobenius(self, a, k):
+        return self.power(a, self.p**k)

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import bruteforce as bf
+from qgrass import field
 from qgrass.errors import BudgetExceededError
 from qgrass.field import (
     GF,
@@ -12,50 +14,9 @@ from qgrass.field import (
     field_from_order,
     make_field,
 )
-
-
-def oracle_smallest_irreducible(p, e):
-    """Re-derive the canonical modulus by naive factor search."""
-
-    def poly_eval(poly, x):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        return acc
-
-    def divides(small, big):
-        rem = list(big)
-        ds = len(small) - 1
-        while len(rem) - 1 >= ds:
-            lead = rem[-1]
-            if lead == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - ds
-            for i, c in enumerate(small):
-                rem[shift + i] = (rem[shift + i] - lead * c) % p
-            rem.pop()
-        return all(c == 0 for c in rem)
-
-    def irreducible(poly):
-        deg = len(poly) - 1
-        if deg == 1:
-            return True
-        if any(poly_eval(poly, x) == 0 for x in range(p)):
-            return False
-        for d in range(2, deg // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                if divides(list(tail) + [1], poly):
-                    return False
-        return True
-
-    if e == 1:
-        return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
-        poly = list(tail) + [1]
-        if irreducible(poly):
-            return tuple(poly)
-    raise AssertionError("unreachable")
+from qgrass.grassmann import random_flag
+from qgrass.group import SemilinearMap
+from qgrass.linalg import matmul, matrix_inverse, random_invertible, random_matrix, rref
 
 
 def test_canonical_moduli_frozen():
@@ -66,7 +27,7 @@ def test_canonical_moduli_frozen():
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_modulus_matches_oracle(p, e):
-    assert make_field(p, e).modulus == oracle_smallest_irreducible(p, e)
+    assert make_field(p, e).modulus == bf.smallest_irreducible(p, e)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
@@ -139,20 +100,6 @@ def test_frobenius_is_a_field_map(gf9):
         gf9.frobenius(1, -1)
 
 
-def test_tables_match_generic_path():
-    fast = GF(2, 4)
-    slow = GF(2, 4, use_tables=False)
-    assert fast._tables is not None and slow._tables is None
-    for a, b in itertools.product(range(16), repeat=2):
-        assert int(fast.add(a, b)) == int(slow.add(a, b))
-        assert int(fast.mul(a, b)) == int(slow.mul(a, b))
-    for a in range(16):
-        for k in range(4):
-            assert int(fast.frobenius(a, k)) == int(slow.frobenius(a, k))
-        if a:
-            assert fast.inv(a) == slow.inv(a)
-
-
 def test_array_ops_match_scalar(gf4, gf3):
     rng = random.Random(7)
     for gf in (gf4, gf3):
@@ -183,7 +130,7 @@ def test_power_and_order(gf4, gf9):
 
 @pytest.mark.parametrize("q", [7, 243, 343, 512])
 def test_inverse_and_power_by_scalar_products(q):
-    # prime, tabled and untabled fields each take their own scalar path
+    # prime fields use pow, extensions their log tables
     gf = field_from_order(q)
     for a in range(1, q):
         assert int(gf.mul(gf.inv(a), a)) == 1
@@ -198,6 +145,80 @@ def test_inverse_and_power_by_scalar_products(q):
 def test_dot_products(gf4):
     assert gf4.dot([1, 2], [2, 2]) == 1  # x + x^2 = 1 when x^2 = x + 1
     assert gf4.dot([0, 0, 0], [1, 2, 3]) == 0
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 3), (3, 2), (7, 3)])
+def test_dot_is_one_sum_not_an_add_per_coordinate(p, e):
+    gf = GF(p, e)
+    q = gf.q
+    ref = bf.PolyField(gf.p, gf.e)
+    gf.add = None
+    rng = random.Random(q)
+    for length in (0, 1, 2, 5, 9):
+        for _ in range(10):
+            u = [rng.randrange(q) for _ in range(length)]
+            v = [rng.randrange(q) for _ in range(length)]
+            want = 0
+            for x, y in zip(u, v):
+                want = ref.add(want, ref.mul(x, y))
+            got = gf.dot(u, v)
+            assert type(got) is int and got == want
+            assert gf.dot(np.array(u, dtype=np.int64), v) == want
+
+
+@pytest.mark.parametrize("q", [2, 7, 4, 9, 343])
+def test_frobenius_of_a_scalar_is_an_int(q):
+    gf = field_from_order(q)
+    for k in range(gf.e):
+        for a in (0, 1, q - 1, np.int64(q - 1)):
+            got = gf.frobenius(a, k)
+            assert type(got) is int and got == gf.power(int(a), gf.p**k)
+        assert gf.frobenius(np.array([0, 1, q - 1]), k).dtype == np.int64
+
+
+def test_extension_tables_are_logs_of_a_primitive_element():
+    for q in (4, 9, 16, 27, 243, 256, 343, 512):
+        gf = field_from_order(q)
+        ref = bf.PolyField(gf.p, gf.e)
+        n = q - 1
+        exp, log, zech = (gf._tables[name].tolist() for name in ("exp", "log", "zech"))
+        g = exp[1]
+        assert exp[:n] == [ref.power(g, k) for k in range(n)]
+        assert sorted(exp[:n]) == list(range(1, q))  # g generates the units
+        assert exp[n : 2 * n] == exp[:n] and not any(exp[2 * n :])
+        assert all(log[exp[k]] == k for k in range(n)) and log[0] == 2 * n
+        assert zech == [log[ref.add(1, exp[k])] for k in range(n)]
+        # the smallest code that generates the units
+        assert all(len({ref.power(h, k) for k in range(n)}) < n for h in range(2, g))
+
+
+def test_no_frompyfunc_on_large_extensions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.frompyfunc called")
+
+    monkeypatch.setattr(field.np, "frompyfunc", refuse)
+    for q in (343, 512):
+        gf = field_from_order(q)
+        ref = bf.PolyField(gf.p, gf.e)
+        rng = random.Random(q)
+        a = random_matrix(gf, 3, 4, rng)
+        b = random_matrix(gf, 3, 4, rng)
+        pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+        assert gf.add(a, b).ravel().tolist() == [ref.add(x, y) for x, y in pairs]
+        assert gf.sub(a, b).ravel().tolist() == [ref.sub(x, y) for x, y in pairs]
+        assert gf.mul(a, b).ravel().tolist() == [ref.mul(x, y) for x, y in pairs]
+        assert gf.neg(a).ravel().tolist() == [ref.neg(x) for x, _ in pairs]
+        assert gf.frobenius(a, 1).ravel().tolist() == [ref.frobenius(x, 1) for x, _ in pairs]
+        for x in range(1, q, 17):
+            assert ref.mul(x, gf.inv(x)) == 1
+            assert gf.power(x, 5) == ref.power(x, 5)
+        M = random_invertible(gf, 5, rng)
+        assert rref(gf, M)[1] == 5
+        assert matmul(gf, M, matrix_inverse(gf, M)).tolist() == np.eye(5, dtype=int).tolist()
+        tau = SemilinearMap.from_matrix(gf, M, frobenius_power=1)
+        flag = random_flag(gf, 5, (2, 3, 5), rng=rng)
+        image = tau(flag)
+        assert image != flag and tau.inverse()(image) == flag
 
 
 def test_digit_round_trip(gf9):

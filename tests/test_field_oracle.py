@@ -1,0 +1,89 @@
+"""Extension-field arithmetic against the polynomial oracle in bruteforce.py.
+
+Every array and scalar operation of GF(p^e), and the two row operations
+the elimination kernel runs on, must agree code for code with
+schoolbook polynomial arithmetic modulo the canonical irreducible.
+Fields up to order 256 are checked on every pair of elements; GF(343)
+and GF(512) pair every element with a seeded sample.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+import bruteforce as bf
+from qgrass.field import field_from_order
+
+ORDERS = [4, 8, 9, 16, 25, 27, 49, 243, 256, 343, 512]
+
+
+def _partners(q, rng):
+    """Second operands: every element up to q = 256, a sample beyond."""
+    if q <= 256:
+        return list(range(q))
+    return sorted({0, 1, q - 1} | set(rng.sample(range(q), 13)))
+
+
+def _sample(rng, population, k):
+    return rng.sample(population, min(k, len(population)))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_add_sub_neg_mul_match_polynomial_arithmetic(q):
+    gf = field_from_order(q)
+    ref = bf.PolyField(gf.p, gf.e)
+    assert gf.modulus == ref.modulus
+    rng = random.Random(q)
+    els = list(range(q))
+    bs = _partners(q, rng)
+    a = np.repeat(np.arange(q, dtype=np.int64), len(bs))
+    b = np.tile(np.array(bs, dtype=np.int64), q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert gf.add(a, b).tolist() == [ref.add(x, y) for x, y in pairs]
+    assert gf.sub(a, b).tolist() == [ref.sub(x, y) for x, y in pairs]
+    assert gf.mul(a, b).tolist() == [ref.mul(x, y) for x, y in pairs]
+    assert gf.neg(np.arange(q)).tolist() == [ref.neg(x) for x in els]
+    # scalar calls on a sample of the same pairs
+    for x, y in _sample(rng, pairs, 200):
+        assert int(gf.add(x, y)) == ref.add(x, y)
+        assert int(gf.sub(x, y)) == ref.sub(x, y)
+        assert int(gf.mul(x, y)) == ref.mul(x, y)
+        assert int(gf.neg(x)) == ref.neg(x)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_inv_power_frobenius_match_polynomial_arithmetic(q):
+    gf = field_from_order(q)
+    ref = bf.PolyField(gf.p, gf.e)
+    rng = random.Random(q + 1)
+    for a in range(1, q):
+        assert ref.mul(a, gf.inv(a)) == 1
+    for a in [0, 1, q - 1] + _sample(rng, range(q), 10):
+        for n in [0, 1, 2, q - 2, q - 1, q, 2 * q + 3] + rng.sample(range(3 * q), 4):
+            assert gf.power(a, n) == ref.power(a, n)
+        if a:
+            inv = ref.power(a, q - 2)
+            for n in (1, 2, q + 1):
+                assert gf.power(a, -n) == ref.power(inv, n)
+    frob = [ref.frobenius(a, 1) for a in range(q)]
+    want = list(range(q))
+    for k in range(gf.e):
+        assert gf.frobenius(np.arange(q), k).tolist() == want
+        for a in _sample(rng, range(q), 20):
+            assert int(gf.frobenius(a, k)) == want[a]
+        want = [frob[a] for a in want]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_row_operations_match_polynomial_arithmetic(q):
+    gf = field_from_order(q)
+    ref = bf.PolyField(gf.p, gf.e)
+    rng = random.Random(q + 2)
+    row = list(range(q))
+    piv = row[:]
+    rng.shuffle(piv)
+    for c in sorted({1, q - 1} | set(_sample(rng, range(1, q), 6))):
+        assert gf._scale_row(row, c) == [ref.mul(c, x) for x in row]
+        want = [ref.sub(x, ref.mul(c, y)) for x, y in zip(row, piv)]
+        assert gf._sub_row(row, c, piv) == want

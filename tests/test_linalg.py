@@ -291,7 +291,7 @@ def test_tuple_basis_over_whole_g24(p, e):
         _check_tuple_basis(W, rng)
 
 
-def test_tuple_basis_untabled_field():
+def test_tuple_basis_over_gf343():
     gf = make_field(7, 3)
     rng = random.Random(343)
     for l in (1, 2, 3):
