@@ -2,8 +2,9 @@
 
 Nothing in this module imports the package under test.  Everything here
 recomputes answers from first principles in the dumbest reliable way:
-subspaces are literal sets of vector tuples, row reduction is done on
-lists or on GF(2) bitmasks, and counting means enumerating and counting.
+subspaces are literal sets of vector tuples (over GF(p^e) through the
+polynomial arithmetic of PolyField), row reduction is done on lists or
+on GF(2) bitmasks, and counting means enumerating and counting.
 Slow is fine; these exist to catch the fast implementations lying.
 """
 
@@ -71,16 +72,28 @@ def naive_rref(rows, p):
     return tuple(tuple(x % p for x in row) for row in mat[:r]), tuple(pivots)
 
 
-def span_set(rows, p, m):
-    """Every linear combination of the rows, as a frozenset of tuples."""
+def span_set(rows, field, m):
+    """Every linear combination of the rows, as a frozenset of tuples.
+
+    field is a prime p, for arithmetic mod p, or a PolyField for GF(p^e).
+    The span grows one row at a time: each vector found so far plus each
+    multiple of the next row.
+    """
+    if isinstance(field, PolyField):
+        q, add, mul = field.q, field.add, field.mul
+    else:
+        q = field
+
+        def add(a, b):
+            return (a + b) % q
+
+        def mul(a, b):
+            return a * b % q
+
     out = {(0,) * m}
-    rows = list(rows)
-    for coeffs in itertools.product(range(p), repeat=len(rows)):
-        v = [0] * m
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = [(a + c * b) % p for a, b in zip(v, row)]
-        out.add(tuple(v))
+    for row in rows:
+        multiples = [tuple(mul(c, x) for x in row) for c in range(1, q)]
+        out |= {tuple(map(add, v, w)) for v in out for w in multiples}
     return frozenset(out)
 
 
