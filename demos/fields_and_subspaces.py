@@ -6,10 +6,9 @@ Elements of a field with q = p^e elements are integer codes 0..q-1;
 the base-p digits of a code are the coefficients of a polynomial in a
 fixed generator.  A subspace is stored as its reduced row echelon
 basis, a tuple of rows of Python ints, so two equal subspaces hold
-equal tuples.
+equal tuples.  Vectors and matrices everywhere are plain Python ints in
+lists and tuples; the package needs nothing beyond the standard library.
 """
-
-import numpy as np
 
 from qgrass import Subspace, make_field
 
@@ -22,9 +21,9 @@ print(f"{a} + {b} =", gf.add(a, b))
 print(f"{a} * {b} =", gf.mul(a, b))
 print(f"{a}^-1   =", gf.inv(a), " check:", gf.mul(a, gf.inv(a)))
 
-# arithmetic is vectorized over numpy arrays
-v = np.array([1, 2, 3, 4])
-w = np.array([8, 7, 6, 5])
+# arithmetic works entry by entry on rows of codes
+v = [1, 2, 3, 4]
+w = [8, 7, 6, 5]
 print("v + w  =", gf.add(v, w))
 print("v . w  =", gf.dot(v, w))
 

@@ -9,19 +9,15 @@ pit structural criteria against brute-force oracles.
 from .errors import BudgetExceededError, DiscrepancyError
 from .field import (
     GF,
-    FieldAutomorphism,
-    automorphism_group,
     field_from_order,
     make_field,
 )
 from .linalg import (
     Subspace,
-    as_matrix,
     kernel,
     matmul,
     matrix_inverse,
     rank,
-    row_space,
     rref,
 )
 from .grassmann import (
@@ -78,17 +74,13 @@ __all__ = [
     "BudgetExceededError",
     "DiscrepancyError",
     "GF",
-    "FieldAutomorphism",
-    "automorphism_group",
     "field_from_order",
     "make_field",
     "Subspace",
-    "as_matrix",
     "kernel",
     "matmul",
     "matrix_inverse",
     "rank",
-    "row_space",
     "rref",
     "CompleteFlag",
     "Flag",

@@ -1,4 +1,4 @@
-"""Finite field arithmetic on integer codes, vectorized over numpy arrays.
+"""Finite field arithmetic on integer codes, in plain Python ints.
 
 Elements of GF(p^e) are stored as plain integers in [0, p^e).  The base-p
 digits of a code, least significant first, are the coefficients of a
@@ -9,19 +9,29 @@ direct modular arithmetic.
 A proper extension (e > 1) builds one set of O(q) tables at construction
 and every operation reads them.  With g the smallest primitive element
 and n = q - 1, exp[k] = g^k (the powers written out twice, so a sum of
-two logs needs no % n), log inverts it, and zech[k] = log(1 + g^k) is the
-Zech logarithm (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Zero has
-the log 2n and exp reads 0 from there on, so a product is always
-exp[log a + log b].  In characteristic 2 a sum is the XOR of the codes;
-otherwise a + b = g^(log a + zech[log b - log a]) for nonzero a and b.
-Negation is exp[log a + n/2] in odd characteristic and the identity in
+two logs needs no % n), log inverts it, and in odd characteristic
+zech[k] = log(1 + g^k) is the Zech logarithm (K. Huber, IEEE Trans. Inf.
+Theory 36(4), 1990).  Zero has the log 2n and exp reads 0 from there to
+its end at 3n - 1, the largest index a lookup with one nonzero log can
+reach.  In characteristic 2 a sum is the XOR of the codes; otherwise
+a + b = g^(log a + zech[log b - log a]) for nonzero a and b.  Negation is
+exp[log a + n/2] in odd characteristic and the identity in
 characteristic 2, inverses are exp[n - log a] and the Frobenius map
 multiplies logs by p^k.
 
-Row reduction does not go through the array operations.  Each GF picks
-once, at construction, the two scalar row operations the elimination
-kernel in linalg runs on Python lists: % arithmetic for prime fields,
-list lookups in the same tables for the rest.
+The tables come from one walk through the powers of g.  Multiplication
+by g is GF(p)-linear on digit vectors, so g * x is the digit-wise sum of
+the images of the low and the high digits of x, each read from a table
+of about sqrt(q) entries.  In characteristic 2 that sum is an XOR;
+otherwise it is two lookups in a table of digit-wise sums of half-width
+codes, plus one digit mod p when e is odd.
+
+Each GF picks once, at construction, its scalar operations and the two
+row operations the elimination kernel in linalg runs on Python lists: %
+arithmetic for prime fields, lookups in the tables for the rest.  The
+public add, sub, neg, mul and frobenius take codes, or rows or matrices
+of codes (a code next to a row goes with every entry), and answer in
+kind: an int for ints, nested lists for sequences.
 
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
@@ -32,10 +42,7 @@ internal: it never shows in a code.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -125,37 +132,43 @@ def _smallest_irreducible(p, e):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def _matrix_power(mat, k, p):
-    """mat^k mod p for a square int64 matrix with entries below p."""
-    out = np.eye(len(mat), dtype=np.int64)
-    while k:
-        if k & 1:
-            out = out @ mat % p
-        mat = mat @ mat % p
-        k >>= 1
-    return out
+def _entrywise(fn, *args):
+    """fn on int codes, or entry by entry through rows and matrices of codes.
+
+    An int next to a sequence goes with every entry, so mul(c, row)
+    scales a row.  Sequences come back as lists.
+    """
+    seqs = [x for x in args if not isinstance(x, int)]
+    if not seqs:
+        return fn(*args)
+    n = len(seqs[0])
+    if any(len(x) != n for x in seqs):
+        raise ValueError("operands of different lengths")
+    cols = [itertools.repeat(x, n) if isinstance(x, int) else x for x in args]
+    if n and isinstance(seqs[0][0], int):  # rows: fn straight on the entries
+        return list(map(fn, *cols))
+    return [_entrywise(fn, *entries) for entries in zip(*cols)]
 
 
 class GF:
-    """Arithmetic context for GF(p^e) acting on integer-code arrays.
+    """Arithmetic context for GF(p^e) on integer codes.
 
-    All binary operations accept numpy int64 arrays (or python ints) of
-    codes and broadcast like numpy ufuncs.  Scalar-only operations
-    (inv, power, frobenius on scalars) take and return ints.
+    add, sub, neg, mul and frobenius work on codes and, entry by entry,
+    on rows and matrices of codes.  inv, div, power and dot take and
+    return ints.
     """
 
-    def __init__(self, p, e=1, order_bound=None):
+    def __init__(self, p, e=1):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        bound = DEFAULT_ORDER_BOUND if order_bound is None else order_bound
         q = p**e
-        if q >= bound:
+        if q >= DEFAULT_ORDER_BOUND:
             raise BudgetExceededError(
-                f"field order {q} exceeds the bound {bound}",
+                f"field order {q} exceeds the bound {DEFAULT_ORDER_BOUND}",
                 requested=q,
-                bound=bound,
+                bound=DEFAULT_ORDER_BOUND,
             )
         self.p = p
         self.e = e
@@ -164,82 +177,133 @@ class GF:
         self._tables = None
         if e > 1:
             self._build_tables()
-        self._choose_row_ops()
+        self._choose_ops()
 
     # -- construction of the log tables --------------------------------------
 
-    def _primitive_element(self):
-        """Matrix of multiplication by the smallest primitive element.
+    def _times_x(self, digits):
+        """A digit vector times the generator x, reduced by the modulus."""
+        p, top = self.p, digits[-1]
+        out = [0] + digits[:-1]
+        if top:
+            out = [(d - top * c) % p for d, c in zip(out, self.modulus)]
+        return out
 
-        Multiplication by a code is GF(p)-linear on digit vectors, and its
-        matrix is that code's polynomial evaluated at the companion matrix
-        of the modulus.  g is primitive when g^((q-1)/r) != 1 for every
-        prime r dividing q - 1.
-        """
-        p, e, q = self.p, self.e, self.q
-        x = np.zeros((e, e), dtype=np.int64)
-        x[1:, :-1] = np.eye(e - 1, dtype=np.int64)
-        x[:, -1] = [-c % p for c in self.modulus[:-1]]
-        x_powers = [np.eye(e, dtype=np.int64)]
-        for _ in range(e - 1):
-            x_powers.append(x_powers[-1] @ x % p)
-        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+    def _mul_digits(self, a, b):
+        """The product of two digit vectors, as a digit vector."""
+        p = self.p
+        out = [0] * self.e
+        for d in a:
+            if d:
+                out = [(o + d * y) % p for o, y in zip(out, b)]
+            b = self._times_x(b)
+        return out
+
+    def _primitive_element(self):
+        """The smallest code g with g^((q-1)/r) != 1 for every prime r | q - 1."""
+        q = self.q
+        one = self._digits_of(1)
         for g in range(2, q):
-            mat = sum(d * xp for d, xp in zip(self._digits_of(g), x_powers)) % p
-            if not any(np.array_equal(_matrix_power(mat, k, p), x_powers[0]) for k in exponents):
-                return mat
+            g_digits = self._digits_of(g)
+            for r in _prime_factors(q - 1):
+                k, base, acc = (q - 1) // r, g_digits, one
+                while k:
+                    if k & 1:
+                        acc = self._mul_digits(acc, base)
+                    base = self._mul_digits(base, base)
+                    k >>= 1
+                if acc == one:
+                    break
+            else:
+                return g_digits
         raise RuntimeError("no primitive element found")  # unreachable
 
-    def _times_table(self, mat):
-        """times[c] = the code of b * c for every c, where mat multiplies by b.
+    def _powers(self, g_digits):
+        """[g^0, ..., g^(n-1)] as codes, by one walk of x -> g * x.
 
-        Built one digit position at a time: a code c + d * p^j maps to the
-        image of c plus d times column j, a digit-wise sum.
+        The low w = e // 2 digits of x and the remaining high digits each
+        index a table of their images under multiplication by g.  In odd
+        characteristic each image is split into its low w digits, its
+        next w digits and, for odd e, its top digit, and
+        add_digits[a * P + b] is the digit-wise sum of two w-digit codes.
         """
-        p = self.p
-        weights = p ** np.arange(self.e, dtype=np.int64)
-        table = np.zeros(1, dtype=np.int64)
-        for j in range(self.e):
-            blocks = []
-            for d in range(p):
-                col = np.full_like(table, (d * mat[:, j] % p) @ weights)
-                blocks.append(self.sum(np.stack([table, col]), axis=0))
-            table = np.concatenate(blocks)
-        return table
+        p, e, n = self.p, self.e, self.q - 1
+        w = e // 2
+        P = p**w
+        low = [self._mul_digits(self._digits_of(v), g_digits) for v in range(P)]
+        high = [self._mul_digits(self._digits_of(v * P), g_digits) for v in range(p ** (e - w))]
+        powers = [0] * n
+        if p == 2:
+            low = [self._code_of(img) for img in low]
+            high = [self._code_of(img) for img in high]
+            x = 1
+            for k in range(n):
+                powers[k] = x
+                x = low[x & (P - 1)] ^ high[x >> w]
+            return powers
+        add_digits, width = [0], 1  # digit-wise sums, one low digit more per pass
+        low_sums = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for _ in range(w):
+            shifted = [p * s for s in add_digits]
+            add_digits = [
+                s + h
+                for a in range(width)
+                for alpha in range(p)
+                for h in shifted[a * width : (a + 1) * width]
+                for s in low_sums[alpha]
+            ]
+            width *= p
+
+        def split(table, scale):
+            return (
+                [scale * self._code_of(img[:w]) for img in table],
+                [scale * self._code_of(img[w : 2 * w]) for img in table],
+                [img[2 * w] if e % 2 else 0 for img in table],
+            )
+
+        lo_low, lo_mid, lo_top = split(low, P)
+        hi_low, hi_mid, hi_top = split(high, 1)
+        lo, hi = 1, 0  # x = lo + P * hi
+        for k in range(n):
+            powers[k] = lo + P * hi
+            lo, hi = (
+                add_digits[lo_low[lo] + hi_low[hi]],
+                add_digits[lo_mid[lo] + hi_mid[hi]] + P * ((lo_top[lo] + hi_top[hi]) % p),
+            )
+        return powers
 
     def _build_tables(self):
         p, q = self.p, self.q
         n = q - 1
-        times_g = self._times_table(self._primitive_element()).tolist()
-        powers = [0] * n
-        x = 1
-        for k in range(n):
-            powers[k] = x
-            x = times_g[x]
-        g_k = np.array(powers, dtype=np.int64)
-        log = np.full(q, 2 * n, dtype=np.int64)  # log of zero: exp reads 0 from 2n on
-        log[g_k] = np.arange(n)
-        # 1 + g^k: one more in the constant digit
-        zech = log[g_k - g_k % p + (g_k + 1) % p]
-        self._tables = {
-            "exp": np.concatenate([g_k, g_k, np.zeros(2 * n + 1, dtype=np.int64)]),
-            "log": log,
-            "zech": zech,
-        }
-        # list copies for scalar lookups in the row operations and inv
-        self._exp = powers + powers + [0] * (2 * n + 1)
-        self._log = log.tolist()
-        self._zech = zech.tolist()
+        powers = self._powers(self._primitive_element())
+        log = [2 * n] * q  # log of zero: exp reads 0 from 2n on
+        for k, x in enumerate(powers):
+            log[x] = k
+        self._tables = {"exp": powers + powers + [0] * n, "log": log}
+        if p != 2:
+            # log(x + 1), where + 1 is one more in the constant digit of x
+            log_plus_one = log[1:] + [0]
+            log_plus_one[p - 1 :: p] = log[::p]
+            self._tables["zech"] = [log_plus_one[x] for x in powers]
 
-    def _choose_row_ops(self):
-        """Fix the two row operations the elimination kernel runs on.
+    def _choose_ops(self):
+        """Fix the scalar operations and the two row operations.
 
         Rows are Python lists of codes.  scale_row(row, c) is c * row and
         sub_row(row, f, piv) is row - f * piv, for nonzero c and f.  Prime
-        fields use %, extensions the list copies of the log tables.
+        fields use %, extensions the log tables.
         """
+        p, n = self.p, self.q - 1
         if self.e == 1:
-            p = self.p
+
+            def add(a, b):
+                return (a + b) % p
+
+            def neg(a):
+                return -a % p
+
+            def mul(a, b):
+                return a * b % p
 
             def scale_row(row, c):
                 return [x * c % p for x in row]
@@ -248,21 +312,41 @@ class GF:
                 return [(x - f * y) % p for x, y in zip(row, piv)]
 
         else:
-            exp, log, zech = self._exp, self._log, self._zech
-            n = self.q - 1
+            exp, log = self._tables["exp"], self._tables["log"]
+
+            def mul(a, b):
+                return exp[log[a] + log[b]] if a and b else 0
 
             def scale_row(row, c):
                 lc = log[c]
                 return [exp[lc + log[x]] for x in row]
 
-            if self.p == 2:
+            if p == 2:
+
+                def add(a, b):
+                    return a ^ b
+
+                def neg(a):
+                    return a
 
                 def sub_row(row, f, piv):
                     lf = log[f]
                     return [x ^ exp[lf + log[y]] for x, y in zip(row, piv)]
 
             else:
+                zech = self._tables["zech"]
                 half = n // 2
+
+                def add(a, b):
+                    if not a:
+                        return b
+                    if not b:
+                        return a
+                    la = log[a]
+                    return exp[la + zech[(log[b] - la) % n]]
+
+                def neg(a):
+                    return exp[log[a] + half]  # -1 = g^(n/2)
 
                 def sub_row(row, f, piv):
                     # row + (-f) * piv, each sum through its Zech log
@@ -279,6 +363,9 @@ class GF:
                         out.append(x)
                     return out
 
+        self._add = add
+        self._neg = neg
+        self._mul = mul
         self._scale_row = scale_row
         self._sub_row = sub_row
 
@@ -301,92 +388,55 @@ class GF:
     # -- public arithmetic --------------------------------------------------
 
     def add(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        exp, log, zech = self._tables["exp"], self._tables["log"], self._tables["zech"]
-        la = log[a]
-        s = exp[la + zech[(log[b] - la) % (self.q - 1)]]
-        # [()] turns a 0-d result into a scalar, as the other operations give
-        return np.where(a == 0, b, np.where(b == 0, a, s))[()]
+        return _entrywise(self._add, a, b)
 
     def sub(self, a, b):
-        if self.e == 1:
-            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
-        return self.add(a, self.neg(b))
+        add, neg = self._add, self._neg
+        return _entrywise(lambda x, y: add(x, neg(y)), a, b)
 
     def neg(self, a):
-        if self.e == 1:
-            return (-np.asarray(a, dtype=np.int64)) % self.p
-        # -1 = g^(n/2) in odd characteristic and 1 = g^0 in characteristic 2
-        shift = (self.q - 1) // 2 if self.p != 2 else 0
-        return self._tables["exp"][self._tables["log"][np.asarray(a, dtype=np.int64)] + shift]
+        return _entrywise(self._neg, a)
 
     def mul(self, a, b):
-        if self.e == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        log = self._tables["log"]
-        return self._tables["exp"][log[a] + log[b]]
+        return _entrywise(self._mul, a, b)
 
     def inv(self, a):
         """Multiplicative inverse of a single nonzero element."""
-        a = int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self._exp[self.q - 1 - self._log[a]]
+        return self._tables["exp"][self.q - 1 - self._tables["log"][a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def power(self, a, n):
-        """a**n for a single element, n >= 0."""
-        a = int(a)
-        n = int(n)
+        """a**n for a single element; a negative n inverts a first."""
         if n < 0:
             return self.power(self.inv(a), -n)
         if self.e == 1:
             return pow(a, n, self.p)
         if a == 0:
             return int(n == 0)
-        return self._exp[self._log[a] * n % (self.q - 1)]
+        return self._tables["exp"][self._tables["log"][a] * n % (self.q - 1)]
 
     def frobenius(self, a, k=1):
-        """Apply x -> x^(p^k) elementwise; k must lie in [0, e)."""
-        k = int(k)
+        """Apply x -> x^(p^k) entry by entry; k must lie in [0, e)."""
         if not 0 <= k < self.e:
             raise ValueError(f"frobenius power {k} outside [0, {self.e})")
-        scalar = np.isscalar(a)
-        if k == 0 or self.e == 1:
-            return int(a) if scalar else np.asarray(a, dtype=np.int64)
-        if scalar:
-            return self.power(a, self.p**k)
-        a = np.asarray(a, dtype=np.int64)
-        twisted = self._tables["exp"][self._tables["log"][a] * self.p**k % (self.q - 1)]
-        return np.where(a == 0, 0, twisted)[()]
-
-    def sum(self, a, axis):
-        """Field sum of a code array along one axis."""
-        a = np.asarray(a, dtype=np.int64)
-        if self.e == 1:
-            return a.sum(axis=axis) % self.p
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        # sum each base-p digit mod p; the digits sit on a new last axis
-        p = self.p
-        weights = p ** np.arange(self.e, dtype=np.int64)
-        digits = a[..., None] // weights % p
-        return digits.sum(axis=axis % a.ndim) % p @ weights
+        pk = self.p**k
+        return _entrywise(lambda x: self.power(x, pk), a)
 
     def dot(self, u, v):
         """Standard bilinear form sum_i u_i * v_i of two code vectors."""
-        return int(self.sum(np.ravel(self.mul(u, v)), axis=0))
+        if len(u) != len(v):
+            raise ValueError("vectors of different lengths")
+        add, mul = self._add, self._mul
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add(acc, mul(x, y))
+        return acc
 
     # -- structure ----------------------------------------------------------
 
@@ -395,7 +445,7 @@ class GF:
 
     def digits(self, a):
         """Base-p digit tuple of a code, constant coefficient first."""
-        return tuple(self._digits_of(int(a)))
+        return tuple(self._digits_of(a))
 
     def from_digits(self, digits):
         return self._code_of(list(digits))
@@ -427,34 +477,6 @@ class GF:
                 f"{list(gf.modulus)} for GF({gf.q})"
             )
         return gf
-
-
-@dataclass(frozen=True)
-class FieldAutomorphism:
-    """A power of the absolute Frobenius x -> x^(p^k) on a fixed field."""
-
-    gf: GF
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k < self.gf.e:
-            raise ValueError(f"power {self.k} outside [0, {self.gf.e})")
-
-    def __call__(self, a):
-        return self.gf.frobenius(a, self.k)
-
-    def compose(self, other):
-        if self.gf != other.gf:
-            raise ValueError("automorphisms of different fields")
-        return FieldAutomorphism(self.gf, (self.k + other.k) % self.gf.e)
-
-    def inverse(self):
-        return FieldAutomorphism(self.gf, (-self.k) % self.gf.e)
-
-
-def automorphism_group(gf):
-    """All field automorphisms, identity first; cyclic of order e."""
-    return [FieldAutomorphism(gf, k) for k in range(gf.e)]
 
 
 @lru_cache(maxsize=None)

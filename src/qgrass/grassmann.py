@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BudgetExceededError
 from .field import field_from_order
 from .linalg import Subspace, random_invertible
@@ -275,7 +273,8 @@ def adapted_basis(flag):
 
     Row selection is greedy and canonical: vectors of each member in its
     canonical coefficient order, then standard basis vectors.  Equal
-    flags therefore get identical adapted bases.
+    flags therefore get identical adapted bases.  Returns a list of row
+    lists.
     """
     gf, m = flag.gf, flag.m
     rows = []
@@ -285,18 +284,18 @@ def adapted_basis(flag):
             continue
         for v in S.vectors(nonzero=True):
             if not cur.contains_vector(v):
-                rows.append(np.array(v, dtype=np.int64))
+                rows.append(v)
                 cur = cur + Subspace.from_rows(gf, v, ambient=m)
                 if cur.dim == S.dim:
                     break
-    eye = np.eye(m, dtype=np.int64)
     for i in range(m):
         if cur.dim == m:
             break
-        if not cur.contains_vector(eye[i]):
-            rows.append(eye[i])
-            cur = cur + Subspace.from_rows(gf, eye[i], ambient=m)
-    return np.vstack(rows)
+        e_i = [int(i == j) for j in range(m)]
+        if not cur.contains_vector(e_i):
+            rows.append(e_i)
+            cur = cur + Subspace.from_rows(gf, e_i, ambient=m)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -337,16 +336,15 @@ def complete_flag_containing(flag, rng=None):
         basis = adapted_basis(flag)
     else:
         rng = _as_rng(rng)
-        rows = []
+        basis = []
         cur = Subspace.zero(gf, m)
         full = Subspace.full(gf, m)
         for S in list(flag.subspaces) + [full]:
             while cur.dim < S.dim:
                 v = S.vector_at(rng.randrange(1, gf.q**S.dim))
                 if not cur.contains_vector(v):
-                    rows.append(np.array(v, dtype=np.int64))
+                    basis.append(v)
                     cur = cur + Subspace.from_rows(gf, v, ambient=m)
-        basis = np.vstack(rows)
     members = tuple(
         Subspace.from_rows(gf, basis[:d], ambient=m) for d in range(m + 1)
     )

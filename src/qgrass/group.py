@@ -12,41 +12,56 @@ Covariant maps (no annihilator) preserve dimensions and send a variety
 to the variety of the mapped flag.  Contravariant maps flip dimension
 d to m - d, so they only act on a middle Grassmannian (m = 2l), and the
 image variety's flag comes from a completion of the original flag.
+
+A map holds its matrix as a tuple of int tuples and acts on the tuple
+basis of a subspace directly: Frobenius entry by entry, then matmul,
+then one elimination.
 """
 
 import itertools
 
-import numpy as np
-
-from .errors import DiscrepancyError
 from .field import field_from_order
 from .grassmann import Flag, complete_flag_containing, _as_rng
 from .linalg import (
     Subspace,
-    as_matrix,
+    _code_rows,
     matmul,
     matrix_inverse,
     random_invertible,
-    rref,
+    rank,
 )
 from .schubert import SchubertVariety, dual_index_set
 
 
+def _identity(m):
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def _transpose(mat):
+    return list(zip(*mat))
+
+
 class SemilinearMap:
-    """theta then matrix then optional annihilator, acting on row spans."""
+    """theta then matrix then optional annihilator, acting on row spans.
+
+    With validate=False the matrix is taken as given: the caller vouches
+    for an invertible m x m matrix of codes.
+    """
 
     __slots__ = ("gf", "m", "matrix", "frobenius_power", "dual")
 
     def __init__(self, gf, m, matrix, frobenius_power=0, dual=False, validate=True):
-        matrix = as_matrix(gf, matrix).copy()
-        if matrix.shape != (m, m):
-            raise ValueError(f"matrix must be {m}x{m}, got {matrix.shape}")
+        if validate:
+            matrix, ncols = _code_rows(gf, matrix, m)
+            if len(matrix) != m:
+                raise ValueError(f"matrix must be {m}x{m}, got {len(matrix)}x{ncols}")
+        else:
+            matrix = tuple(map(tuple, matrix))
         k = int(frobenius_power)
         if not 0 <= k < gf.e:
             raise ValueError(f"frobenius power {k} outside [0, {gf.e})")
-        if validate and rref(gf, matrix)[1] != m:
+        if validate and rank(gf, matrix) != m:
             raise ValueError("matrix is singular")
-        matrix.setflags(write=False)
         object.__setattr__(self, "gf", gf)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "matrix", matrix)
@@ -60,20 +75,19 @@ class SemilinearMap:
 
     @classmethod
     def identity(cls, gf, m):
-        return cls(gf, m, np.eye(m, dtype=np.int64), 0, False, validate=False)
+        return cls(gf, m, _identity(m), 0, False, validate=False)
 
     @classmethod
     def from_matrix(cls, gf, matrix, frobenius_power=0, dual=False):
-        matrix = as_matrix(gf, matrix)
-        return cls(gf, matrix.shape[0], matrix, frobenius_power, dual)
+        return cls(gf, len(matrix), matrix, frobenius_power, dual)
 
     @classmethod
     def frobenius_map(cls, gf, m, k=1):
-        return cls(gf, m, np.eye(m, dtype=np.int64), k, False, validate=False)
+        return cls(gf, m, _identity(m), k, False, validate=False)
 
     @classmethod
     def perp_map(cls, gf, m):
-        return cls(gf, m, np.eye(m, dtype=np.int64), 0, True, validate=False)
+        return cls(gf, m, _identity(m), 0, True, validate=False)
 
     @property
     def is_covariant(self):
@@ -82,11 +96,10 @@ class SemilinearMap:
     # -- action -------------------------------------------------------------
 
     def _on_subspace(self, W):
-        B = np.array(W.basis, dtype=np.int64).reshape(W.dim, self.m)
+        B = W.basis
         if self.frobenius_power:
             B = self.gf.frobenius(B, self.frobenius_power)
-        B = matmul(self.gf, B, self.matrix)
-        S = Subspace.from_rows(self.gf, B, ambient=self.m)
+        S = Subspace._span(self.gf, matmul(self.gf, B, self.matrix), self.m)
         if self.dual:
             S = S.perp()
         return S
@@ -121,7 +134,7 @@ class SemilinearMap:
         gf = self.gf
         k2 = (-self.frobenius_power) % gf.e
         if self.dual:
-            mat = np.ascontiguousarray(gf.frobenius(self.matrix, k2).T)
+            mat = _transpose(gf.frobenius(self.matrix, k2))
         else:
             mat = gf.frobenius(matrix_inverse(gf, self.matrix), k2)
         return SemilinearMap(gf, self.m, mat, k2, self.dual, validate=False)
@@ -134,7 +147,7 @@ class SemilinearMap:
             and self.m == other.m
             and self.frobenius_power == other.frobenius_power
             and self.dual == other.dual
-            and np.array_equal(self.matrix, other.matrix)
+            and self.matrix == other.matrix
         )
 
     def __hash__(self):
@@ -144,7 +157,7 @@ class SemilinearMap:
                 self.m,
                 self.frobenius_power,
                 self.dual,
-                self.matrix.tobytes(),
+                self.matrix,
             )
         )
 
@@ -159,7 +172,7 @@ class SemilinearMap:
         return {
             "q": self.gf.q,
             "m": self.m,
-            "matrix": [[int(x) for x in row] for row in self.matrix],
+            "matrix": [list(row) for row in self.matrix],
             "frobenius_power": self.frobenius_power,
             "dual": self.dual,
         }
@@ -186,7 +199,7 @@ def compose(outer, inner):
     left = gf.frobenius(inner.matrix, outer.frobenius_power)
     if inner.dual:
         # pulling the matrix through an annihilator transposes and inverts
-        right = np.ascontiguousarray(matrix_inverse(gf, outer.matrix).T)
+        right = _transpose(matrix_inverse(gf, outer.matrix))
     else:
         right = outer.matrix
     mat = matmul(gf, left, right)
@@ -208,32 +221,29 @@ def random_semilinear(gf, m, rng=None, allow_dual=False, dual=None):
 
 
 def enumerate_invertible(gf, m):
-    """All invertible m x m matrices, rows chosen in lexicographic order."""
-    vectors = [
-        np.array(v, dtype=np.int64)
-        for v in itertools.product(range(gf.q), repeat=m)
-    ]
+    """All invertible m x m matrices, rows chosen in lexicographic order.
 
-    def reduce(elim, v):
-        v = v.copy()
-        for p, r in elim:
-            c = int(v[p])
-            if c:
-                v = gf.sub(v, gf.mul(c, r))
-        return v
+    Each matrix is a tuple of int tuples.  A candidate row is reduced by
+    the rows chosen so far, each normalized at its own pivot, and kept
+    when something is left.
+    """
+    vectors = list(itertools.product(range(gf.q), repeat=m))[1:]
+    scale_row, sub_row, inv = gf._scale_row, gf._sub_row, gf.inv
 
     def rec(rows, elim):
         if len(rows) == m:
-            yield np.vstack(rows)
+            yield tuple(rows)
             return
-        for v in vectors[1:]:
-            res = reduce(elim, v)
-            nz = np.nonzero(res)[0]
-            if nz.size == 0:
-                continue
-            p = int(nz[0])
-            norm = gf.mul(gf.inv(int(res[p])), res)
-            yield from rec(rows + [v], elim + [(p, norm)])
+        for v in vectors:
+            res = v
+            for p, r in elim:
+                c = res[p]
+                if c:
+                    res = sub_row(res, c, r)
+            for p, c in enumerate(res):
+                if c:
+                    yield from rec(rows + [v], elim + [(p, scale_row(res, inv(c)))])
+                    break
 
     yield from rec([], [])
 
@@ -286,7 +296,7 @@ def _nc_members(omega, below_top=False):
     ]
 
 
-def is_automorphism_fast(tau, omega, paranoid=False):
+def is_automorphism_fast(tau, omega):
     """Does tau map the variety onto itself?  Decided from the flag alone.
 
     Covariant: tau must fix every member at a non-redundant dimension.
@@ -296,9 +306,6 @@ def is_automorphism_fast(tau, omega, paranoid=False):
     dimension).  The full-space member, when present, is excluded: its
     image is the zero space, while the image variety's top member is
     forced back to the full space, so it can never constrain anything.
-
-    paranoid=True replays the decision against the point-set oracle and
-    raises DiscrepancyError on disagreement.
     """
     if tau.gf != omega.gf or tau.m != omega.m:
         raise ValueError("map and variety in different ambient spaces")
@@ -308,26 +315,11 @@ def is_automorphism_fast(tau, omega, paranoid=False):
             "unless m = 2l"
         )
     if tau.is_covariant:
-        result = all(tau(S) == S for S in _nc_members(omega))
-    else:
-        if dual_index_set(omega.alpha, omega.m) != omega.alpha:
-            result = False
-        else:
-            members = _nc_members(omega, below_top=True)
-            result = {tau(S) for S in members} == set(members)
-    if paranoid:
-        expect = is_automorphism_oracle(tau, omega)
-        if expect != result:
-            raise DiscrepancyError(
-                "flag criterion disagrees with the point-set oracle",
-                detail={
-                    "alpha": omega.alpha,
-                    "dual": tau.dual,
-                    "fast": result,
-                    "oracle": expect,
-                },
-            )
-    return result
+        return all(tau(S) == S for S in _nc_members(omega))
+    if dual_index_set(omega.alpha, omega.m) != omega.alpha:
+        return False
+    members = _nc_members(omega, below_top=True)
+    return {tau(S) for S in members} == set(members)
 
 
 def is_automorphism_oracle(tau, omega):

@@ -5,32 +5,18 @@ Subspace stores the unique reduced-row-echelon basis of its row space
 as a tuple of rows, each a tuple of Python int codes, so equality is
 tuple equality and hashing is hashing that tuple.
 
-Elimination runs on those rows too, not on arrays: the matrices here
-are 8x8 or smaller, where numpy's per-call overhead costs more than the
-arithmetic.  There is one kernel, _eliminate, driven by the two row
-operations each GF chose for itself.  Spans, sums and intersection_dim
-(dim(U & V) from a single rank) hand it the basis tuples directly, so
-enumerating a point or testing membership builds no array.  numpy stays
-at the edges: as_matrix, rref and row_space on arrays, matmul,
-matrix_inverse, kernel and intersect, the random matrices, and the
-field tables.  from_rows still accepts arrays.
+Every vector and matrix here is Python ints: the matrices are 8x8 or
+smaller, where plain lists beat any array library's per-call overhead.
+Functions that build a matrix return it as a list of row lists.  There
+is one elimination kernel, _eliminate, driven by the two row operations
+each GF chose for itself.  rref, rank, kernel, matrix_inverse, spans,
+sums and intersection_dim (dim(U & V) from a single rank) all run on
+it.  matmul combines rows with the same row operation on extension
+fields and takes Python-int dot products with one % per entry on prime
+fields, so no sum can overflow.
 """
 
-import numpy as np
-
-from .field import GF
-
-
-def as_matrix(gf, rows):
-    """Validate and convert nested lists or arrays to an int64 code matrix."""
-    mat = np.asarray(rows, dtype=np.int64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
-    if mat.size and (mat.min() < 0 or mat.max() >= gf.q):
-        raise ValueError(f"entries must be codes in [0, {gf.q})")
-    return mat
+from operator import mul
 
 
 def _eliminate(gf, rows, ncols):
@@ -72,24 +58,18 @@ def _eliminate(gf, rows, ncols):
 def rref(gf, mat):
     """Reduced row echelon form.
 
-    Returns (R, rank, pivots) where R is the fully reduced int64 matrix
-    (zero rows at the bottom), and pivots are the 0-based pivot columns
-    in order.
+    Returns (R, rank, pivots) where R is the fully reduced matrix as a
+    list of row lists (zero rows at the bottom), and pivots are the
+    0-based pivot columns in order.
     """
-    mat = np.asarray(mat, dtype=np.int64)
-    rows = mat.tolist()
-    rk, pivots = _eliminate(gf, rows, mat.shape[1])
-    return np.array(rows, dtype=np.int64).reshape(mat.shape), rk, pivots
+    rows, m = _code_rows(gf, mat)
+    rows = list(rows)
+    rk, pivots = _eliminate(gf, rows, m)
+    return [list(row) for row in rows], rk, pivots
 
 
 def rank(gf, mat):
-    return rref(gf, as_matrix(gf, mat))[1]
-
-
-def row_space(gf, mat):
-    """Canonical RREF basis of the row space, as a (rank, m) matrix."""
-    R, rk, pivots = rref(gf, as_matrix(gf, mat))
-    return R[:rk], pivots
+    return rref(gf, mat)[1]
 
 
 def intersection_dim(U, V):
@@ -100,84 +80,79 @@ def intersection_dim(U, V):
 
 
 def matmul(gf, a, b):
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    """The product of two code matrices, as a list of row lists."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"rows of length {len(a[0])} times {len(b)} rows")
     if gf.e == 1:
-        # every sum of products must fit in int64 before it is reduced
-        if a.shape[1] * (gf.p - 1) ** 2 >= 2**63:
-            raise OverflowError(
-                f"a {a.shape[1]}-term dot product over GF({gf.p}) overflows int64"
-            )
-        return (a @ b) % gf.p
-    # every product a[i, k] * b[k, j] at once, then one sum over k
-    return gf.sum(gf.mul(a[:, :, None], b[None, :, :]), axis=1)
+        p = gf.p
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    # each product row is a combination of the rows of b
+    sub_row, neg = gf._sub_row, gf._neg
+    m = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * m
+        for c, brow in zip(row, b):
+            if c:
+                acc = sub_row(acc, neg(c), brow)
+        out.append(acc)
+    return out
 
 
 def matrix_inverse(gf, mat):
-    mat = as_matrix(gf, mat)
-    n = mat.shape[0]
-    if mat.shape[1] != n:
+    rows, n = _code_rows(gf, mat)
+    if len(rows) != n:
         raise ValueError("inverse of a non-square matrix")
-    aug = np.hstack([mat, np.eye(n, dtype=np.int64)])
-    R, rk, pivots = rref(gf, aug)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    rk, pivots = _eliminate(gf, aug, 2 * n)
     if pivots[:n] != tuple(range(n)) or rk < n:
         raise ValueError("matrix is singular")
-    return R[:, n:].copy()
+    return [row[n:] for row in aug]
 
 
 def kernel(gf, mat):
     """Right null space {x : mat @ x = 0}, as a Subspace of the column space."""
-    mat = as_matrix(gf, mat)
-    n = mat.shape[1]
-    R, rk, pivots = rref(gf, mat)
+    rows, n = _code_rows(gf, mat)
+    R = list(rows)
+    _, pivots = _eliminate(gf, R, n)
     pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    rows = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        rows[idx, f] = 1
-        for i, pcol in enumerate(pivots):
-            rows[idx, pcol] = int(gf.neg(int(R[i, f])))
-    return Subspace.from_rows(gf, rows, ambient=n)
+    basis = []
+    for f in range(n):
+        if f not in pivset:
+            vec = [0] * n
+            vec[f] = 1
+            for i, pcol in enumerate(pivots):
+                vec[pcol] = gf._neg(R[i][f])
+            basis.append(vec)
+    return Subspace._span(gf, basis, n)
 
 
 def random_matrix(gf, nrows, ncols, rng):
-    return np.array(
-        [[rng.randrange(gf.q) for _ in range(ncols)] for _ in range(nrows)],
-        dtype=np.int64,
-    ).reshape(nrows, ncols)
+    """A uniform code matrix, its entries drawn row by row."""
+    return [[rng.randrange(gf.q) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def random_invertible(gf, n, rng):
     while True:
         mat = random_matrix(gf, n, n, rng)
-        if rref(gf, mat)[1] == n:
+        if rank(gf, mat) == n:
             return mat
 
 
 def _code_rows(gf, rows, ambient=None):
     """Spanning rows as a tuple of int tuples, checked; returns (rows, m).
 
-    Takes nested sequences or an array; a single vector is one row.  The
-    rows must be equally long and hold codes in [0, q).  An empty set of
-    rows takes its length from the array shape or from ambient.
+    Takes nested sequences; a single vector is one row.  The rows must be
+    equally long and hold codes in [0, q).  An empty set of rows takes
+    its length from ambient.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {rows.shape}")
-        if ambient is None:
-            ambient = rows.shape[1]
-        rows = tuple(map(tuple, rows.astype(np.int64, copy=False).tolist()))
-    else:
-        if rows and not isinstance(rows[0], (list, tuple, np.ndarray)):
-            rows = [rows]
-        try:
-            rows = tuple(tuple(map(int, row)) for row in rows)
-        except TypeError:
-            raise ValueError("expected a 2-d matrix of codes") from None
+    if rows and not isinstance(rows[0], (list, tuple)):
+        rows = [rows]
+    try:
+        rows = tuple(tuple(map(int, row)) for row in rows)
+    except TypeError:
+        raise ValueError("expected a 2-d matrix of codes") from None
     m = len(rows[0]) if rows else ambient
     if m is None:
         raise ValueError("an empty set of rows needs the ambient dimension")
@@ -283,13 +258,12 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of a vector after eliminating all pivot coordinates."""
-        v = np.asarray(vec, dtype=np.int64)
-        if v.shape != (self.m,):
+        if len(vec) != self.m:
             raise ValueError(f"expected a vector of length {self.m}")
-        return np.array(self._residual(v.tolist()), dtype=np.int64)
+        return list(self._residual(vec))
 
     def contains_vector(self, vec):
-        return not np.any(self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def __le__(self, other):
         self._check_ambient(other)
@@ -315,8 +289,7 @@ class Subspace:
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.gf, self.m)
-        stacked = np.vstack([self.basis, other.basis])
-        relations = kernel(self.gf, stacked.T)
+        relations = kernel(self.gf, list(zip(*self.basis, *other.basis)))
         if relations.dim == 0:
             return Subspace.zero(self.gf, self.m)
         coeffs = [row[: self.dim] for row in relations.basis]
@@ -337,15 +310,15 @@ class Subspace:
         Coefficients of basis row 0 are the most significant digit of t
         in base q, so t = 0 is always the zero vector.
         """
-        q, d = self.gf.q, self.dim
+        gf, d = self.gf, self.dim
+        q = gf.q
         if not 0 <= t < q**d:
             raise ValueError(f"index {t} outside [0, {q**d})")
-        v = np.zeros(self.m, dtype=np.int64)
+        v = [0] * self.m
         for i in range(d - 1, -1, -1):
-            c = t % q
-            t //= q
+            t, c = divmod(t, q)
             if c:
-                v = self.gf.add(v, self.gf.mul(c, self.basis[i]))
+                v = gf._sub_row(v, gf._neg(c), self.basis[i])
         return v
 
     def vectors(self, nonzero=False):

@@ -14,8 +14,6 @@ machinery here exists to check it and its consequences honestly.
 import itertools
 from functools import cached_property
 
-import numpy as np
-
 from .field import field_from_order
 from .grassmann import (
     Flag,
@@ -277,7 +275,7 @@ def _witness_candidates(oa, ob, s):
     else:
         gens = [adapted[alpha[u] - 1] for u in range(l) if u != s]
     if gens:
-        span_g = Subspace.from_rows(gf, np.vstack(gens), ambient=m)
+        span_g = Subspace.from_rows(gf, gens, ambient=m)
     else:
         span_g = Subspace.zero(gf, m)
     As = oa.flag[s]
@@ -285,8 +283,7 @@ def _witness_candidates(oa, ob, s):
     for x in As.vectors(nonzero=True):
         if Bs.contains_vector(x) or span_g.contains_vector(x):
             continue
-        rows = np.vstack(gens + [np.asarray(x, dtype=np.int64)])
-        W = Subspace.from_rows(gf, rows, ambient=m)
+        W = Subspace.from_rows(gf, gens + [x], ambient=m)
         if W.dim != l:
             continue
         if oa.contains(W) != ob.contains(W):

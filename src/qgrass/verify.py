@@ -17,8 +17,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BudgetExceededError
 from .field import field_from_order
 from .grassmann import (
@@ -243,8 +241,8 @@ def _random_between(gf, lower, upper, dim, rng):
     while cur.dim < dim:
         v = upper.vector_at(rng.randrange(1, gf.q**upper.dim))
         if not cur.contains_vector(v):
-            rows.append(np.asarray(v, dtype=np.int64))
-            cur = Subspace.from_rows(gf, np.vstack(rows), ambient=lower.m)
+            rows.append(v)
+            cur = Subspace.from_rows(gf, rows, ambient=lower.m)
     return cur
 
 
@@ -451,7 +449,8 @@ def _flag_stabilizer(flag, rng, boundaries=None):
     while True:
         L = random_matrix(gf, m, m, rng)
         for d in bounds:
-            L[:d, d:] = 0
+            for row in L[:d]:
+                row[d:] = [0] * (m - d)
         if rref(gf, L)[1] == m:
             break
     M = matmul(gf, Tinv, matmul(gf, L, T))
@@ -471,8 +470,8 @@ def _member_mover(flag, rng):
     a = cands[rng.randrange(len(cands))]
     T = adapted_basis(flag)
     Tinv = matrix_inverse(gf, T)
-    P = np.eye(m, dtype=np.int64)
-    P[[a - 1, a]] = P[[a, a - 1]]
+    P = [[int(i == j) for j in range(m)] for i in range(m)]
+    P[a - 1], P[a] = P[a], P[a - 1]
     M = matmul(gf, Tinv, matmul(gf, P, T))
     return SemilinearMap(gf, m, M, 0, False, validate=False)
 
@@ -499,7 +498,7 @@ def _perp_symmetric_flag(gf, m, alpha):
         for v in room.vectors(nonzero=True):
             if cur.contains_vector(v):
                 continue
-            if int(gf.dot(v, v)) != 0:
+            if gf.dot(v, v) != 0:
                 continue
             found = v
             break
@@ -824,9 +823,7 @@ def stabilizer_census(
                         if len(mismatches) < MAX_RECORDED_FAILURES:
                             mismatches.append(
                                 {
-                                    "matrix": [
-                                        [int(x) for x in row] for row in M
-                                    ],
+                                    "matrix": [list(row) for row in M],
                                     "frobenius_power": k,
                                     "dual": dual,
                                     "fast": fast,

@@ -8,10 +8,10 @@ enumerated from every coefficient tuple.  Membership is checked on whole
 Grassmannians against intersections of span sets.
 """
 
+import functools
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -29,7 +29,7 @@ def _random_rows(gf, rng, max_rows, max_cols):
     if nrows > 1:
         kind = rng.randrange(4)
         if kind == 1:
-            mat[rng.randrange(nrows)] = 0
+            mat[rng.randrange(nrows)] = [0] * ncols
         elif kind == 2:
             mat[-1] = gf.mul(rng.randrange(1, gf.q), mat[0])
         elif kind == 3:
@@ -37,23 +37,24 @@ def _random_rows(gf, rng, max_rows, max_cols):
     return mat
 
 
-def _add_codes(a, b, p, e):
-    """Entrywise sum of code arrays, digit by digit mod p (no field tables)."""
-    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    for k in range(e):
-        w = p**k
-        out += ((a // w % p + b // w % p) % p) * w
-    return out
+@functools.lru_cache(maxsize=None)
+def _add_codes(p, e):
+    """add[a][b]: the sum of two codes, digit by digit mod p (no field tables)."""
+    weights = [p**k for k in range(e)]
+    digits = [[a // w % p for w in weights] for a in range(p**e)]
+    return [
+        [sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
+        for da in digits
+    ]
 
 
-def _span_size(gf, mat):
+def _span_size(gf, mat, ncols):
     """Size of the span, built from every coefficient tuple row by row."""
-    span = np.zeros((1, mat.shape[1]), dtype=np.int64)
-    coeffs = np.arange(gf.q, dtype=np.int64)[:, None]
+    add = _add_codes(gf.p, gf.e)
+    span = {(0,) * ncols}
     for row in mat:
-        multiples = gf.mul(coeffs, row[None, :])  # (q, ncols)
-        span = _add_codes(span[:, None, :], multiples[None, :, :], gf.p, gf.e)
-        span = np.unique(span.reshape(-1, mat.shape[1]), axis=0)
+        multiples = [gf.mul(c, row) for c in range(gf.q)]
+        span = {tuple(add[x][y] for x, y in zip(v, w)) for v in span for w in multiples}
     return len(span)
 
 
@@ -68,16 +69,17 @@ def test_rref_invariants_and_span_size_over_extensions(p, e, max_rows, max_cols,
     for _ in range(trials):
         mat = _random_rows(gf, rng, max_rows, max_cols)
         R, rk, pivots = rref(gf, mat)
-        assert R.shape == mat.shape
+        assert len(R) == len(mat) and all(len(row) == len(mat[0]) for row in R)
         assert len(pivots) == rk == rank(gf, mat)
         assert list(pivots) == sorted(set(pivots))
         for i, c in enumerate(pivots):
-            assert R[i, c] == 1
-            assert np.count_nonzero(R[:, c]) == 1
-            assert not np.any(R[i, :c])
-        assert not np.any(R[rk:])
-        assert rref(gf, R)[0].tolist() == R.tolist()
-        assert gf.q**rk == _span_size(gf, mat) == _span_size(gf, R[:rk])
+            assert R[i][c] == 1
+            assert sum(1 for row in R if row[c]) == 1
+            assert not any(R[i][:c])
+        assert not any(any(row) for row in R[rk:])
+        assert rref(gf, R)[0] == R
+        ncols = len(mat[0])
+        assert gf.q**rk == _span_size(gf, mat, ncols) == _span_size(gf, R[:rk], ncols)
 
 
 def _span_of(S, p):

@@ -1,19 +1,11 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
-from qgrass import field
 from qgrass.errors import BudgetExceededError
-from qgrass.field import (
-    GF,
-    FieldAutomorphism,
-    automorphism_group,
-    field_from_order,
-    make_field,
-)
+from qgrass.field import GF, field_from_order, make_field
 from qgrass.grassmann import random_flag
 from qgrass.group import SemilinearMap
 from qgrass.linalg import matmul, matrix_inverse, random_invertible, random_matrix, rref
@@ -103,20 +95,22 @@ def test_frobenius_is_a_field_map(gf9):
 def test_array_ops_match_scalar(gf4, gf3):
     rng = random.Random(7)
     for gf in (gf4, gf3):
-        a = np.array([[rng.randrange(gf.q) for _ in range(5)] for _ in range(3)])
-        b = np.array([[rng.randrange(gf.q) for _ in range(5)] for _ in range(3)])
+        a = [[rng.randrange(gf.q) for _ in range(5)] for _ in range(3)]
+        b = [[rng.randrange(gf.q) for _ in range(5)] for _ in range(3)]
         s = gf.add(a, b)
         m = gf.mul(a, b)
         d = gf.sub(a, b)
         for i in range(3):
             for j in range(5):
-                assert int(s[i, j]) == int(gf.add(int(a[i, j]), int(b[i, j])))
-                assert int(m[i, j]) == int(gf.mul(int(a[i, j]), int(b[i, j])))
-                assert int(d[i, j]) == int(gf.sub(int(a[i, j]), int(b[i, j])))
-        # broadcasting a scalar across a row
+                assert s[i][j] == gf.add(a[i][j], b[i][j])
+                assert m[i][j] == gf.mul(a[i][j], b[i][j])
+                assert d[i][j] == gf.sub(a[i][j], b[i][j])
+        # a scalar goes with every entry of a row
         row = gf.mul(2 % gf.q, a[0])
         for j in range(5):
-            assert int(row[j]) == int(gf.mul(2 % gf.q, int(a[0, j])))
+            assert row[j] == gf.mul(2 % gf.q, a[0][j])
+        with pytest.raises(ValueError):
+            gf.add(a[0], a[0][:4])
 
 
 def test_power_and_order(gf4, gf9):
@@ -163,17 +157,18 @@ def test_dot_is_one_sum_not_an_add_per_coordinate(p, e):
                 want = ref.add(want, ref.mul(x, y))
             got = gf.dot(u, v)
             assert type(got) is int and got == want
-            assert gf.dot(np.array(u, dtype=np.int64), v) == want
+            assert gf.dot(tuple(u), v) == want
 
 
 @pytest.mark.parametrize("q", [2, 7, 4, 9, 343])
 def test_frobenius_of_a_scalar_is_an_int(q):
     gf = field_from_order(q)
     for k in range(gf.e):
-        for a in (0, 1, q - 1, np.int64(q - 1)):
+        for a in (0, 1, q - 1):
             got = gf.frobenius(a, k)
-            assert type(got) is int and got == gf.power(int(a), gf.p**k)
-        assert gf.frobenius(np.array([0, 1, q - 1]), k).dtype == np.int64
+            assert type(got) is int and got == gf.power(a, gf.p**k)
+        row = gf.frobenius((0, 1, q - 1), k)
+        assert type(row) is list and all(type(x) is int for x in row)
 
 
 def test_extension_tables_are_logs_of_a_primitive_element():
@@ -181,40 +176,44 @@ def test_extension_tables_are_logs_of_a_primitive_element():
         gf = field_from_order(q)
         ref = bf.PolyField(gf.p, gf.e)
         n = q - 1
-        exp, log, zech = (gf._tables[name].tolist() for name in ("exp", "log", "zech"))
+        exp, log = gf._tables["exp"], gf._tables["log"]
         g = exp[1]
         assert exp[:n] == [ref.power(g, k) for k in range(n)]
         assert sorted(exp[:n]) == list(range(1, q))  # g generates the units
         assert exp[n : 2 * n] == exp[:n] and not any(exp[2 * n :])
+        assert len(exp) == 3 * n  # 3n - 1 is the largest index a lookup reaches
         assert all(log[exp[k]] == k for k in range(n)) and log[0] == 2 * n
-        assert zech == [log[ref.add(1, exp[k])] for k in range(n)]
+        if gf.p == 2:
+            assert "zech" not in gf._tables  # a sum is an XOR
+        else:
+            assert gf._tables["zech"] == [log[ref.add(1, exp[k])] for k in range(n)]
         # the smallest code that generates the units
         assert all(len({ref.power(h, k) for k in range(n)}) < n for h in range(2, g))
 
 
-def test_no_frompyfunc_on_large_extensions(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.frompyfunc called")
-
-    monkeypatch.setattr(field.np, "frompyfunc", refuse)
+def test_large_extensions_on_rows_match_the_oracle():
     for q in (343, 512):
         gf = field_from_order(q)
         ref = bf.PolyField(gf.p, gf.e)
         rng = random.Random(q)
         a = random_matrix(gf, 3, 4, rng)
         b = random_matrix(gf, 3, 4, rng)
-        pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
-        assert gf.add(a, b).ravel().tolist() == [ref.add(x, y) for x, y in pairs]
-        assert gf.sub(a, b).ravel().tolist() == [ref.sub(x, y) for x, y in pairs]
-        assert gf.mul(a, b).ravel().tolist() == [ref.mul(x, y) for x, y in pairs]
-        assert gf.neg(a).ravel().tolist() == [ref.neg(x) for x, _ in pairs]
-        assert gf.frobenius(a, 1).ravel().tolist() == [ref.frobenius(x, 1) for x, _ in pairs]
+        pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+
+        def flat(mat):
+            return [x for row in mat for x in row]
+
+        assert flat(gf.add(a, b)) == [ref.add(x, y) for x, y in pairs]
+        assert flat(gf.sub(a, b)) == [ref.sub(x, y) for x, y in pairs]
+        assert flat(gf.mul(a, b)) == [ref.mul(x, y) for x, y in pairs]
+        assert flat(gf.neg(a)) == [ref.neg(x) for x, _ in pairs]
+        assert flat(gf.frobenius(a, 1)) == [ref.frobenius(x, 1) for x, _ in pairs]
         for x in range(1, q, 17):
             assert ref.mul(x, gf.inv(x)) == 1
             assert gf.power(x, 5) == ref.power(x, 5)
         M = random_invertible(gf, 5, rng)
         assert rref(gf, M)[1] == 5
-        assert matmul(gf, M, matrix_inverse(gf, M)).tolist() == np.eye(5, dtype=int).tolist()
+        assert matmul(gf, M, matrix_inverse(gf, M)) == [[int(i == j) for j in range(5)] for i in range(5)]
         tau = SemilinearMap.from_matrix(gf, M, frobenius_power=1)
         flag = random_flag(gf, 5, (2, 3, 5), rng=rng)
         image = tau(flag)
@@ -239,7 +238,7 @@ def test_constructor_rejects_bad_parameters():
     with pytest.raises(BudgetExceededError):
         GF(2, 21)
     with pytest.raises(BudgetExceededError):
-        GF(2, 5, order_bound=32)
+        GF(2, 20)  # the order bound 2^20 itself is refused
 
 
 def test_equality_and_caching():
@@ -266,16 +265,3 @@ def test_field_from_order():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             field_from_order(bad)
-
-
-def test_automorphism_group_is_cyclic(gf9):
-    group = automorphism_group(gf9)
-    assert len(group) == 2
-    ident, frob = group
-    assert ident.k == 0 and frob.k == 1
-    assert frob.compose(frob).k == 0
-    assert frob.inverse().k == 1
-    assert ident(7) == 7
-    assert frob(int(gf9.mul(3, 3))) == int(gf9.mul(frob(3), frob(3)))
-    with pytest.raises(ValueError):
-        FieldAutomorphism(gf9, 2)

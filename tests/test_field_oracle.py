@@ -1,6 +1,6 @@
 """Extension-field arithmetic against the polynomial oracle in bruteforce.py.
 
-Every array and scalar operation of GF(p^e), and the two row operations
+Every row and scalar operation of GF(p^e), and the two row operations
 the elimination kernel runs on, must agree code for code with
 schoolbook polynomial arithmetic modulo the canonical irreducible.
 Fields up to order 256 are checked on every pair of elements; GF(343)
@@ -9,7 +9,6 @@ and GF(512) pair every element with a seeded sample.
 
 import random
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -37,19 +36,19 @@ def test_add_sub_neg_mul_match_polynomial_arithmetic(q):
     rng = random.Random(q)
     els = list(range(q))
     bs = _partners(q, rng)
-    a = np.repeat(np.arange(q, dtype=np.int64), len(bs))
-    b = np.tile(np.array(bs, dtype=np.int64), q)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    assert gf.add(a, b).tolist() == [ref.add(x, y) for x, y in pairs]
-    assert gf.sub(a, b).tolist() == [ref.sub(x, y) for x, y in pairs]
-    assert gf.mul(a, b).tolist() == [ref.mul(x, y) for x, y in pairs]
-    assert gf.neg(np.arange(q)).tolist() == [ref.neg(x) for x in els]
+    a = [x for x in els for _ in bs]
+    b = bs * q
+    pairs = list(zip(a, b))
+    assert gf.add(a, b) == [ref.add(x, y) for x, y in pairs]
+    assert gf.sub(a, b) == [ref.sub(x, y) for x, y in pairs]
+    assert gf.mul(a, b) == [ref.mul(x, y) for x, y in pairs]
+    assert gf.neg(els) == [ref.neg(x) for x in els]
     # scalar calls on a sample of the same pairs
     for x, y in _sample(rng, pairs, 200):
-        assert int(gf.add(x, y)) == ref.add(x, y)
-        assert int(gf.sub(x, y)) == ref.sub(x, y)
-        assert int(gf.mul(x, y)) == ref.mul(x, y)
-        assert int(gf.neg(x)) == ref.neg(x)
+        assert gf.add(x, y) == ref.add(x, y)
+        assert gf.sub(x, y) == ref.sub(x, y)
+        assert gf.mul(x, y) == ref.mul(x, y)
+        assert gf.neg(x) == ref.neg(x)
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -69,9 +68,9 @@ def test_inv_power_frobenius_match_polynomial_arithmetic(q):
     frob = [ref.frobenius(a, 1) for a in range(q)]
     want = list(range(q))
     for k in range(gf.e):
-        assert gf.frobenius(np.arange(q), k).tolist() == want
+        assert gf.frobenius(list(range(q)), k) == want
         for a in _sample(rng, range(q), 20):
-            assert int(gf.frobenius(a, k)) == want[a]
+            assert gf.frobenius(a, k) == want[a]
         want = [frob[a] for a in want]
 
 

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -67,7 +66,7 @@ def test_enumeration_is_complete_and_canonical(gf2):
     expect = set(bf.naive_subspaces(4, 2, 2))
     assert got == expect
     # first point is the leading-coordinate plane
-    assert np.array_equal(pts[0].basis, np.eye(4, dtype=np.int64)[:2])
+    assert pts[0].basis == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 @pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 3, 2), (2, 5, 2), (4, 3, 1)])
@@ -121,7 +120,7 @@ def test_standard_flag_members(gf2):
     fl = standard_flag(gf2, 4, (1, 3))
     assert fl.alpha == (1, 3)
     assert fl[0].dim == 1 and fl[1].dim == 3
-    assert np.array_equal(fl[1].basis, np.eye(4, dtype=np.int64)[:3])
+    assert fl[1].basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert fl.member_of_dim(3) == fl[1]
     with pytest.raises(KeyError):
         fl.member_of_dim(2)
@@ -188,7 +187,7 @@ def test_adapted_basis_realizes_the_flag(gf2, gf3):
     ]:
         fl = random_flag(gf, m, alpha, rng=seed)
         basis = adapted_basis(fl)
-        assert basis.shape == (m, m)
+        assert [len(row) for row in basis] == [m] * m
         for a, S in zip(alpha, fl.subspaces):
             assert Subspace.from_rows(gf, basis[:a], ambient=m) == S
         assert Subspace.from_rows(gf, basis, ambient=m).dim == m

@@ -2,10 +2,8 @@ import itertools
 import json
 import random
 
-import numpy as np
 import pytest
 
-from qgrass.errors import DiscrepancyError
 from qgrass.field import make_field
 from qgrass.grassmann import (
     Flag,
@@ -121,12 +119,12 @@ def test_flag_images_and_zero_tracking(gf2):
 
 def test_map_validation(gf2, gf4):
     with pytest.raises(ValueError):
-        SemilinearMap(gf2, 3, np.zeros((3, 3), dtype=np.int64))
+        SemilinearMap(gf2, 3, [[0] * 3] * 3)
     with pytest.raises(ValueError):
-        SemilinearMap(gf2, 3, np.eye(2, dtype=np.int64))
+        SemilinearMap(gf2, 3, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        SemilinearMap(gf2, 3, np.eye(3, dtype=np.int64), frobenius_power=1)
-    SemilinearMap(gf4, 3, np.eye(3, dtype=np.int64), frobenius_power=1)
+        SemilinearMap(gf2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], frobenius_power=1)
+    SemilinearMap(gf4, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], frobenius_power=1)
     tau = SemilinearMap.identity(gf2, 3)
     with pytest.raises(TypeError):
         tau("not a subspace")
@@ -187,7 +185,7 @@ def test_covariant_stabilizer_criterion(gf2):
     assert is_automorphism_oracle(keep, omega)
     assert not is_automorphism_fast(move, omega)
     assert not is_automorphism_oracle(move, omega)
-    assert is_automorphism_fast(keep, omega, paranoid=True)
+    assert is_automorphism_fast(keep, omega) == is_automorphism_oracle(keep, omega)
 
 
 def self_perp_plane(gf2):
@@ -202,7 +200,7 @@ def test_perp_symmetric_flag_admits_the_perp_map(gf2):
     tau = SemilinearMap.perp_map(gf2, 4)
     assert is_automorphism_fast(tau, omega)
     assert is_automorphism_oracle(tau, omega)
-    assert is_automorphism_fast(tau, omega, paranoid=True)
+    assert is_automorphism_fast(tau, omega) == is_automorphism_oracle(tau, omega)
 
 
 def test_contravariant_criterion_rejects_non_self_dual(gf2):
@@ -219,29 +217,15 @@ def test_fast_criterion_agrees_with_oracle_at_edge_dimension(gf2):
     assert fast == is_automorphism_oracle(tau, omega) == True  # noqa: E712
 
 
-def test_paranoid_mode_catches_sabotage(gf2, monkeypatch):
-    omega = SchubertVariety.standard(gf2, 4, (2, 4))
-    move = SemilinearMap.from_matrix(
-        gf2,
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    )
-    omega.point_set()
-    import qgrass.group as group_mod
-
-    monkeypatch.setattr(group_mod, "_nc_members", lambda o, below_top=False: [])
-    with pytest.raises(DiscrepancyError):
-        is_automorphism_fast(move, omega, paranoid=True)
-
-
 def test_enumerate_invertible_counts():
     gf2 = make_field(2)
     gf3 = make_field(3)
     small = list(enumerate_invertible(gf2, 2))
     assert len(small) == group_order(2, 2) == 6
-    assert np.array_equal(small[0], np.array([[0, 1], [1, 0]]))
+    assert small[0] == ((0, 1), (1, 0))
     mats = list(enumerate_invertible(gf3, 2))
     assert len(mats) == group_order(3, 2) == 48
-    assert len({m.tobytes() for m in mats}) == 48
+    assert len(set(mats)) == 48
     bigger = list(enumerate_invertible(gf2, 3))
     assert len(bigger) == group_order(2, 3) == 168
 

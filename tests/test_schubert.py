@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
