@@ -8,6 +8,7 @@ on GF(2) bitmasks, and counting means enumerating and counting.
 Slow is fine; these exist to catch the fast implementations lying.
 """
 
+import functools
 import itertools
 
 
@@ -72,6 +73,21 @@ def naive_rref(rows, p):
     return tuple(tuple(x % p for x in row) for row in mat[:r]), tuple(pivots)
 
 
+def _arithmetic(field):
+    """(q, add, mul) for a prime p, mod p, or for a PolyField."""
+    if isinstance(field, PolyField):
+        return field.q, field.add, field.mul
+    q = field
+
+    def add(a, b):
+        return (a + b) % q
+
+    def mul(a, b):
+        return a * b % q
+
+    return q, add, mul
+
+
 def span_set(rows, field, m):
     """Every linear combination of the rows, as a frozenset of tuples.
 
@@ -79,17 +95,7 @@ def span_set(rows, field, m):
     The span grows one row at a time: each vector found so far plus each
     multiple of the next row.
     """
-    if isinstance(field, PolyField):
-        q, add, mul = field.q, field.add, field.mul
-    else:
-        q = field
-
-        def add(a, b):
-            return (a + b) % q
-
-        def mul(a, b):
-            return a * b % q
-
+    q, add, mul = _arithmetic(field)
     out = {(0,) * m}
     for row in rows:
         multiples = [tuple(mul(c, x) for x in row) for c in range(1, q)]
@@ -290,3 +296,88 @@ class PolyField:
 
     def frobenius(self, a, k):
         return self.power(a, self.p**k)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_field(p, e):
+    """PolyField for GF(p^e), its operations memoized for speed."""
+    ref = PolyField(p, e)
+    for name in ("add", "mul", "frobenius"):
+        setattr(ref, name, functools.lru_cache(maxsize=None)(getattr(ref, name)))
+    return ref
+
+
+# -- adapted bases by the vector scan -----------------------------------------
+
+
+def adapted_basis_scan(members, field, m):
+    """The adapted basis of a flag by scanning vectors, as a list of tuples.
+
+    members are the rows of each flag member, smallest member first.  The
+    vectors of a member are walked in canonical coefficient order (the
+    coefficient of its row 0 is the most significant base-q digit), and a
+    vector is kept when it leaves the span of the vectors kept so far,
+    until the kept ones span the member.  The standard basis vectors then
+    complete the basis the same way.  This costs up to q^dim vectors per
+    member; it is the reference the package's construction must match.
+    """
+    q, add, mul = _arithmetic(field)
+    kept = []
+    span = {(0,) * m}
+    for rows in members:
+        d = len(rows)
+        for t in range(1, q**d):
+            if len(span) >= q**d:
+                break
+            coeffs = []
+            for _ in range(d):
+                t, c = divmod(t, q)
+                coeffs.append(c)
+            v = (0,) * m
+            for c, row in zip(reversed(coeffs), rows):
+                v = tuple(add(x, mul(c, y)) for x, y in zip(v, row))
+            if v not in span:
+                kept.append(v)
+                span = span_set(kept, field, m)
+    for i in range(m):
+        e_i = tuple(int(i == j) for j in range(m))
+        if e_i not in span:
+            kept.append(e_i)
+            span = span_set(kept, field, m)
+    return kept
+
+
+# -- the paper's result as a closed form ---------------------------------------
+
+
+def reflected_complement(alpha, m):
+    """{m + 1 - j : j in 1..m, j not in alpha}, sorted."""
+    return tuple(sorted(m + 1 - j for j in range(1, m + 1) if j not in alpha))
+
+
+def automorphism_count(q, e, m, alpha, frobenius=False, dual=False):
+    """How many semilinear maps the paper says preserve a Schubert variety.
+
+    Aut is the stabilizer of the flag members at the non-redundant
+    dimensions (an entry a with a + 1 not in alpha), where a member equal
+    to the whole space constrains nothing.  GL(m, q) is transitive on
+    partial flags of one type, so the stabilizer's order is |GL(m, q)|
+    over the number of such flags, a product of Gaussian binomials.  Each
+    of the e Frobenius powers adds one coset of that size; contravariant
+    maps add one more coset when alpha is its own reflected complement,
+    and none otherwise.
+    """
+    gl = 1
+    for i in range(m):
+        gl *= q**m - q**i
+    flags, below = 1, 0
+    for a in alpha:
+        if a + 1 not in alpha and a < m:
+            flags *= poly_eval(q_binomial_poly(m - below, a - below), q)
+            below = a
+    count = gl // flags
+    if frobenius:
+        count *= e
+    if dual and reflected_complement(alpha, m) == tuple(alpha):
+        count *= 2
+    return count

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -191,6 +192,25 @@ def test_adapted_basis_realizes_the_flag(gf2, gf3):
         for a, S in zip(alpha, fl.subspaces):
             assert Subspace.from_rows(gf, basis[:a], ambient=m) == S
         assert Subspace.from_rows(gf, basis, ambient=m).dim == m
+
+
+def _reverse_flag(gf, m, alpha):
+    """Members spanned by the last coordinate vectors."""
+    eye = Subspace.full(gf, m).basis
+    return Flag(gf, m, alpha, tuple(Subspace.from_rows(gf, eye[m - a :], ambient=m) for a in alpha))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_adapted_basis_matches_the_vector_scan(p, e):
+    gf, ref = make_field(p, e), bf.cached_field(p, e)
+    rng = random.Random(37 * p + e)
+    for m in range(1, 6 if gf.q < 5 else 5):
+        for l in range(1, m + 1):
+            for alpha in itertools.combinations(range(1, m + 1), l):
+                for flag in (_reverse_flag(gf, m, alpha), random_flag(gf, m, alpha, rng=rng)):
+                    members = [S.basis for S in flag.subspaces]
+                    want = bf.adapted_basis_scan(members, ref, m)
+                    assert [tuple(row) for row in adapted_basis(flag)] == want
 
 
 def test_complete_flag_containing(gf2):

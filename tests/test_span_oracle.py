@@ -8,7 +8,6 @@ Grassmannians; GF(343) on a seeded sample whose spans stay small enough
 to enumerate.
 """
 
-import functools
 import itertools
 import random
 
@@ -32,13 +31,7 @@ from qgrass.linalg import (
 SMALL = [(2, 1), (3, 1), (2, 2), (3, 2)]
 
 
-@functools.lru_cache(maxsize=None)
-def _oracle(p, e):
-    """PolyField for GF(p^e), its operations memoized for speed."""
-    ref = bf.PolyField(p, e)
-    for name in ("add", "mul", "frobenius"):
-        setattr(ref, name, functools.lru_cache(maxsize=None)(getattr(ref, name)))
-    return ref
+_oracle = bf.cached_field
 
 
 def _ints(mat):

@@ -1,10 +1,12 @@
 """Campaign harness tests: green on healthy code, red under every mutant."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
+import bruteforce as bf
 from qgrass.errors import BudgetExceededError
 from qgrass.field import make_field
 from qgrass.group import SemilinearMap, is_automorphism_fast, is_automorphism_oracle
@@ -272,6 +274,18 @@ def test_census_with_contravariant_layer():
     assert rep.group_size == 12
     assert rep.fast_count == 4
     assert rep.oracle_count == 4
+
+
+@pytest.mark.parametrize("p,e,m,l", [(2, 1, 3, 1), (2, 1, 3, 2), (3, 1, 2, 1), (2, 2, 2, 1)])
+def test_census_equals_the_closed_form(p, e, m, l):
+    gf = make_field(p, e)
+    rng = random.Random(10 * gf.q + m + l)
+    dual = m == 2 * l
+    for alpha in itertools.combinations(range(1, m + 1), l):
+        om = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        rep = stabilizer_census(om, oracle="full", include_frobenius=True, include_dual=dual)
+        want = bf.automorphism_count(gf.q, e, m, alpha, frobenius=True, dual=dual)
+        assert rep.fast_count == rep.oracle_count == want, alpha
 
 
 def test_census_subsample_and_none_oracles():
