@@ -128,7 +128,9 @@ def _cmd_points(args):
         omega = SchubertVariety(_flag_for(args, gf, args.m, alpha))
         pts = omega.points(limit=args.limit)
         doc = {"q": gf.q, "m": args.m, "alpha": list(alpha)}
-    if args.count_only:
+    if args.count_only and args.l is None:
+        doc["count"] = omega.count_points(limit=args.limit)  # unsorted
+    elif args.count_only:
         doc["count"] = sum(1 for _ in pts)
     else:
         rows = [W.to_rows() for W in pts]

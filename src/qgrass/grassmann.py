@@ -6,6 +6,11 @@ l-subsets of {0..m-1} in lexicographic order, and within a cell the free
 entries are read row-major as the base-q digits of an index, most
 significant first.  This gives a total order on the Grassmannian and
 O(cells) rank/unrank without materializing anything.
+
+A cell is walked, not unranked point by point: the free entries of one
+row do not depend on the other rows, so the cell is the product of one
+list of choices per row.  Schubert varieties walk their own cells the
+same way, with rows built from a flag's adapted basis.
 """
 
 import itertools
@@ -101,6 +106,42 @@ def _cell_member(gf, m, cell, t):
     return Subspace(gf, tuple(map(tuple, rows)), cell.pivots, validate=False, ambient=m)
 
 
+def _row_choices(gf, base, gens):
+    """Yield base + sum x_j gens[j] over every x, gens[0] most significant.
+
+    Rows are tuples.  With unit vectors off the base's support as gens,
+    the x_j land as codes in their columns.
+    """
+    if not gens:
+        yield tuple(base)
+        return
+    *head, g = gens
+    sub_row = gf._sub_row
+    negs = [gf._neg(x) for x in range(1, gf.q)]
+    for v in _row_choices(gf, base, head):
+        yield v
+        for f in negs:
+            yield tuple(sub_row(v, f, g))
+
+
+def _walk_cell(gf, rows):
+    """Yield the row tuples of one cell, row 0 slowest.
+
+    rows holds one (base, gens) pair per row; row i ranges over
+    base + sum x_j gens[j].  The later rows' choices are listed once and
+    multiplied out; row 0's are made as the walk reaches them, since in a
+    cell of G(1, m) they are the whole cell.
+    """
+    if not rows:
+        yield ()
+        return
+    (base, gens), *rest = rows
+    later = [list(_row_choices(gf, b, g)) for b, g in rest]
+    for first in _row_choices(gf, base, gens):
+        for tail in itertools.product(*later):
+            yield (first, *tail)
+
+
 def check_enumeration_budget(gf, m, l, limit=None):
     """Refuse an enumeration of G(l, m) larger than its budget.
 
@@ -129,9 +170,12 @@ def enumerate_grassmannian(gf, m, l, limit=None):
     # be enormous and must not be built for over-budget requests
     check_enumeration_budget(gf, m, l, limit)
     cells, _, _ = _cell_table(gf.q, m, l)
+    eye = Subspace.full(gf, m).basis
     for cell in cells:
-        for t in range(cell.size):
-            yield _cell_member(gf, m, cell, t)
+        piv = cell.pivots
+        rows = [(eye[c], [eye[j] for j in range(c + 1, m) if j not in piv]) for c in piv]
+        for basis in _walk_cell(gf, rows):
+            yield Subspace(gf, basis, piv, validate=False, ambient=m)
 
 
 def rank_subspace(W):
@@ -271,30 +315,26 @@ def dual_flag(flag):
 def adapted_basis(flag):
     """Rows of an invertible matrix whose prefixes realize the flag.
 
-    Row selection is greedy and canonical: vectors of each member in its
-    canonical coefficient order, then standard basis vectors.  Equal
-    flags therefore get identical adapted bases.  Returns a list of row
-    lists.
+    Row selection is greedy and canonical: the RREF rows of each member
+    from last to first, then standard basis vectors, each kept when it
+    leaves the span of the rows kept so far.  Equal flags therefore get
+    identical adapted bases.  These are the rows a scan of each member's
+    vectors in canonical coefficient order would keep, since every vector
+    before a member's row r in that order lies in the span of its later
+    rows.  Returns a list of row lists.
     """
     gf, m = flag.gf, flag.m
+    candidates = [(S.dim, reversed(S.basis)) for S in flag.subspaces]
+    candidates.append((m, Subspace.full(gf, m).basis))
     rows = []
     cur = Subspace.zero(gf, m)
-    for S in flag.subspaces:
-        if cur.dim >= S.dim:
-            continue
-        for v in S.vectors(nonzero=True):
-            if not cur.contains_vector(v):
-                rows.append(v)
-                cur = cur + Subspace.from_rows(gf, v, ambient=m)
-                if cur.dim == S.dim:
-                    break
-    for i in range(m):
-        if cur.dim == m:
-            break
-        e_i = [int(i == j) for j in range(m)]
-        if not cur.contains_vector(e_i):
-            rows.append(e_i)
-            cur = cur + Subspace.from_rows(gf, e_i, ambient=m)
+    for dim, vectors in candidates:
+        for v in vectors:
+            if cur.dim == dim:
+                break
+            if any(cur._residual(v)):
+                rows.append(list(v))
+                cur = Subspace._span(gf, [*cur.basis, v], m)
     return rows
 
 

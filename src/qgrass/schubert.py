@@ -9,6 +9,14 @@ in the dimension tuple is implied by the next condition down the chain,
 so the variety only sees the members at the non-redundant dimensions.
 That observation drives the fast equality test, and the brute-force
 machinery here exists to check it and its consequences honestly.
+
+Points are generated, not filtered out of G(l, m).  In a basis adapted
+to the flag every point lies in exactly one Schubert cell C_beta with
+beta <= alpha componentwise, and each cell is walked like an RREF cell
+of the Grassmannian (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
+Amer. Math. Monthly 79, 1972).  Membership by rank (contains) only
+checks single points: witnesses, and the redundancy campaign, which
+tests the conditions themselves.
 """
 
 import itertools
@@ -17,10 +25,12 @@ from functools import cached_property
 from .field import field_from_order
 from .grassmann import (
     Flag,
+    _walk_cell,
     adapted_basis,
     check_alpha,
     check_enumeration_budget,
     enumerate_grassmannian,
+    rank_subspace,
     standard_flag,
 )
 from .linalg import Subspace, intersection_dim
@@ -49,6 +59,20 @@ def dual_index_set(alpha, m):
     return tuple(sorted(m + 1 - j for j in range(1, m + 1) if j not in aset))
 
 
+def _cells(alpha, m):
+    """The dimension tuples beta componentwise at most alpha, in order.
+
+    Each names one Schubert cell of the variety: in a basis adapted to
+    the flag, the points whose rows can be brought to b_(beta_i) plus
+    combinations of the b_j with j < beta_i and j not in beta.
+    """
+    return [
+        beta
+        for beta in itertools.combinations(range(1, m + 1), len(alpha))
+        if all(b <= a for b, a in zip(beta, alpha))
+    ]
+
+
 def cell_count_polynomial(alpha, m):
     """Coefficients (low degree first) of the point count as a polynomial in q.
 
@@ -58,10 +82,8 @@ def cell_count_polynomial(alpha, m):
     alpha = check_alpha(alpha, m)
     l = len(alpha)
     coeffs = [0] * (sum(alpha) - l * (l + 1) // 2 + 1)
-    for beta in itertools.combinations(range(1, m + 1), l):
-        if all(b <= a for b, a in zip(beta, alpha)):
-            d = sum(b - i - 1 for i, b in enumerate(beta))
-            coeffs[d] += 1
+    for beta in _cells(alpha, m):
+        coeffs[sum(b - i - 1 for i, b in enumerate(beta))] += 1
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -156,21 +178,37 @@ class SchubertVariety:
     def _condition_lists(self):
         return {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
 
+    def _cell_points(self, limit=None):
+        """Yield the points cell by cell, each once, in no canonical order.
+
+        Row i of a point in cell beta is b_(beta_i) + sum x_j b_j over
+        j < beta_i with j not in beta, b the flag's adapted basis; the
+        span of the rows puts the point in canonical form.  The budget is
+        the size of the whole Grassmannian, as for enumerating it.
+        """
+        gf, m = self.gf, self.m
+        check_enumeration_budget(gf, m, self.l, limit)
+        b = [tuple(row) for row in adapted_basis(self.flag)]
+        span = Subspace._span
+        for beta in _cells(self.alpha, m):
+            rows = [(b[x - 1], [b[j - 1] for j in range(1, x) if j not in beta]) for x in beta]
+            for cell_rows in _walk_cell(gf, rows):
+                yield span(gf, list(cell_rows), m)
+
     def points(self, limit=None):
         """Yield the points in canonical Grassmannian order."""
-        for W in enumerate_grassmannian(self.gf, self.m, self.l, limit=limit):
-            if self.contains(W):
-                yield W
+        yield from sorted(self._cell_points(limit), key=rank_subspace)
 
     def point_set(self, limit=None):
         # the budget holds on every call, not only the one that fills the cache
         check_enumeration_budget(self.gf, self.m, self.l, limit)
         if self._point_set is None:
-            self._point_set = frozenset(self.points(limit=limit))
+            self._point_set = frozenset(self._cell_points(limit))
         return self._point_set
 
     def count_points(self, limit=None):
-        return len(self.point_set(limit=limit))
+        """Number of points, counted cell by cell without holding them."""
+        return sum(1 for _ in self._cell_points(limit))
 
     def count_polynomial(self):
         return cell_count_polynomial(self.alpha, self.m)

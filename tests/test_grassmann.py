@@ -213,6 +213,19 @@ def test_adapted_basis_matches_the_vector_scan(p, e):
                     assert [tuple(row) for row in adapted_basis(flag)] == want
 
 
+def test_adapted_basis_enumerates_no_vectors(monkeypatch):
+    # the scan would walk q^3 vectors of the top member here
+    gf = make_field(2, 9)
+
+    def refuse(self, nonzero=False):
+        raise AssertionError("adapted_basis enumerated a subspace")
+
+    monkeypatch.setattr(Subspace, "vectors", refuse)
+    flag = _reverse_flag(gf, 6, (2, 3, 5))
+    eye = [list(row) for row in Subspace.full(gf, 6).basis]
+    assert adapted_basis(flag) == eye[::-1]
+
+
 def test_complete_flag_containing(gf2):
     fl = random_flag(gf2, 4, (2,), rng=77)
     c1 = complete_flag_containing(fl)
