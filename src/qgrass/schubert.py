@@ -188,7 +188,7 @@ class SchubertVariety:
         """
         gf, m = self.gf, self.m
         check_enumeration_budget(gf, m, self.l, limit)
-        b = [tuple(row) for row in adapted_basis(self.flag)]
+        b = adapted_basis(self.flag)
         span = Subspace._span
         for beta in _cells(self.alpha, m):
             rows = [(b[x - 1], [b[j - 1] for j in range(1, x) if j not in beta]) for x in beta]
