@@ -5,6 +5,7 @@ Exit codes: 0 success (or a passing check), 1 failing verification,
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -280,7 +281,12 @@ def _add_field_args(sub, need_m=True):
         sub.add_argument("--m", type=int, required=True, help="ambient dimension")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use.
+
+    parse_args keeps nothing between calls, so main reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="qgrass",
         description="Exact computations with Schubert varieties over finite fields",

@@ -103,7 +103,7 @@ def _cell_member(gf, m, cell, t):
         row[c] = 1
     for i, j in reversed(cell.free):
         t, rows[i][j] = divmod(t, q)
-    return Subspace(gf, tuple(map(tuple, rows)), cell.pivots, validate=False, ambient=m)
+    return Subspace._trusted(gf, tuple(map(tuple, rows)), cell.pivots, m)
 
 
 def _row_choices(gf, base, gens):
@@ -171,11 +171,12 @@ def enumerate_grassmannian(gf, m, l, limit=None):
     check_enumeration_budget(gf, m, l, limit)
     cells, _, _ = _cell_table(gf.q, m, l)
     eye = Subspace.full(gf, m).basis
+    trusted = Subspace._trusted
     for cell in cells:
         piv = cell.pivots
         rows = [(eye[c], [eye[j] for j in range(c + 1, m) if j not in piv]) for c in piv]
         for basis in _walk_cell(gf, rows):
-            yield Subspace(gf, basis, piv, validate=False, ambient=m)
+            yield trusted(gf, basis, piv, m)
 
 
 def rank_subspace(W):
@@ -284,10 +285,7 @@ def standard_flag(gf, m, alpha):
     """The flag of leading-coordinate subspaces at the given dimensions."""
     alpha = check_alpha(alpha, m)
     full = Subspace.full(gf, m)
-    subs = tuple(
-        Subspace(gf, full.basis[:a], full.pivots[:a], validate=False, ambient=m)
-        for a in alpha
-    )
+    subs = tuple(Subspace._trusted(gf, full.basis[:a], full.pivots[:a], m) for a in alpha)
     return Flag(gf, m, alpha, subs)
 
 

@@ -42,31 +42,31 @@ def _transpose(mat):
 
 
 class SemilinearMap:
-    """theta then matrix then optional annihilator, acting on row spans.
-
-    With validate=False the matrix is taken as given: the caller vouches
-    for an invertible m x m matrix of codes.
-    """
+    """theta then matrix then optional annihilator, acting on row spans."""
 
     __slots__ = ("gf", "m", "matrix", "frobenius_power", "dual")
 
-    def __init__(self, gf, m, matrix, frobenius_power=0, dual=False, validate=True):
-        if validate:
-            matrix, ncols = _code_rows(gf, matrix, m)
-            if len(matrix) != m:
-                raise ValueError(f"matrix must be {m}x{m}, got {len(matrix)}x{ncols}")
-        else:
-            matrix = tuple(map(tuple, matrix))
+    def __init__(self, gf, m, matrix, frobenius_power=0, dual=False):
+        matrix, ncols = _code_rows(gf, matrix, m)
+        if len(matrix) != m:
+            raise ValueError(f"matrix must be {m}x{m}, got {len(matrix)}x{ncols}")
         k = int(frobenius_power)
         if not 0 <= k < gf.e:
             raise ValueError(f"frobenius power {k} outside [0, {gf.e})")
-        if validate and rank(gf, matrix) != m:
+        if rank(gf, matrix) != m:
             raise ValueError("matrix is singular")
-        object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "frobenius_power", k)
-        object.__setattr__(self, "dual", bool(dual))
+        _fill(self, gf, m, matrix, k, bool(dual))
+
+    @classmethod
+    def _trusted(cls, gf, m, matrix, frobenius_power, dual):
+        """A map built without checks; matrix becomes a tuple of row tuples.
+
+        The caller vouches for an invertible m x m matrix of codes, an
+        int power in [0, e) and a bool dual.
+        """
+        self = _new(cls)
+        _fill(self, gf, m, tuple(map(tuple, matrix)), frobenius_power, dual)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SemilinearMap is immutable")
@@ -75,7 +75,7 @@ class SemilinearMap:
 
     @classmethod
     def identity(cls, gf, m):
-        return cls(gf, m, _identity(m), 0, False, validate=False)
+        return cls._trusted(gf, m, _identity(m), 0, False)
 
     @classmethod
     def from_matrix(cls, gf, matrix, frobenius_power=0, dual=False):
@@ -83,11 +83,11 @@ class SemilinearMap:
 
     @classmethod
     def frobenius_map(cls, gf, m, k=1):
-        return cls(gf, m, _identity(m), k, False, validate=False)
+        return cls(gf, m, _identity(m), k, False)
 
     @classmethod
     def perp_map(cls, gf, m):
-        return cls(gf, m, _identity(m), 0, True, validate=False)
+        return cls._trusted(gf, m, _identity(m), 0, True)
 
     @property
     def is_covariant(self):
@@ -137,7 +137,7 @@ class SemilinearMap:
             mat = _transpose(gf.frobenius(self.matrix, k2))
         else:
             mat = gf.frobenius(matrix_inverse(gf, self.matrix), k2)
-        return SemilinearMap(gf, self.m, mat, k2, self.dual, validate=False)
+        return SemilinearMap._trusted(gf, self.m, mat, k2, self.dual)
 
     def __eq__(self, other):
         if not isinstance(other, SemilinearMap):
@@ -189,6 +189,22 @@ class SemilinearMap:
         )
 
 
+# The slots are stored through their descriptors, past the __setattr__
+# that keeps instances immutable.
+_new = object.__new__
+_set_gf, _set_m, _set_matrix, _set_power, _set_dual = (
+    SemilinearMap.__dict__[name].__set__ for name in SemilinearMap.__slots__
+)
+
+
+def _fill(self, gf, m, matrix, frobenius_power, dual):
+    _set_gf(self, gf)
+    _set_m(self, m)
+    _set_matrix(self, matrix)
+    _set_power(self, frobenius_power)
+    _set_dual(self, dual)
+
+
 def compose(outer, inner):
     """The map sending W to outer(inner(W)), back in normal form."""
     if outer.gf != inner.gf or outer.m != inner.m:
@@ -203,7 +219,7 @@ def compose(outer, inner):
     else:
         right = outer.matrix
     mat = matmul(gf, left, right)
-    return SemilinearMap(gf, outer.m, mat, k, dual, validate=False)
+    return SemilinearMap._trusted(gf, outer.m, mat, k, dual)
 
 
 def random_semilinear(gf, m, rng=None, allow_dual=False, dual=None):
@@ -217,7 +233,7 @@ def random_semilinear(gf, m, rng=None, allow_dual=False, dual=None):
     k = rng.randrange(gf.e)
     if dual is None:
         dual = bool(rng.randrange(2)) if allow_dual else False
-    return SemilinearMap(gf, m, mat, k, dual, validate=False)
+    return SemilinearMap._trusted(gf, m, mat, k, bool(dual))
 
 
 def enumerate_invertible(gf, m):

@@ -174,47 +174,50 @@ class Subspace:
     pivot column of each row.  Instances are immutable and hashable; two
     Subspace objects compare equal exactly when they are the same
     subspace of the same ambient space over the same field.
-
-    With validate=False the basis, pivots and ambient dimension are taken
-    as given: the caller vouches for a canonical tuple basis.
     """
 
     __slots__ = ("gf", "m", "basis", "pivots", "_hash")
 
-    def __init__(self, gf, basis, pivots=None, validate=True, ambient=None):
-        if validate:
-            basis, ambient = _code_rows(gf, basis, ambient)
-            d = len(basis)
-            if pivots is None:
-                pivots = []
-                for row in basis:
-                    for c, x in enumerate(row):
-                        if x:
-                            pivots.append(c)
-                            break
-                    else:
-                        raise ValueError("zero row in a subspace basis")
-            pivots = tuple(int(c) for c in pivots)
-            if d > ambient:
-                raise ValueError("more rows than the ambient dimension")
-            if len(pivots) != d or any(
-                pivots[i] >= pivots[i + 1] for i in range(d - 1)
-            ):
-                raise ValueError("pivot columns must strictly increase")
-            if pivots and (pivots[0] < 0 or pivots[-1] >= ambient):
-                raise ValueError("pivot column outside the ambient space")
-            for i, c in enumerate(pivots):
-                if basis[i][c] != 1:
-                    raise ValueError("pivot entries must be 1")
-                if any(basis[i][:c]):
-                    raise ValueError("nonzero entry left of a pivot")
-                if sum(1 for row in basis if row[c]) != 1:
-                    raise ValueError("pivot column must be a unit column")
-        object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "m", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, gf, basis, pivots=None, ambient=None):
+        basis, ambient = _code_rows(gf, basis, ambient)
+        d = len(basis)
+        if pivots is None:
+            pivots = []
+            for row in basis:
+                for c, x in enumerate(row):
+                    if x:
+                        pivots.append(c)
+                        break
+                else:
+                    raise ValueError("zero row in a subspace basis")
+        pivots = tuple(int(c) for c in pivots)
+        if d > ambient:
+            raise ValueError("more rows than the ambient dimension")
+        if len(pivots) != d or any(
+            pivots[i] >= pivots[i + 1] for i in range(d - 1)
+        ):
+            raise ValueError("pivot columns must strictly increase")
+        if pivots and (pivots[0] < 0 or pivots[-1] >= ambient):
+            raise ValueError("pivot column outside the ambient space")
+        for i, c in enumerate(pivots):
+            if basis[i][c] != 1:
+                raise ValueError("pivot entries must be 1")
+            if any(basis[i][:c]):
+                raise ValueError("nonzero entry left of a pivot")
+            if sum(1 for row in basis if row[c]) != 1:
+                raise ValueError("pivot column must be a unit column")
+        _fill(self, gf, basis, pivots, ambient)
+
+    @classmethod
+    def _trusted(cls, gf, basis, pivots, m):
+        """A Subspace built without checks from its canonical parts.
+
+        The caller vouches that basis is the RREF tuple of int tuples
+        of a subspace of GF(q)^m and pivots its pivot columns.
+        """
+        self = _new(cls)
+        _fill(self, gf, basis, pivots, m)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -229,16 +232,16 @@ class Subspace:
     def _span(cls, gf, rows, m):
         """The span of valid code rows; rows is a list _eliminate may reorder."""
         rk, pivots = _eliminate(gf, rows, m)
-        return cls(gf, tuple(map(tuple, rows[:rk])), pivots, validate=False, ambient=m)
+        return cls._trusted(gf, tuple(map(tuple, rows[:rk])), pivots, m)
 
     @classmethod
     def zero(cls, gf, m):
-        return cls(gf, (), (), validate=False, ambient=m)
+        return cls._trusted(gf, (), (), m)
 
     @classmethod
     def full(cls, gf, m):
         eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-        return cls(gf, eye, tuple(range(m)), validate=False, ambient=m)
+        return cls._trusted(gf, eye, tuple(range(m)), m)
 
     @property
     def dim(self):
@@ -343,8 +346,24 @@ class Subspace:
         h = self._hash
         if h is None:
             h = hash((self.gf, self.m, self.basis))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, m={self.m}, {self.gf!r})"
+
+
+# The slots are stored through their descriptors, past the __setattr__
+# that keeps instances immutable.
+_new = object.__new__
+_set_gf, _set_m, _set_basis, _set_pivots, _set_hash = (
+    Subspace.__dict__[name].__set__ for name in Subspace.__slots__
+)
+
+
+def _fill(self, gf, basis, pivots, m):
+    _set_gf(self, gf)
+    _set_m(self, m)
+    _set_basis(self, basis)
+    _set_pivots(self, pivots)
+    _set_hash(self, None)

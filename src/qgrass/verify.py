@@ -454,7 +454,7 @@ def _flag_stabilizer(flag, rng, boundaries=None):
         if rref(gf, L)[1] == m:
             break
     M = matmul(gf, Tinv, matmul(gf, L, T))
-    return SemilinearMap(gf, m, M, 0, False, validate=False)
+    return SemilinearMap._trusted(gf, m, M, 0, False)
 
 
 def _member_mover(flag, rng):
@@ -473,7 +473,7 @@ def _member_mover(flag, rng):
     P = [[int(i == j) for j in range(m)] for i in range(m)]
     P[a - 1], P[a] = P[a], P[a - 1]
     M = matmul(gf, Tinv, matmul(gf, P, T))
-    return SemilinearMap(gf, m, M, 0, False, validate=False)
+    return SemilinearMap._trusted(gf, m, M, 0, False)
 
 
 def _perp_symmetric_flag(gf, m, alpha):
@@ -554,9 +554,7 @@ def verify_covariant_criterion(
                 expected = False
         elif kind == "twisted" and gf.e > 1:
             tau = random_semilinear(gf, m, rng=rng)
-            tau = SemilinearMap(
-                gf, m, tau.matrix, rng.randrange(1, gf.e), False, validate=False
-            )
+            tau = SemilinearMap._trusted(gf, m, tau.matrix, rng.randrange(1, gf.e), False)
         else:
             kind = "random" if kind == "twisted" else kind
             tau = random_semilinear(gf, m, rng=rng)
@@ -809,7 +807,7 @@ def stabilizer_census(
     for dual in dual_opts:
         for k in frob_powers:
             for M in enumerate_invertible(gf, m):
-                tau = SemilinearMap(gf, m, M, k, dual, validate=False)
+                tau = SemilinearMap._trusted(gf, m, M, k, dual)
                 fast = is_automorphism_fast(tau, omega)
                 fast_count += fast
                 run_oracle = oracle == "full" or (

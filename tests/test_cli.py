@@ -1,10 +1,11 @@
 """End-to-end command tests, run in process through main()."""
 
 import json
+import re
 import subprocess
 import sys
 
-from qgrass.cli import main
+from qgrass.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -229,3 +230,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 35
+
+
+def _fresh(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgrass", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, _untimed(proc.stdout)
+
+
+def _untimed(out):
+    return re.sub(r'"elapsed_seconds": [-+.e0-9]+', '"elapsed_seconds": ...', out)
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Each call in one process prints what a fresh interpreter prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps alike in both
+    assert build_parser() is build_parser()
+    flag, tau = str(tmp_path / "flag.json"), str(tmp_path / "tau.json")
+    run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", flag)
+    run(capsys, "gen-map", "--q", "2", "--m", "4", "--seed", "3", "-o", tau)
+    verify = ["verify", "redundancy", "--q", "2", "--m", "4", "--l", "2", "--flags-per-alpha", "1"]
+    census = ["census", "--q", "4", "--m", "2", "--alpha", "1"]
+    sequence = [
+        ["count", "--q", "two", "--m", "4", "--l", "2"],
+        ["--help"],
+        ["aut-check", tau, flag, "--both"],
+        ["aut-check", tau, flag],
+        [*verify, "--mutant", "drop-nonredundant-condition", "--timing"],
+        verify,
+        [*census, "--include-dual"],
+        census,
+    ]
+    results = [run(capsys, *argv)[:2] for argv in sequence]
+    assert [rc for rc, _ in results] == [2, 0, 0, 0, 1, 0, 0, 0]
+    assert set(json.loads(results[3][1])) == {"fast"}
+    assert "elapsed_seconds" in results[4][1] and "elapsed_seconds" not in results[5][1]
+    assert json.loads(results[6][1]) != json.loads(results[7][1])
+    for argv, (rc, out) in zip(sequence, results):
+        assert (rc, _untimed(out)) == _fresh(argv), argv

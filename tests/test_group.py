@@ -246,3 +246,26 @@ def test_random_semilinear_determinism(gf4):
     assert duals == {True, False}
     ks = {random_semilinear(gf4, 3, rng=s).frobenius_power for s in range(12)}
     assert ks == {0, 1}
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_trusted_maps_equal_validated_ones(p, e):
+    """identity, perp, compose, inverse and frobenius match a checked build."""
+    gf = make_field(p, e)
+    maps = sample_maps(gf, 3, seed=13 * p + e)
+    maps += [compose(a, b) for a, b in itertools.product(maps, repeat=2)]
+    maps += [tau.inverse() for tau in maps]
+    for tau in maps:
+        twin = SemilinearMap(gf, 3, tau.matrix, tau.frobenius_power, tau.dual)
+        assert twin == tau and hash(twin) == hash(tau)
+        assert type(tau.matrix) is tuple
+        assert all(type(row) is tuple for row in tau.matrix)
+        assert all(type(x) is int for row in tau.matrix for x in row)
+        assert type(tau.frobenius_power) is int and type(tau.dual) is bool
+        with pytest.raises(AttributeError):
+            tau.dual = not tau.dual
+
+
+def test_map_takes_no_validate_flag(gf2):
+    with pytest.raises(TypeError):
+        SemilinearMap(gf2, 2, [[1, 0], [0, 1]], validate=False)

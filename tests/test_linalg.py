@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,6 +8,7 @@ import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import (
     enumerate_grassmannian,
+    random_flag,
     random_subspace,
     rank_subspace,
     unrank_subspace,
@@ -22,6 +24,7 @@ from qgrass.linalg import (
     rank,
     rref,
 )
+from qgrass.schubert import SchubertVariety
 
 
 def _eye(m):
@@ -305,3 +308,26 @@ def test_subspace_rejects_ragged_and_out_of_range_rows(p, e):
             Subspace(gf, [[1, 0, bad]])
         with pytest.raises(ValueError):
             Subspace.from_rows(gf, [[1, 0, bad]], ambient=3)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_trusted_subspaces_equal_validated_ones_over_whole_g24(p, e):
+    """Every unchecked build on G(2,4) passes the checks and hashes alike."""
+    gf = make_field(p, e)
+    rng = random.Random(11 * p + e)
+    built = [Subspace.zero(gf, 4), Subspace.full(gf, 4), *enumerate_grassmannian(gf, 4, 2)]
+    for alpha in itertools.combinations(range(1, 5), 2):
+        omega = SchubertVariety(random_flag(gf, 4, alpha, rng))
+        built.extend(omega._cell_points())
+        built.extend(omega.flag.subspaces)
+    for W in built:
+        twin = Subspace(gf, W.basis, ambient=4)
+        assert twin == W and hash(twin) == hash(W)
+        assert (twin.basis, twin.pivots, twin.m) == (W.basis, W.pivots, W.m)
+        with pytest.raises(AttributeError):
+            W.m = 5
+
+
+def test_subspace_takes_no_validate_flag(gf2):
+    with pytest.raises(TypeError):
+        Subspace(gf2, [[1, 0]], validate=False)
