@@ -28,7 +28,8 @@ codes, plus one digit mod p when e is odd.
 
 Each GF picks once, at construction, its scalar operations and the two
 row operations the elimination kernel in linalg runs on Python lists: %
-arithmetic for prime fields, lookups in the tables for the rest.  The
+arithmetic for prime fields (XOR rows for GF(2)), lookups in the tables
+for the rest.  The
 public add, sub, neg, mul and frobenius take codes, or rows or matrices
 of codes (a code next to a row goes with every entry), and answer in
 kind: an int for ints, nested lists for sequences.
@@ -291,7 +292,8 @@ class GF:
 
         Rows are Python lists of codes.  scale_row(row, c) is c * row and
         sub_row(row, f, piv) is row - f * piv, for nonzero c and f.  Prime
-        fields use %, extensions the log tables.
+        fields use % (GF(2) subtracts by XOR, f being 1), extensions the
+        log tables.
         """
         p, n = self.p, self.q - 1
         if self.e == 1:
@@ -308,8 +310,15 @@ class GF:
             def scale_row(row, c):
                 return [x * c % p for x in row]
 
-            def sub_row(row, f, piv):
-                return [(x - f * y) % p for x, y in zip(row, piv)]
+            if p == 2:
+
+                def sub_row(row, f, piv):
+                    return [x ^ y for x, y in zip(row, piv)]  # f is 1
+
+            else:
+
+                def sub_row(row, f, piv):
+                    return [(x - f * y) % p for x, y in zip(row, piv)]
 
         else:
             exp, log = self._tables["exp"], self._tables["log"]

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .field import field_from_order
-from .linalg import Subspace, random_invertible
+from .linalg import Subspace, _echelon_step, random_invertible
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -293,9 +293,7 @@ def random_flag(gf, m, alpha, rng=None):
     alpha = check_alpha(alpha, m)
     rng = _as_rng(rng)
     T = random_invertible(gf, m, rng)
-    subs = tuple(
-        Subspace.from_rows(gf, T[:a], ambient=m) for a in alpha
-    )
+    subs = tuple(Subspace._span(gf, T[:a], m) for a in alpha)
     return Flag(gf, m, alpha, subs)
 
 
@@ -319,20 +317,22 @@ def adapted_basis(flag):
     identical adapted bases.  These are the rows a scan of each member's
     vectors in canonical coefficient order would keep, since every vector
     before a member's row r in that order lies in the span of its later
-    rows.  Returns a list of row lists.
+    rows.  One echelon pass tests every candidate against the kept rows.
+    Returns a list of row lists.
     """
     gf, m = flag.gf, flag.m
     candidates = [(S.dim, reversed(S.basis)) for S in flag.subspaces]
     candidates.append((m, Subspace.full(gf, m).basis))
     rows = []
-    cur = Subspace.zero(gf, m)
+    elim = []
     for dim, vectors in candidates:
         for v in vectors:
-            if cur.dim == dim:
+            if len(rows) == dim:
                 break
-            if any(cur._residual(v)):
+            step = _echelon_step(gf, elim, v)
+            if step:
                 rows.append(list(v))
-                cur = Subspace._span(gf, [*cur.basis, v], m)
+                elim.append(step)
     return rows
 
 
@@ -382,10 +382,8 @@ def complete_flag_containing(flag, rng=None):
                 v = S.vector_at(rng.randrange(1, gf.q**S.dim))
                 if not cur.contains_vector(v):
                     basis.append(v)
-                    cur = cur + Subspace.from_rows(gf, v, ambient=m)
-    members = tuple(
-        Subspace.from_rows(gf, basis[:d], ambient=m) for d in range(m + 1)
-    )
+                    cur = Subspace._span(gf, [*cur.basis, v], m)
+    members = tuple(Subspace._span(gf, basis[:d], m) for d in range(m + 1))
     out = CompleteFlag(gf, m, members)
     assert out.contains_flag(flag)
     return out

@@ -25,10 +25,11 @@ from .grassmann import Flag, complete_flag_containing, _as_rng
 from .linalg import (
     Subspace,
     _code_rows,
+    _echelon_step,
+    _eliminate,
     matmul,
     matrix_inverse,
     random_invertible,
-    rank,
 )
 from .schubert import SchubertVariety, dual_index_set
 
@@ -53,7 +54,7 @@ class SemilinearMap:
         k = int(frobenius_power)
         if not 0 <= k < gf.e:
             raise ValueError(f"frobenius power {k} outside [0, {gf.e})")
-        if rank(gf, matrix) != m:
+        if _eliminate(gf, list(matrix), m)[0] != m:
             raise ValueError("matrix is singular")
         _fill(self, gf, m, matrix, k, bool(dual))
 
@@ -244,22 +245,15 @@ def enumerate_invertible(gf, m):
     when something is left.
     """
     vectors = list(itertools.product(range(gf.q), repeat=m))[1:]
-    scale_row, sub_row, inv = gf._scale_row, gf._sub_row, gf.inv
 
     def rec(rows, elim):
         if len(rows) == m:
             yield tuple(rows)
             return
         for v in vectors:
-            res = v
-            for p, r in elim:
-                c = res[p]
-                if c:
-                    res = sub_row(res, c, r)
-            for p, c in enumerate(res):
-                if c:
-                    yield from rec(rows + [v], elim + [(p, scale_row(res, inv(c)))])
-                    break
+            step = _echelon_step(gf, elim, v)
+            if step:
+                yield from rec(rows + [v], elim + [step])
 
     yield from rec([], [])
 

@@ -9,11 +9,14 @@ Every vector and matrix here is Python ints: the matrices are 8x8 or
 smaller, where plain lists beat any array library's per-call overhead.
 Functions that build a matrix return it as a list of row lists.  There
 is one elimination kernel, _eliminate, driven by the two row operations
-each GF chose for itself.  rref, rank, kernel, matrix_inverse, spans,
-sums and intersection_dim (dim(U & V) from a single rank) all run on
-it.  matmul combines rows with the same row operation on extension
-fields and takes Python-int dot products with one % per entry on prime
-fields, so no sum can overflow.
+each GF chose for itself.  rref, rank, kernel, matrix_inverse, spans
+and sums run on it.  Rows that are already reduced are not reduced
+again: intersection_dim reduces the smaller basis against the larger
+one's RREF rows and eliminates only what is left, and perp reads the
+annihilator off a subspace's own RREF basis.  matmul combines rows
+with the same row operation on extension fields and takes Python-int
+dot products with one % per entry on prime fields, so no sum can
+overflow.
 """
 
 from operator import mul
@@ -73,10 +76,21 @@ def rank(gf, mat):
 
 
 def intersection_dim(U, V):
-    """dim(U & V) as dim U + dim V - rank[U; V], by one elimination."""
+    """dim(U & V), from the residuals of U's rows against V.
+
+    Each row of U is reduced against V's RREF rows (their pivot columns
+    are unit columns, so one pass clears them).  The residuals span
+    (U + V) / V, so dim(U & V) = dim U - rank(residuals).  U is taken as
+    the smaller of the two, to reduce fewer rows; only two or more
+    nonzero residuals need an elimination.
+    """
     U._check_ambient(V)
-    rows = [*U.basis, *V.basis]
-    return len(rows) - _eliminate(U.gf, rows, U.m)[0]
+    if U.dim > V.dim:
+        U, V = V, U
+    left = [r for r in map(V._residual, U.basis) if any(r)]
+    if len(left) > 1:
+        return U.dim - _eliminate(U.gf, left, U.m)[0]
+    return U.dim - len(left)
 
 
 def matmul(gf, a, b):
@@ -116,16 +130,46 @@ def kernel(gf, mat):
     rows, n = _code_rows(gf, mat)
     R = list(rows)
     _, pivots = _eliminate(gf, R, n)
+    return Subspace._span(gf, _null_rows(gf, R, pivots, n), n)
+
+
+def _null_rows(gf, R, pivots, n):
+    """Rows spanning {x : R @ x = 0} for RREF rows R with these pivots.
+
+    One row per free column f: e_f - sum_i R[i][f] e_(pivots[i]).
+    """
+    neg = gf._neg
     pivset = set(pivots)
     basis = []
     for f in range(n):
         if f not in pivset:
             vec = [0] * n
             vec[f] = 1
-            for i, pcol in enumerate(pivots):
-                vec[pcol] = gf._neg(R[i][f])
+            for row, pcol in zip(R, pivots):
+                x = row[f]
+                if x:
+                    vec[pcol] = neg(x)
             basis.append(vec)
-    return Subspace._span(gf, basis, n)
+    return basis
+
+
+def _echelon_step(gf, elim, v):
+    """Reduce v by the rows kept so far; (pivot, row) to keep, or None.
+
+    elim holds (pivot, row) pairs in the order they were kept, each row
+    1 at its pivot and 0 at the earlier pivots, so reducing in that order
+    clears every pivot for good.  A nonzero residual comes back scaled to
+    1 at its leading column, ready to append to elim.
+    """
+    sub_row = gf._sub_row
+    for p, r in elim:
+        c = v[p]
+        if c:
+            v = sub_row(v, c, r)
+    for p, c in enumerate(v):
+        if c:
+            return p, (v if c == 1 else gf._scale_row(v, gf.inv(c)))
+    return None
 
 
 def random_matrix(gf, nrows, ncols, rng):
@@ -134,9 +178,12 @@ def random_matrix(gf, nrows, ncols, rng):
 
 
 def random_invertible(gf, n, rng):
+    """A uniform invertible n x n code matrix: the first full-rank draw."""
+    if n < 1:
+        raise ValueError(f"an invertible matrix needs n >= 1, got n = {n}")
     while True:
         mat = random_matrix(gf, n, n, rng)
-        if rank(gf, mat) == n:
+        if _eliminate(gf, list(mat), n)[0] == n:
             return mat
 
 
@@ -302,10 +349,15 @@ class Subspace:
     __and__ = intersect
 
     def perp(self):
-        """Annihilator under the standard coordinatewise bilinear form."""
+        """Annihilator under the standard coordinatewise bilinear form.
+
+        The basis is already in RREF, so its null rows are read off it
+        without an elimination; one span puts them in canonical form.
+        """
         if self.dim == 0:
             return Subspace.full(self.gf, self.m)
-        return kernel(self.gf, self.basis)
+        rows = _null_rows(self.gf, self.basis, self.pivots, self.m)
+        return Subspace._span(self.gf, rows, self.m)
 
     def vector_at(self, t):
         """The t-th vector in the canonical coefficient order.

@@ -156,7 +156,8 @@ class SchubertVariety:
     def contains(self, W, conditions="minimal"):
         """Whether a point of the Grassmannian lies on the variety.
 
-        Each condition is one rank: dim(W & S) = dim W + dim S - rank[W; S].
+        Each condition dim(W & S) >= r is one intersection_dim, which
+        reduces the smaller basis against the other's RREF rows.
         conditions picks the full or the reduced condition list.
         """
         if not isinstance(W, Subspace):

@@ -40,11 +40,11 @@ from .group import (
 )
 from .linalg import (
     Subspace,
+    _eliminate,
     intersection_dim,
     matmul,
     matrix_inverse,
     random_matrix,
-    rref,
 )
 from .schubert import (
     SchubertVariety,
@@ -451,7 +451,7 @@ def _flag_stabilizer(flag, rng, boundaries=None):
         for d in bounds:
             for row in L[:d]:
                 row[d:] = [0] * (m - d)
-        if rref(gf, L)[1] == m:
+        if _eliminate(gf, list(L), m)[0] == m:
             break
     M = matmul(gf, Tinv, matmul(gf, L, T))
     return SemilinearMap._trusted(gf, m, M, 0, False)

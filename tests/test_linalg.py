@@ -134,6 +134,15 @@ def test_matrix_inverse(p, e):
         matrix_inverse(gf, singular)
 
 
+def test_random_invertible_rejects_n_below_one(gf2):
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            random_invertible(gf2, n, rng)
+    assert rng.getstate() == state  # refused before any draw
+
+
 def test_from_rows_and_from_matrix_validation(gf3):
     for bad in (3, -1):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from qgrass.grassmann import adapted_basis, enumerate_grassmannian, random_flag,
 from qgrass.group import SemilinearMap, compose, enumerate_invertible, group_order
 from qgrass.linalg import (
     Subspace,
+    intersection_dim,
     kernel,
     matmul,
     matrix_inverse,
@@ -139,6 +140,22 @@ def test_matrix_inverse_times_input_is_identity(p, e):
         matrix_inverse(gf, [list(mat[0][:2])] * 2)
 
 
+@pytest.mark.parametrize("p,e", SMALL)
+def test_random_invertible_keeps_its_random_stream(p, e):
+    """Entries drawn row-major, the first draw of rank n (det != 0) kept."""
+    gf, ref = make_field(p, e), _oracle(p, e)
+    q = gf.q
+    for n in range(1, 6):
+        for seed in range(20):
+            rng, mirror = random.Random(seed), random.Random(seed)
+            while True:
+                want = [tuple(mirror.randrange(q) for _ in range(n)) for _ in range(n)]
+                if _det(ref, want) != 0:
+                    break
+            assert _ints(random_invertible(gf, n, rng)) == want
+            assert rng.getstate() == mirror.getstate()
+
+
 # -- kernels, annihilators, intersections ---------------------------------------
 
 
@@ -182,6 +199,31 @@ def test_intersect_matches_span_sets(p, e):
         got = U & V
         assert got == U.intersect(V)
         assert _span(got.basis, ref, m) == _span(U.basis, ref, m) & _span(V.basis, ref, m)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4)])
+def test_intersection_dim_matches_span_sets_on_every_pair(p, e, m):
+    gf, ref = make_field(p, e), _oracle(p, e)
+    points = [
+        (W, _span(W.basis, ref, m))
+        for l in range(m + 1)
+        for W in enumerate_grassmannian(gf, m, l)
+    ]
+    for U, su in points:
+        for V, sv in points:
+            assert gf.q ** intersection_dim(U, V) == len(su & sv)
+
+
+def test_intersection_dim_matches_span_sets_over_gf9():
+    gf, ref = make_field(3, 2), _oracle(3, 2)
+    rng = random.Random(9)
+    m = 4
+    samples = [Subspace.zero(gf, m), Subspace.full(gf, m)]
+    samples += [random_subspace(gf, m, rng.randrange(m + 1), rng) for _ in range(14)]
+    spans = [_span(W.basis, ref, m) for W in samples]
+    for U, su in zip(samples, spans):
+        for V, sv in zip(samples, spans):
+            assert gf.q ** intersection_dim(U, V) == len(su & sv)
 
 
 # -- semilinear maps -------------------------------------------------------------
