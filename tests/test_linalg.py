@@ -340,3 +340,20 @@ def test_trusted_subspaces_equal_validated_ones_over_whole_g24(p, e):
 def test_subspace_takes_no_validate_flag(gf2):
     with pytest.raises(TypeError):
         Subspace(gf2, [[1, 0]], validate=False)
+
+
+@pytest.mark.parametrize("p,e,m,max_rows", [(2, 1, 3, 3), (3, 1, 3, 2), (2, 2, 3, 2), (2, 1, 4, 2)])
+def test_subspace_accepts_exactly_its_own_rref_rows(p, e, m, max_rows):
+    """Subspace() succeeds on a matrix exactly when it is its own RREF basis."""
+    gf = make_field(p, e)
+    vectors = list(itertools.product(range(gf.q), repeat=m))
+    for d in range(max_rows + 1):
+        for rows in itertools.product(vectors, repeat=d):
+            canonical = Subspace.from_rows(gf, rows, ambient=m).basis == rows
+            try:
+                W = Subspace(gf, rows, ambient=m)
+            except ValueError:
+                assert not canonical, rows
+            else:
+                assert canonical, rows
+                assert W == Subspace.from_rows(gf, rows, ambient=m)
