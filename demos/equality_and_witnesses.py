@@ -50,5 +50,5 @@ if not equal_fast(p1, p2):
     print("  separating point:", W.to_rows())
     print("  in first:", p1.contains(W), " in second:", p2.contains(W))
 
-# the fast test can be asked to re-verify itself against enumeration
-print("\ndefensive re-check agrees:", equal_fast(p1, p2, defensive=True) == equal_oracle(p1, p2))
+# the descriptor test checked against enumeration
+print("\ndescriptor and enumeration agree:", equal_fast(p1, p2) == equal_oracle(p1, p2))

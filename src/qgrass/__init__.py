@@ -6,7 +6,7 @@ semilinear group acting on them, and seeded verification campaigns that
 pit structural criteria against brute-force oracles.
 """
 
-from .errors import BudgetExceededError, DiscrepancyError
+from .errors import BudgetExceededError
 from .field import (
     GF,
     field_from_order,
@@ -72,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "DiscrepancyError",
     "GF",
     "field_from_order",
     "make_field",

@@ -12,14 +12,3 @@ class BudgetExceededError(RuntimeError):
         self.requested = requested
         self.bound = bound
 
-
-class DiscrepancyError(AssertionError):
-    """Raised when a fast criterion and its brute-force oracle disagree.
-
-    This is always a bug in one of the two implementations, never a normal
-    runtime condition, hence the AssertionError base.
-    """
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail

@@ -155,8 +155,8 @@ class GF:
     """Arithmetic context for GF(p^e) on integer codes.
 
     add, sub, neg, mul and frobenius work on codes and, entry by entry,
-    on rows and matrices of codes.  inv, div, power and dot take and
-    return ints.
+    on rows and matrices of codes.  inv, power and dot take and return
+    ints.  The elements are the codes range(q).
     """
 
     def __init__(self, p, e=1):
@@ -417,9 +417,6 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self._tables["exp"][self.q - 1 - self._tables["log"][a]]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def power(self, a, n):
         """a**n for a single element; a negative n inverts a first."""
         if n < 0:
@@ -449,16 +446,6 @@ class GF:
 
     # -- structure ----------------------------------------------------------
 
-    def elements(self):
-        return range(self.q)
-
-    def digits(self, a):
-        """Base-p digit tuple of a code, constant coefficient first."""
-        return tuple(self._digits_of(a))
-
-    def from_digits(self, digits):
-        return self._code_of(list(digits))
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, GF)
@@ -468,7 +455,8 @@ class GF:
         )
 
     def __hash__(self):
-        return hash((GF, self.p, self.e, self.modulus))
+        # ints and tuples of ints hash alike in every process
+        return hash((self.p, self.e, self.modulus))
 
     def __repr__(self):
         return f"GF({self.q})"

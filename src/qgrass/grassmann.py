@@ -249,18 +249,6 @@ class Flag:
     def __getitem__(self, i):
         return self.subspaces[i]
 
-    def member_of_dim(self, d):
-        if d == 0 and self.includes_zero:
-            return Subspace.zero(self.gf, self.m)
-        try:
-            i = self.alpha.index(d)
-        except ValueError:
-            raise KeyError(f"no member of dimension {d}") from None
-        return self.subspaces[i]
-
-    def formal_dims(self):
-        return ((0,) if self.includes_zero else ()) + self.alpha
-
     def to_json_dict(self):
         return {
             "q": self.gf.q,
@@ -359,31 +347,10 @@ class CompleteFlag:
     def __getitem__(self, d):
         return self.subspaces[d]
 
-    def contains_flag(self, flag):
-        if flag.gf != self.gf or flag.m != self.m:
-            return False
-        return all(
-            self.subspaces[a] == S for a, S in zip(flag.alpha, flag.subspaces)
-        )
 
-
-def complete_flag_containing(flag, rng=None):
-    """Extend a flag to a complete flag; canonical when rng is None."""
+def complete_flag_containing(flag):
+    """The canonical complete flag containing a flag: its adapted basis's prefixes."""
     gf, m = flag.gf, flag.m
-    if rng is None:
-        basis = adapted_basis(flag)
-    else:
-        rng = _as_rng(rng)
-        basis = []
-        cur = Subspace.zero(gf, m)
-        full = Subspace.full(gf, m)
-        for S in list(flag.subspaces) + [full]:
-            while cur.dim < S.dim:
-                v = S.vector_at(rng.randrange(1, gf.q**S.dim))
-                if not cur.contains_vector(v):
-                    basis.append(v)
-                    cur = Subspace._span(gf, [*cur.basis, v], m)
+    basis = adapted_basis(flag)
     members = tuple(Subspace._span(gf, basis[:d], m) for d in range(m + 1))
-    out = CompleteFlag(gf, m, members)
-    assert out.contains_flag(flag)
-    return out
+    return CompleteFlag(gf, m, members)

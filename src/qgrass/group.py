@@ -306,6 +306,16 @@ def _nc_members(omega, below_top=False):
     ]
 
 
+def _check_action(tau, omega):
+    if tau.gf != omega.gf or tau.m != omega.m:
+        raise ValueError("map and variety in different ambient spaces")
+    if not tau.is_covariant and omega.m != 2 * omega.l:
+        raise ValueError(
+            "a contravariant map cannot preserve this Grassmannian "
+            "unless m = 2l"
+        )
+
+
 def is_automorphism_fast(tau, omega):
     """Does tau map the variety onto itself?  Decided from the flag alone.
 
@@ -317,13 +327,7 @@ def is_automorphism_fast(tau, omega):
     image is the zero space, while the image variety's top member is
     forced back to the full space, so it can never constrain anything.
     """
-    if tau.gf != omega.gf or tau.m != omega.m:
-        raise ValueError("map and variety in different ambient spaces")
-    if not tau.is_covariant and omega.m != 2 * omega.l:
-        raise ValueError(
-            "a contravariant map cannot preserve this Grassmannian "
-            "unless m = 2l"
-        )
+    _check_action(tau, omega)
     if tau.is_covariant:
         return all(tau(S) == S for S in _nc_members(omega))
     if dual_index_set(omega.alpha, omega.m) != omega.alpha:
@@ -334,13 +338,7 @@ def is_automorphism_fast(tau, omega):
 
 def is_automorphism_oracle(tau, omega):
     """Ground truth: map every point and compare the sets."""
-    if tau.gf != omega.gf or tau.m != omega.m:
-        raise ValueError("map and variety in different ambient spaces")
-    if not tau.is_covariant and omega.m != 2 * omega.l:
-        raise ValueError(
-            "a contravariant map cannot preserve this Grassmannian "
-            "unless m = 2l"
-        )
+    _check_action(tau, omega)
     pts = omega.point_set()
     # invertible maps act injectively on subspaces, so landing inside the
     # point set is the same as permuting it; this lets the scan exit early

@@ -9,14 +9,16 @@ Every vector and matrix here is Python ints: the matrices are 8x8 or
 smaller, where plain lists beat any array library's per-call overhead.
 Functions that build a matrix return it as a list of row lists.  There
 is one elimination kernel, _eliminate, driven by the two row operations
-each GF chose for itself.  rref, rank, kernel, matrix_inverse, spans
-and sums run on it.  Rows that are already reduced are not reduced
+each GF chose for itself.  rref, rank, matrix_inverse, spans and sums
+run on it, and Subspace() checks that its rows are an RREF basis by
+spanning them once.  Rows that are already reduced are not reduced
 again: intersection_dim reduces the smaller basis against the larger
-one's RREF rows and eliminates only what is left, and perp reads the
-annihilator off a subspace's own RREF basis.  matmul combines rows
-with the same row operation on extension fields and takes Python-int
-dot products with one % per entry on prime fields, so no sum can
-overflow.
+one's RREF rows and eliminates only what is left, and perp, the one
+annihilator, reads it off a subspace's own RREF basis.  kernel is the
+perp of a row space and U & V is (U.perp() + V.perp()).perp().
+matmul combines rows with the same row operation on extension fields
+and takes Python-int dot products with one % per entry on prime
+fields, so no sum can overflow.
 """
 
 from operator import mul
@@ -126,31 +128,8 @@ def matrix_inverse(gf, mat):
 
 
 def kernel(gf, mat):
-    """Right null space {x : mat @ x = 0}, as a Subspace of the column space."""
-    rows, n = _code_rows(gf, mat)
-    R = list(rows)
-    _, pivots = _eliminate(gf, R, n)
-    return Subspace._span(gf, _null_rows(gf, R, pivots, n), n)
-
-
-def _null_rows(gf, R, pivots, n):
-    """Rows spanning {x : R @ x = 0} for RREF rows R with these pivots.
-
-    One row per free column f: e_f - sum_i R[i][f] e_(pivots[i]).
-    """
-    neg = gf._neg
-    pivset = set(pivots)
-    basis = []
-    for f in range(n):
-        if f not in pivset:
-            vec = [0] * n
-            vec[f] = 1
-            for row, pcol in zip(R, pivots):
-                x = row[f]
-                if x:
-                    vec[pcol] = neg(x)
-            basis.append(vec)
-    return basis
+    """Right null space {x : mat @ x = 0}: the annihilator of the row space."""
+    return Subspace.from_rows(gf, mat).perp()
 
 
 def _echelon_step(gf, elim, v):
@@ -220,40 +199,19 @@ class Subspace:
     basis is a tuple of rows, each a tuple of int codes, and pivots the
     pivot column of each row.  Instances are immutable and hashable; two
     Subspace objects compare equal exactly when they are the same
-    subspace of the same ambient space over the same field.
+    subspace of the same ambient space over the same field.  The
+    constructor takes rows that already are the RREF basis and refuses
+    any others; from_rows takes any spanning rows.
     """
 
     __slots__ = ("gf", "m", "basis", "pivots", "_hash")
 
-    def __init__(self, gf, basis, pivots=None, ambient=None):
+    def __init__(self, gf, basis, ambient=None):
         basis, ambient = _code_rows(gf, basis, ambient)
-        d = len(basis)
-        if pivots is None:
-            pivots = []
-            for row in basis:
-                for c, x in enumerate(row):
-                    if x:
-                        pivots.append(c)
-                        break
-                else:
-                    raise ValueError("zero row in a subspace basis")
-        pivots = tuple(int(c) for c in pivots)
-        if d > ambient:
-            raise ValueError("more rows than the ambient dimension")
-        if len(pivots) != d or any(
-            pivots[i] >= pivots[i + 1] for i in range(d - 1)
-        ):
-            raise ValueError("pivot columns must strictly increase")
-        if pivots and (pivots[0] < 0 or pivots[-1] >= ambient):
-            raise ValueError("pivot column outside the ambient space")
-        for i, c in enumerate(pivots):
-            if basis[i][c] != 1:
-                raise ValueError("pivot entries must be 1")
-            if any(basis[i][:c]):
-                raise ValueError("nonzero entry left of a pivot")
-            if sum(1 for row in basis if row[c]) != 1:
-                raise ValueError("pivot column must be a unit column")
-        _fill(self, gf, basis, pivots, ambient)
+        span = Subspace._span(gf, list(basis), ambient)
+        if span.basis != basis:
+            raise ValueError("rows are not the reduced row echelon basis of their span")
+        _fill(self, gf, basis, span.pivots, ambient)
 
     @classmethod
     def _trusted(cls, gf, basis, pivots, m):
@@ -335,29 +293,34 @@ class Subspace:
         return Subspace._span(self.gf, [*self.basis, *other.basis], self.m)
 
     def intersect(self, other):
-        """Intersection via the left null space of the stacked bases."""
+        """(U^perp + V^perp)^perp, since the standard form is non-degenerate."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.gf, self.m)
-        relations = kernel(self.gf, list(zip(*self.basis, *other.basis)))
-        if relations.dim == 0:
-            return Subspace.zero(self.gf, self.m)
-        coeffs = [row[: self.dim] for row in relations.basis]
-        rows = matmul(self.gf, coeffs, self.basis)
-        return Subspace.from_rows(self.gf, rows, ambient=self.m)
+        return (self.perp() + other.perp()).perp()
 
     __and__ = intersect
 
     def perp(self):
         """Annihilator under the standard coordinatewise bilinear form.
 
-        The basis is already in RREF, so its null rows are read off it
-        without an elimination; one span puts them in canonical form.
+        The basis is already in RREF, so the annihilator is read off it
+        without an elimination: one row e_f - sum_i R[i][f] e_(pivots[i])
+        per free column f.  One span puts them in canonical form.
         """
-        if self.dim == 0:
-            return Subspace.full(self.gf, self.m)
-        rows = _null_rows(self.gf, self.basis, self.pivots, self.m)
-        return Subspace._span(self.gf, rows, self.m)
+        gf, m, pivots = self.gf, self.m, self.pivots
+        if not pivots:
+            return Subspace.full(gf, m)
+        neg = gf._neg
+        rows = []
+        for f in range(m):
+            if f not in pivots:
+                vec = [0] * m
+                vec[f] = 1
+                for row, pcol in zip(self.basis, pivots):
+                    x = row[f]
+                    if x:
+                        vec[pcol] = neg(x)
+                rows.append(vec)
+        return Subspace._span(gf, rows, m)
 
     def vector_at(self, t):
         """The t-th vector in the canonical coefficient order.

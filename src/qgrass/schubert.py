@@ -220,7 +220,7 @@ class SchubertVariety:
         return self.flag == other.flag
 
     def __hash__(self):
-        return hash((SchubertVariety, self.flag))
+        return hash(self.flag)
 
     def __repr__(self):
         return (
@@ -262,38 +262,21 @@ def equal_oracle(o1, o2):
     return o1.point_set() == o2.point_set()
 
 
-def equal_fast(o1, o2, defensive=False):
+def equal_fast(o1, o2):
     """Point-set equality via descriptors, without enumerating anything.
 
     Distinct dimension tuples always give distinct varieties, and for a
     shared tuple only the members at non-redundant dimensions matter.
-    With defensive=True the enumeration oracle runs too, and disagreement
-    raises instead of returning.
     """
     _check_comparable(o1, o2)
     if o1.alpha != o2.alpha:
-        result = False
-    else:
-        ncset = set(o1.alpha_nc)
-        result = all(
-            s1 == s2
-            for a, s1, s2 in zip(o1.alpha, o1.flag.subspaces, o2.flag.subspaces)
-            if a in ncset
-        )
-    if defensive:
-        expect = equal_oracle(o1, o2)
-        if expect != result:
-            from .errors import DiscrepancyError
-
-            raise DiscrepancyError(
-                "descriptor equality disagrees with enumeration",
-                detail={
-                    "alpha": (o1.alpha, o2.alpha),
-                    "fast": result,
-                    "oracle": expect,
-                },
-            )
-    return result
+        return False
+    ncset = set(o1.alpha_nc)
+    return all(
+        s1 == s2
+        for a, s1, s2 in zip(o1.alpha, o1.flag.subspaces, o2.flag.subspaces)
+        if a in ncset
+    )
 
 
 def _witness_candidates(oa, ob, s):

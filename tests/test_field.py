@@ -26,7 +26,7 @@ def test_modulus_matches_oracle(p, e):
 def test_field_axioms_exhaustive(p, e):
     gf = make_field(p, e)
     q = gf.q
-    els = list(gf.elements())
+    els = list(range(gf.q))
     for a in els:
         assert int(gf.add(a, 0)) == a
         assert int(gf.mul(a, 1)) == a
@@ -56,7 +56,7 @@ def test_gf4_known_products(gf4):
 def test_gf9_squares(gf9):
     # x^2 = -1 = 2 under the modulus, so code 3 squares to 2
     assert int(gf9.mul(3, 3)) == 2
-    sq = sorted({int(gf9.mul(a, a)) for a in gf9.elements()})
+    sq = sorted({int(gf9.mul(a, a)) for a in range(gf9.q)})
     assert len(sq) == 5  # 0 plus the four nonzero squares
 
 
@@ -73,7 +73,7 @@ def test_frobenius_fixed_subfields(p, e):
 
     gf = make_field(p, e)
     for k in range(e):
-        fixed = [a for a in gf.elements() if int(gf.frobenius(a, k)) == a]
+        fixed = [a for a in range(gf.q) if int(gf.frobenius(a, k)) == a]
         assert len(fixed) == p ** math.gcd(k, e)
 
 
@@ -218,12 +218,6 @@ def test_large_extensions_on_rows_match_the_oracle():
         flag = random_flag(gf, 5, (2, 3, 5), rng=rng)
         image = tau(flag)
         assert image != flag and tau.inverse()(image) == flag
-
-
-def test_digit_round_trip(gf9):
-    for a in gf9.elements():
-        assert gf9.from_digits(gf9.digits(a)) == a
-    assert gf9.digits(5) == (2, 1)  # 5 = 2 + 1 * 3
 
 
 def test_constructor_rejects_bad_parameters():

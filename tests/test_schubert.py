@@ -5,11 +5,12 @@ import random
 import pytest
 
 import bruteforce as bf
-from qgrass.errors import BudgetExceededError, DiscrepancyError
-from qgrass.field import make_field
+from qgrass.errors import BudgetExceededError
+from qgrass.field import field_from_order, make_field
 from qgrass.grassmann import (
     Flag,
     enumerate_grassmannian,
+    gaussian_binomial,
     random_flag,
     standard_flag,
 )
@@ -148,7 +149,6 @@ def test_redundant_member_does_not_matter(gf2):
     assert o1.flag != o2.flag
     assert equal_fast(o1, o2)
     assert equal_oracle(o1, o2)
-    assert equal_fast(o1, o2, defensive=True)
     assert equality_witness(o1, o2) is None
     assert o1.point_set() == frozenset({a2})
 
@@ -182,24 +182,6 @@ def test_witness_for_distinct_dimension_tuples(gf2):
     assert not equal_fast(o1, o2)
     W = equality_witness(o1, o2)
     assert o1.contains(W) != o2.contains(W)
-
-
-def test_defensive_mode_catches_a_lying_fast_path(gf2, monkeypatch):
-    f1 = standard_flag(gf2, 4, (1, 4))
-    f2 = Flag(
-        gf2,
-        4,
-        (1, 4),
-        (Subspace.from_rows(gf2, [[0, 1, 0, 0]], ambient=4), f1[1]),
-    )
-    o1, o2 = SchubertVariety(f1), SchubertVariety(f2)
-    o1.point_set()
-    o2.point_set()  # cache honest enumerations before sabotaging
-    # sabotage: pretend nothing is non-redundant, so the fast path
-    # compares no members at all and wrongly reports equality
-    monkeypatch.setattr(type(o1), "alpha_nc", property(lambda self: ()))
-    with pytest.raises(DiscrepancyError):
-        equal_fast(o1, o2, defensive=True)
 
 
 def test_variety_json_round_trip(gf3):
@@ -237,3 +219,44 @@ def test_point_set_budget_holds_after_the_cache_is_filled(gf2):
     with pytest.raises(BudgetExceededError):
         omega.point_set(limit=10)
     assert omega.count_points(limit=10**6) == 203
+
+
+@pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 4, 2), (2, 5, 3)])
+def test_budget_admits_exactly_the_grassmannian_size(q, m, l):
+    gf = make_field(q)
+    total = gaussian_binomial(m, l, q)
+    omega = SchubertVariety(random_flag(gf, m, tuple(range(m - l + 1, m + 1)), rng=q))
+    assert sum(1 for _ in enumerate_grassmannian(gf, m, l, limit=total)) == total
+    assert omega.count_points(limit=total) == total
+    assert len(omega.point_set(limit=total)) == total
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_grassmannian(gf, m, l, limit=total - 1))
+    with pytest.raises(BudgetExceededError):
+        omega.count_points(limit=total - 1)
+    with pytest.raises(BudgetExceededError):
+        omega.point_set(limit=total - 1)
+
+
+@pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 5, 2), (2, 5, 3), (2, 6, 3)])
+def test_witness_at_the_top_condition_needs_no_scan(q, m, l, monkeypatch):
+    """Pairs differing at the top non-redundant member get a direct witness."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equality_witness scanned the Grassmannian")
+
+    monkeypatch.setattr("qgrass.schubert.enumerate_grassmannian", refuse)
+    gf = field_from_order(q)
+    rng = random.Random(11)
+    kept = 0
+    for _ in range(300):
+        alpha = tuple(sorted(rng.sample(range(1, m), l)))
+        o1 = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        o2 = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        nc = set(o1.alpha_nc)
+        diffs = [i for i, a in enumerate(alpha) if a in nc and o1.flag[i] != o2.flag[i]]
+        if l - 1 not in diffs:
+            continue
+        kept += 1
+        W = equality_witness(o1, o2)
+        assert o1.contains(W) != o2.contains(W)
+    assert kept > 200
