@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -152,12 +153,38 @@ def test_covariant_image_matches_pointwise(gf2, gf3):
         assert image.point_set() == {tau(W) for W in omega.point_set()}
 
 
-def test_contravariant_image_matches_pointwise(gf2):
-    for alpha, seed in [((2, 4), 0), ((1, 3), 1), ((1, 4), 2), ((2, 3), 7)]:
-        omega = SchubertVariety(random_flag(gf2, 4, alpha, rng=seed))
-        tau = random_semilinear(gf2, 4, rng=seed + 20, dual=True)
-        image = image_of_schubert(tau, omega)
-        assert image.point_set() == {tau(W) for W in omega.point_set()}
+def test_contravariant_image_matches_pointwise(gf2, gf3, gf4):
+    for gf in (gf2, gf3, gf4):
+        for alpha, seed in [((2, 4), 0), ((1, 3), 1), ((1, 4), 2), ((2, 3), 7)]:
+            omega = SchubertVariety(random_flag(gf, 4, alpha, rng=seed))
+            tau = random_semilinear(gf, 4, rng=seed + 20, dual=True)
+            image = image_of_schubert(tau, omega)
+            assert image.point_set() == {tau(W) for W in omega.point_set()}
+
+
+def _contravariant_image_bytes():
+    """Canonical JSON of contravariant images over several fields and shapes.
+
+    Every tuple of G(2, 4) over GF(2), GF(3) and GF(4) and of G(3, 6)
+    over GF(2), each with a seeded random flag and a random contravariant
+    map; over GF(4) the maps cycle through both Frobenius powers.
+    """
+    rng = random.Random(2024)
+    for (p, e), m, l in [((2, 1), 4, 2), ((3, 1), 4, 2), ((2, 2), 4, 2), ((2, 1), 6, 3)]:
+        gf = make_field(p, e)
+        for i, alpha in enumerate(itertools.combinations(range(1, m + 1), l)):
+            omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+            drawn = random_semilinear(gf, m, rng=rng, dual=True)
+            tau = SemilinearMap(gf, m, drawn.matrix, i % gf.e, dual=True)
+            yield json.dumps(image_of_schubert(tau, omega).to_json_dict(), sort_keys=True)
+
+
+def test_contravariant_image_bytes_match_the_frozen_digest():
+    # no campaign digest pins these: the benchmark's image tasks use
+    # covariant maps and the dual-image campaign records pass or fail only
+    text = "\n".join(_contravariant_image_bytes())
+    assert text.count("\n") == 3 * 6 + 20 - 1
+    assert hashlib.sha256(text.encode()).hexdigest() == "5b26079635b48c5cee37856f2405e11503c874088dd9e7268092296e8cad642b"
 
 
 def test_contravariant_image_needs_middle_grassmannian(gf2):
