@@ -21,11 +21,8 @@ from .linalg import (
     rref,
 )
 from .grassmann import (
-    CompleteFlag,
     Flag,
     adapted_basis,
-    complete_flag_containing,
-    dual_flag,
     enumerate_grassmannian,
     gaussian_binomial,
     random_flag,
@@ -81,11 +78,8 @@ __all__ = [
     "matrix_inverse",
     "rank",
     "rref",
-    "CompleteFlag",
     "Flag",
     "adapted_basis",
-    "complete_flag_containing",
-    "dual_flag",
     "enumerate_grassmannian",
     "gaussian_binomial",
     "random_flag",

@@ -43,10 +43,12 @@ def _parse_alpha(text):
 
 
 def _resolve_field(args):
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
+        if args.p is not None:
+            raise ValueError("give --q or --p, not both")
         return field_from_order(args.q)
-    if getattr(args, "p", None) is not None:
-        return make_field(args.p, getattr(args, "e", 1) or 1)
+    if args.p is not None:
+        return make_field(args.p, args.e)
     raise ValueError("a field is required: give --q or --p (with optional --e)")
 
 
@@ -273,12 +275,11 @@ def _cmd_gen_map(args):
 # -- parser ------------------------------------------------------------------
 
 
-def _add_field_args(sub, need_m=True):
+def _add_field_args(sub):
     sub.add_argument("--q", type=int, help="field order (prime power)")
     sub.add_argument("--p", type=int, help="field characteristic")
     sub.add_argument("--e", type=int, default=1, help="extension degree over the prime field")
-    if need_m:
-        sub.add_argument("--m", type=int, required=True, help="ambient dimension")
+    sub.add_argument("--m", type=int, required=True, help="ambient dimension")
 
 
 @functools.cache

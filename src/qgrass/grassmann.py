@@ -285,17 +285,6 @@ def random_flag(gf, m, alpha, rng=None):
     return Flag(gf, m, alpha, subs)
 
 
-def dual_flag(flag):
-    """Annihilators of every member, reversed; an involution on flags."""
-    members = [Subspace.zero(flag.gf, flag.m)] if flag.includes_zero else []
-    members += list(flag.subspaces)
-    dual = [S.perp() for S in reversed(members)]
-    includes_zero = any(S.dim == 0 for S in dual)
-    kept = [S for S in dual if S.dim > 0]
-    alpha = tuple(S.dim for S in kept)
-    return Flag(flag.gf, flag.m, alpha, tuple(kept), includes_zero)
-
-
 def adapted_basis(flag):
     """Rows of an invertible matrix whose prefixes realize the flag.
 
@@ -322,35 +311,3 @@ def adapted_basis(flag):
                 rows.append(list(v))
                 elim.append(step)
     return rows
-
-
-@dataclass(frozen=True)
-class CompleteFlag:
-    """One subspace of every dimension 0..m, each nested in the next."""
-
-    gf: object
-    m: int
-    subspaces: tuple
-
-    def __post_init__(self):
-        subs = tuple(self.subspaces)
-        object.__setattr__(self, "subspaces", subs)
-        if len(subs) != self.m + 1:
-            raise ValueError("need one member per dimension 0..m")
-        for d, S in enumerate(subs):
-            if S.dim != d:
-                raise ValueError("member dimensions must be 0..m in order")
-        for d in range(self.m):
-            if not subs[d] <= subs[d + 1]:
-                raise ValueError("members must be nested")
-
-    def __getitem__(self, d):
-        return self.subspaces[d]
-
-
-def complete_flag_containing(flag):
-    """The canonical complete flag containing a flag: its adapted basis's prefixes."""
-    gf, m = flag.gf, flag.m
-    basis = adapted_basis(flag)
-    members = tuple(Subspace._span(gf, basis[:d], m) for d in range(m + 1))
-    return CompleteFlag(gf, m, members)

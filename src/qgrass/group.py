@@ -10,8 +10,10 @@ trusting the algebra.
 
 Covariant maps (no annihilator) preserve dimensions and send a variety
 to the variety of the mapped flag.  Contravariant maps flip dimension
-d to m - d, so they only act on a middle Grassmannian (m = 2l), and the
-image variety's flag comes from a completion of the original flag.
+d to m - d, so they only act on a middle Grassmannian (m = 2l).  The
+image variety's members are images of prefixes of the flag's adapted
+basis.  Only the image's non-redundant members matter, and each of
+those is the image of a member of the flag (or of the zero space).
 
 A map holds its matrix as a tuple of int tuples and acts on the tuple
 basis of a subspace directly: Frobenius entry by entry, then matmul,
@@ -21,7 +23,7 @@ then one elimination.
 import itertools
 
 from .field import field_from_order
-from .grassmann import Flag, complete_flag_containing, _as_rng
+from .grassmann import Flag, _as_rng, adapted_basis
 from .linalg import (
     Subspace,
     _code_rows,
@@ -258,15 +260,11 @@ def enumerate_invertible(gf, m):
     yield from rec([], [])
 
 
-def group_order(q, m, e=1, include_frobenius=False, include_dual=False):
-    """Order of the matrix group, optionally extended by Frobenius and perp."""
+def group_order(q, m):
+    """Order of GL(m, q)."""
     base = 1
     for i in range(m):
         base *= q**m - q**i
-    if include_frobenius:
-        base *= e
-    if include_dual:
-        base *= 2
     return base
 
 
@@ -277,9 +275,12 @@ def image_of_schubert(tau, omega):
     """Descriptor of {tau(W) : W on omega}, without touching any points.
 
     Covariant maps just move the flag.  Contravariant maps reflect the
-    dimension tuple and take annihilator images of a completion of the
-    flag; which completion is irrelevant, and the verification campaigns
-    hold this to account pointwise.
+    dimension tuple, and the member at each reflected dimension b is the
+    image of the flag's adapted-basis prefix of length m - b.  Only the
+    image's non-redundant members matter, and the prefixes behind those
+    are the flag's own members (or the zero space), so any other
+    completion of the flag gives the same variety; the verification
+    campaigns hold this to account pointwise.
     """
     if tau.gf != omega.gf or tau.m != omega.m:
         raise ValueError("map and variety in different ambient spaces")
@@ -291,19 +292,19 @@ def image_of_schubert(tau, omega):
             "a contravariant map sends these points to dimension "
             f"{m - l}; need m = 2l to stay in the same Grassmannian"
         )
-    beta = dual_index_set(omega.alpha, m)
-    complete = complete_flag_containing(omega.flag)
-    members = tuple(tau(complete[m - b]) for b in beta)
-    return SchubertVariety(Flag(omega.gf, m, beta, members))
+    return _reflected_image(tau, omega, dual_index_set(omega.alpha, m))
 
 
-def _nc_members(omega, below_top=False):
-    ncset = set(omega.alpha_nc)
-    return [
-        S
-        for a, S in zip(omega.alpha, omega.flag.subspaces)
-        if a in ncset and (not below_top or a < omega.m)
-    ]
+def _reflected_image(tau, omega, beta):
+    """The variety at tuple beta whose members are images of prefixes.
+
+    The member at b is tau of the flag's adapted-basis prefix of length
+    m - b.
+    """
+    gf, m = omega.gf, omega.m
+    basis = adapted_basis(omega.flag)
+    members = tuple(tau(Subspace._span(gf, basis[: m - b], m)) for b in beta)
+    return SchubertVariety(Flag(gf, m, beta, members))
 
 
 def _check_action(tau, omega):
@@ -328,12 +329,13 @@ def is_automorphism_fast(tau, omega):
     forced back to the full space, so it can never constrain anything.
     """
     _check_action(tau, omega)
+    flag, alpha, m = omega.flag, omega.alpha, omega.m
     if tau.is_covariant:
-        return all(tau(S) == S for S in _nc_members(omega))
-    if dual_index_set(omega.alpha, omega.m) != omega.alpha:
+        return all(tau(flag[i]) == flag[i] for i in omega.nc_positions)
+    if dual_index_set(alpha, m) != alpha:
         return False
-    members = _nc_members(omega, below_top=True)
-    return {tau(S) for S in members} == set(members)
+    members = {flag[i] for i in omega.nc_positions if alpha[i] < m}
+    return {tau(S) for S in members} == members
 
 
 def is_automorphism_oracle(tau, omega):

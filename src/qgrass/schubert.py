@@ -137,6 +137,12 @@ class SchubertVariety:
         return alpha_nc(self.alpha)
 
     @cached_property
+    def nc_positions(self):
+        """0-based positions of the members at non-redundant dimensions."""
+        ncset = set(self.alpha_nc)
+        return tuple(i for i, a in enumerate(self.alpha) if a in ncset)
+
+    @cached_property
     def condition_word(self):
         return condition_word(self.alpha, self.m)
 
@@ -146,12 +152,7 @@ class SchubertVariety:
 
     def minimal_conditions(self):
         """Only the conditions at non-redundant dimensions."""
-        ncset = set(self.alpha_nc)
-        return [
-            (S, i + 1)
-            for i, (a, S) in enumerate(zip(self.alpha, self.flag.subspaces))
-            if a in ncset
-        ]
+        return [(self.flag[i], i + 1) for i in self.nc_positions]
 
     def contains(self, W, conditions="minimal"):
         """Whether a point of the Grassmannian lies on the variety.
@@ -271,12 +272,7 @@ def equal_fast(o1, o2):
     _check_comparable(o1, o2)
     if o1.alpha != o2.alpha:
         return False
-    ncset = set(o1.alpha_nc)
-    return all(
-        s1 == s2
-        for a, s1, s2 in zip(o1.alpha, o1.flag.subspaces, o2.flag.subspaces)
-        if a in ncset
-    )
+    return all(o1.flag[i] == o2.flag[i] for i in o1.nc_positions)
 
 
 def _witness_candidates(oa, ob, s):
@@ -323,12 +319,7 @@ def equality_witness(o1, o2):
     """
     _check_comparable(o1, o2)
     if o1.alpha == o2.alpha:
-        ncset = set(o1.alpha_nc)
-        diffs = [
-            i
-            for i, a in enumerate(o1.alpha)
-            if a in ncset and o1.flag[i] != o2.flag[i]
-        ]
+        diffs = [i for i in o1.nc_positions if o1.flag[i] != o2.flag[i]]
         if not diffs:
             return None
         s = max(diffs)

@@ -22,7 +22,6 @@ from .field import field_from_order
 from .grassmann import (
     Flag,
     adapted_basis,
-    complete_flag_containing,
     enumerate_grassmannian,
     gaussian_binomial,
     random_flag,
@@ -30,6 +29,7 @@ from .grassmann import (
 )
 from .group import (
     SemilinearMap,
+    _reflected_image,
     compose,
     enumerate_invertible,
     group_order,
@@ -134,6 +134,9 @@ def _run_campaign(
     """
     if mutant is not None and mutant not in mutants:
         raise ValueError(f"unknown mutant {mutant!r}; valid: {sorted(mutants)}")
+    if not keys:
+        size = "trials" if "trials" in parameters else "flags_per_alpha"
+        raise ValueError(f"{size}={parameters[size]} leaves nothing to test on G({l}, {m})")
     gf = field_from_order(q)
     started = time.perf_counter()
     parameters = {"q": q, "m": m, "l": l, "seed": seed, "mutant": mutant, **parameters}
@@ -189,6 +192,8 @@ def verify_redundancy(
     if mode == "auto":
         budget = len(alphas) * flags_per_alpha * gaussian_binomial(m, l, q)
         mode = "exhaustive" if budget <= 2_000_000 else "sample"
+    if mode == "sample" and sample_points < 1:
+        raise ValueError(f"sample_points={sample_points} leaves nothing to test")
 
     def trial(gf, alpha, s):
         rng = random.Random(s)
@@ -246,21 +251,18 @@ def _random_between(gf, lower, upper, dim, rng):
     return cur
 
 
-def _resample_members(flag, positions, rng, require_change=True, attempts=200):
+def _resample_member(flag, i, rng):
+    """The flag with member i redrawn, different, between its neighbours."""
     gf, m, alpha = flag.gf, flag.m, flag.alpha
     members = list(flag.subspaces)
-    for i in positions:
-        lower = members[i - 1] if i > 0 else Subspace.zero(gf, m)
-        upper = members[i + 1] if i + 1 < len(members) else Subspace.full(gf, m)
-        old = members[i]
-        for _ in range(attempts):
-            S = _random_between(gf, lower, upper, alpha[i], rng)
-            if not require_change or S != old:
-                members[i] = S
-                break
-        else:
-            raise RuntimeError("member resampling stalled")
-    return Flag(gf, m, alpha, tuple(members))
+    lower = members[i - 1] if i > 0 else Subspace.zero(gf, m)
+    upper = members[i + 1] if i + 1 < len(members) else Subspace.full(gf, m)
+    for _ in range(200):
+        S = _random_between(gf, lower, upper, alpha[i], rng)
+        if S != members[i]:
+            members[i] = S
+            return Flag(gf, m, alpha, tuple(members))
+    raise RuntimeError("member resampling stalled")
 
 
 def verify_flag_equality(
@@ -299,9 +301,9 @@ def verify_flag_equality(
         if kind == "identical":
             f2 = f1
         elif kind == "redundant-resample":
-            f2 = _resample_members(f1, [red_positions[rng.randrange(len(red_positions))]], rng)
+            f2 = _resample_member(f1, red_positions[rng.randrange(len(red_positions))], rng)
         elif kind == "nc-differ":
-            f2 = _resample_members(f1, [nc_positions[rng.randrange(len(nc_positions))]], rng)
+            f2 = _resample_member(f1, nc_positions[rng.randrange(len(nc_positions))], rng)
         else:
             f2 = random_flag(gf, m, alpha, rng=rng)
         o1, o2 = SchubertVariety(f1), SchubertVariety(f2)
@@ -362,9 +364,7 @@ def _mutant_dual_image(tau, omega):
     m = omega.m
     aset = set(omega.alpha)
     beta = tuple(sorted(m - j for j in range(1, m + 1) if j not in aset))
-    complete = complete_flag_containing(omega.flag)
-    members = tuple(tau(complete[m - b]) for b in beta)
-    return SchubertVariety(Flag(omega.gf, m, beta, members))
+    return _reflected_image(tau, omega, beta)
 
 
 def verify_dual_image(
@@ -434,27 +434,29 @@ def verify_dual_image(
 # -- map constructions used by the criterion campaigns -----------------------
 
 
-def _flag_stabilizer(flag, rng, boundaries=None):
-    """Random invertible map fixing the members at the given dimensions.
+def _in_adapted_coordinates(flag, L):
+    """The covariant map acting as the matrix L on the flag's adapted basis."""
+    gf = flag.gf
+    T = adapted_basis(flag)
+    M = matmul(gf, matrix_inverse(gf, T), matmul(gf, L, T))
+    return SemilinearMap._trusted(gf, flag.m, M, 0, False)
+
+
+def _flag_stabilizer(flag, rng):
+    """Random invertible map fixing the members at non-redundant dimensions.
 
     Conjugates a random block-triangular matrix into the coordinates of
-    an adapted basis; the zero blocks keep each boundary prefix stable.
+    an adapted basis; the zero blocks keep each of those prefixes stable.
     """
     gf, m = flag.gf, flag.m
-    if boundaries is None:
-        boundaries = alpha_nc(flag.alpha)
-    bounds = sorted(d for d in boundaries if d < m)
-    T = adapted_basis(flag)
-    Tinv = matrix_inverse(gf, T)
+    bounds = [d for d in alpha_nc(flag.alpha) if d < m]
     while True:
         L = random_matrix(gf, m, m, rng)
         for d in bounds:
             for row in L[:d]:
                 row[d:] = [0] * (m - d)
         if _eliminate(gf, list(L), m)[0] == m:
-            break
-    M = matmul(gf, Tinv, matmul(gf, L, T))
-    return SemilinearMap._trusted(gf, m, M, 0, False)
+            return _in_adapted_coordinates(flag, L)
 
 
 def _member_mover(flag, rng):
@@ -463,17 +465,14 @@ def _member_mover(flag, rng):
     Swaps two adjacent adapted coordinates straddling that member's
     dimension: every other member's prefix keeps both or neither.
     """
-    gf, m = flag.gf, flag.m
+    m = flag.m
     cands = [a for a in alpha_nc(flag.alpha) if a < m]
     if not cands:
         return None
     a = cands[rng.randrange(len(cands))]
-    T = adapted_basis(flag)
-    Tinv = matrix_inverse(gf, T)
     P = [[int(i == j) for j in range(m)] for i in range(m)]
     P[a - 1], P[a] = P[a], P[a - 1]
-    M = matmul(gf, Tinv, matmul(gf, P, T))
-    return SemilinearMap._trusted(gf, m, M, 0, False)
+    return _in_adapted_coordinates(flag, P)
 
 
 def _perp_symmetric_flag(gf, m, alpha):

@@ -1,11 +1,22 @@
 """End-to-end command tests, run in process through main()."""
 
+import inspect
 import json
 import re
 import subprocess
 import sys
 
 from qgrass.cli import build_parser, main
+from qgrass.verify import CAMPAIGNS
+
+MUTANTS = {
+    "redundancy": "drop-nonredundant-condition",
+    "flag-equality": "alpha-for-alpha-nc",
+    "dual-image": "dual-formula-m-minus-j",
+    "covariant-criterion": "fix-every-member",
+    "automorphism-criterion": "skip-contravariant-set-check",
+    "alpha-uniqueness": "bucket-by-point-count",
+}
 
 
 def run(capsys, *argv):
@@ -47,6 +58,20 @@ def test_count_by_characteristic_and_degree(capsys):
     rc, out, _ = run(capsys, "count", "--p", "2", "--e", "2", "--m", "3", "--l", "1")
     assert rc == 0
     assert json.loads(out)["count"] == 21  # lines in 3-space over the 4-element field
+
+
+def test_field_options_that_name_no_single_field_are_usage_errors(capsys):
+    for argv in (
+        ["--p", "2", "--e", "0"],
+        ["--p", "2", "--e", "-1"],
+        ["--q", "4", "--p", "3"],
+        ["--q", "4", "--p", "2"],
+    ):
+        rc, out, err = run(capsys, "count", *argv, "--m", "3", "--l", "1")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ")
+    _, _, err = run(capsys, "count", "--q", "4", "--p", "3", "--m", "3", "--l", "1")
+    assert "not both" in err
 
 
 def test_points_listing(capsys):
@@ -176,6 +201,22 @@ def test_verify_rejects_an_option_the_campaign_does_not_take(capsys):
     assert rc == 2
     assert out == ""
     assert "trials" in err
+
+
+def test_an_empty_campaign_is_a_usage_error(capsys):
+    # a run that tests nothing must not read as a pass, mutant or not
+    for name, campaign in CAMPAIGNS.items():
+        size = "trials" if "trials" in inspect.signature(campaign).parameters else "flags_per_alpha"
+        for mutant in ([], ["--mutant", MUTANTS[name]]):
+            argv = ["verify", name, "--q", "2", "--m", "4", "--l", "2"]
+            rc, out, err = run(capsys, *argv, "--" + size.replace("_", "-"), "0", *mutant)
+            assert rc == 2 and out == "", name
+            assert f"{size}=0" in err, name
+    rc, _, err = run(
+        capsys, "verify", "redundancy", "--q", "2", "--m", "4", "--l", "2",
+        "--flags-per-alpha", "-3", "--mutant", "drop-nonredundant-condition",
+    )
+    assert rc == 2 and "flags_per_alpha=-3" in err
 
 
 def test_verify_unknown_campaign(capsys):

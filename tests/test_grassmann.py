@@ -7,12 +7,9 @@ import bruteforce as bf
 from qgrass.errors import BudgetExceededError
 from qgrass.field import make_field
 from qgrass.grassmann import (
-    CompleteFlag,
     Flag,
     adapted_basis,
     check_alpha,
-    complete_flag_containing,
-    dual_flag,
     enumerate_grassmannian,
     enumeration_bound,
     gaussian_binomial,
@@ -22,6 +19,7 @@ from qgrass.grassmann import (
     standard_flag,
     unrank_subspace,
 )
+from qgrass.group import SemilinearMap
 from qgrass.linalg import Subspace
 
 
@@ -167,9 +165,10 @@ def test_dual_flag_is_an_involution(gf2, gf3):
     ]
     for gf, m, alpha in cases:
         fl = random_flag(gf, m, alpha, rng=sum(alpha))
-        dd = dual_flag(dual_flag(fl))
+        perp = SemilinearMap.perp_map(gf, m)
+        dd = perp(perp(fl))
         assert dd == fl
-        dl = dual_flag(fl)
+        dl = perp(fl)
         formal_dims = ((0,) if fl.includes_zero else ()) + fl.alpha
         expect_dims = tuple(sorted(m - d for d in formal_dims if m - d > 0))
         assert dl.alpha == expect_dims
@@ -224,31 +223,3 @@ def test_adapted_basis_enumerates_no_vectors(monkeypatch):
     flag = _reverse_flag(gf, 6, (2, 3, 5))
     eye = [list(row) for row in Subspace.full(gf, 6).basis]
     assert adapted_basis(flag) == eye[::-1]
-
-
-def test_complete_flag_containing(gf2):
-    fl = random_flag(gf2, 4, (2,), rng=77)
-    c1 = complete_flag_containing(fl)
-    c2 = complete_flag_containing(fl)
-    assert c1 == c2  # canonical
-    assert c1[2] == fl[0]
-    assert [c1[d].dim for d in range(5)] == [0, 1, 2, 3, 4]
-    for d in range(4):
-        assert c1[d] < c1[d + 1]
-
-
-def test_complete_flag_validation(gf2):
-    fl = standard_flag(gf2, 3, (1, 2, 3))
-    c = complete_flag_containing(fl)
-    assert all(c[a] == S for a, S in zip(fl.alpha, fl.subspaces))
-    with pytest.raises(ValueError):
-        CompleteFlag(gf2, 3, c.subspaces[:3])
-    other = standard_flag(gf2, 3, (1,))
-    assert c[1] == other[0]
-    moved = Flag(
-        gf2,
-        3,
-        (1,),
-        (Subspace.from_rows(gf2, [[0, 1, 0]], ambient=3),),
-    )
-    assert c[1] != moved[0]

@@ -15,7 +15,7 @@ from qgrass.verify import (
     CAMPAIGNS,
     VerificationReport,
     _perp_symmetric_flag,
-    _resample_members,
+    _resample_member,
     stabilizer_census,
     verify_alpha_uniqueness,
     verify_automorphism_criterion,
@@ -33,6 +33,11 @@ def test_redundancy_campaign_passes():
     assert rep.verdict == "pass"
     assert rep.cases_tested == 6 * 4 * 35
     assert rep.parameters["mode"] == "exhaustive"
+
+
+def test_redundancy_sampling_with_no_points_is_refused():
+    with pytest.raises(ValueError, match="sample_points=0"):
+        verify_redundancy(2, 4, 2, mode="sample", flags_per_alpha=1, sample_points=0)
 
 
 def test_redundancy_campaign_other_field():
@@ -222,7 +227,7 @@ def test_resample_members_changes_exactly_the_target():
     gf = make_field(2)
     rng = random.Random(31)
     flag = random_flag(gf, 4, (1, 2, 3), rng=rng)
-    moved = _resample_members(flag, [1], rng)
+    moved = _resample_member(flag, 1, rng)
     assert moved[0] == flag[0]
     assert moved[2] == flag[2]
     assert moved[1] != flag[1]
