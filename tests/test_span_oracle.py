@@ -15,8 +15,8 @@ import pytest
 
 import bruteforce as bf
 from qgrass.field import GF, make_field
-from qgrass.grassmann import adapted_basis, enumerate_grassmannian, random_flag, random_subspace
-from qgrass.group import SemilinearMap, compose, enumerate_invertible, group_order
+from qgrass.grassmann import Flag, adapted_basis, enumerate_grassmannian, random_flag, random_subspace
+from qgrass.group import SemilinearMap, compose, enumerate_invertible, group_order, random_semilinear
 from qgrass.linalg import (
     Subspace,
     intersection_dim,
@@ -153,6 +153,58 @@ def test_random_invertible_keeps_its_random_stream(p, e):
                 if _det(ref, want) != 0:
                     break
             assert _ints(random_invertible(gf, n, rng)) == want
+            assert rng.getstate() == mirror.getstate()
+
+
+def _mirror_invertible(ref, mirror, n):
+    q = ref.q
+    while True:
+        mat = [tuple(mirror.randrange(q) for _ in range(n)) for _ in range(n)]
+        if _det(ref, mat) != 0:
+            return mat
+
+
+@pytest.mark.parametrize("p,e", SMALL)
+def test_every_draw_site_keeps_its_random_stream(p, e):
+    """random_matrix, random_flag and random_semilinear against randrange.
+
+    The mirror draws every code with Random.randrange and every matrix as
+    the first full-rank one; each draw must give the same result and
+    leave the generator in the same state.
+    """
+    gf, ref = make_field(p, e), _oracle(p, e)
+    q = gf.q
+    for m in range(1, 6):
+        alphas = [
+            alpha
+            for size in range(1, m + 1)
+            for alpha in itertools.combinations(range(1, m + 1), size)
+        ]
+        for seed in range(8):
+            rng, mirror = random.Random(seed), random.Random(seed)
+
+            nrows = 1 + seed % 5
+            want = [tuple(mirror.randrange(q) for _ in range(m)) for _ in range(nrows)]
+            assert _ints(random_matrix(gf, nrows, m, rng)) == want
+            assert rng.getstate() == mirror.getstate()
+
+            alpha = alphas[seed % len(alphas)]
+            T = _mirror_invertible(ref, mirror, m)
+            members = tuple(Subspace.from_rows(gf, T[:a], ambient=m) for a in alpha)
+            assert random_flag(gf, m, alpha, rng=rng) == Flag(gf, m, alpha, members)
+            assert rng.getstate() == mirror.getstate()
+
+            T = _mirror_invertible(ref, mirror, m)
+            k = mirror.randrange(e)
+            want = SemilinearMap.from_matrix(gf, T, frobenius_power=k, dual=True)
+            assert random_semilinear(gf, m, rng, dual=True) == want
+            assert rng.getstate() == mirror.getstate()
+
+            T = _mirror_invertible(ref, mirror, m)
+            k = mirror.randrange(e)
+            dual = bool(mirror.randrange(2))
+            want = SemilinearMap.from_matrix(gf, T, frobenius_power=k, dual=dual)
+            assert random_semilinear(gf, m, rng, allow_dual=True) == want
             assert rng.getstate() == mirror.getstate()
 
 

@@ -1,5 +1,6 @@
 """Campaign harness tests: green on healthy code, red under every mutant."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from qgrass.verify import (
     verify_flag_equality,
     verify_redundancy,
 )
-from qgrass.grassmann import random_flag
+from qgrass.grassmann import Flag, random_flag
 import random
 
 
@@ -232,6 +233,23 @@ def test_resample_members_changes_exactly_the_target():
     assert moved[2] == flag[2]
     assert moved[1] != flag[1]
     assert moved[0] <= moved[1] <= moved[2]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_drawn_flags_are_like_validated_ones(p, e):
+    gf = make_field(p, e)
+    rng = random.Random(37 * p + e)
+    for m, alpha in [(1, (1,)), (3, (1, 2)), (4, (1, 3, 4)), (5, (2, 3, 5))]:
+        flag = random_flag(gf, m, alpha, rng=rng)
+        movable = range(len(alpha) - (alpha[-1] == m))  # the full space cannot move
+        flags = [flag] + [_resample_member(flag, i, rng) for i in movable]
+        for f in flags:
+            rebuilt = Flag(gf, m, list(f.alpha), list(f.subspaces))
+            assert f == rebuilt and hash(f) == hash(rebuilt)
+            assert type(f.alpha) is tuple and all(type(a) is int for a in f.alpha)
+            assert type(f.subspaces) is tuple and f.includes_zero is False
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.alpha = alpha
 
 
 def test_perp_symmetric_flag_construction():
