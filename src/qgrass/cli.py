@@ -46,9 +46,11 @@ def _resolve_field(args):
     if args.q is not None:
         if args.p is not None:
             raise ValueError("give --q or --p, not both")
+        if args.e is not None:
+            raise ValueError("give --q, or --p with --e, not --q with --e")
         return field_from_order(args.q)
     if args.p is not None:
-        return make_field(args.p, args.e)
+        return make_field(args.p, 1 if args.e is None else args.e)
     raise ValueError("a field is required: give --q or --p (with optional --e)")
 
 
@@ -278,7 +280,7 @@ def _cmd_gen_map(args):
 def _add_field_args(sub):
     sub.add_argument("--q", type=int, help="field order (prime power)")
     sub.add_argument("--p", type=int, help="field characteristic")
-    sub.add_argument("--e", type=int, default=1, help="extension degree over the prime field")
+    sub.add_argument("--e", type=int, help="extension degree over the prime field (with --p; default 1)")
     sub.add_argument("--m", type=int, required=True, help="ambient dimension")
 
 

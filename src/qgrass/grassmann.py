@@ -243,6 +243,18 @@ class Flag:
             if not subs[i] <= subs[i + 1]:
                 raise ValueError("flag members must be nested")
 
+    @classmethod
+    def _trusted(cls, gf, m, alpha, subspaces):
+        """A flag built without checks, with no formal zero member.
+
+        The caller vouches that alpha is a strictly increasing tuple of
+        ints in [1, m] and subspaces a tuple of nested Subspaces of
+        GF(q)^m with those dimensions.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(gf=gf, m=m, alpha=alpha, subspaces=subspaces, includes_zero=False)
+        return self
+
     def __len__(self):
         return len(self.alpha)
 
@@ -278,11 +290,16 @@ def standard_flag(gf, m, alpha):
 
 
 def random_flag(gf, m, alpha, rng=None):
+    """The flag of prefixes of a random_invertible matrix T at alpha.
+
+    Prefixes of an invertible matrix nest, and the member of dimension m
+    is the whole space, so nothing is checked or spanned twice.
+    """
     alpha = check_alpha(alpha, m)
     rng = _as_rng(rng)
     T = random_invertible(gf, m, rng)
-    subs = tuple(Subspace._span(gf, T[:a], m) for a in alpha)
-    return Flag(gf, m, alpha, subs)
+    subs = tuple(Subspace._span(gf, T[:a], m) if a < m else Subspace.full(gf, m) for a in alpha)
+    return Flag._trusted(gf, m, alpha, subs)
 
 
 def adapted_basis(flag):

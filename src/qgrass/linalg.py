@@ -151,18 +151,58 @@ def _echelon_step(gf, elim, v):
     return None
 
 
+def _draw_codes(rng, q, count):
+    """count codes in [0, q), drawn as count calls of rng.randrange(q) would.
+
+    This is CPython's own rejection loop for randrange: q.bit_length()
+    random bits, drawn again while they reach q.  It calls only the public
+    getrandbits, so a random.Random gives randrange's stream; a subclass
+    that overrides only random() still draws uniformly, from another
+    stream.
+    """
+    getrandbits, k = rng.getrandbits, q.bit_length()
+    codes = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= q:
+            r = getrandbits(k)
+        codes.append(r)
+    return codes
+
+
 def random_matrix(gf, nrows, ncols, rng):
-    """A uniform code matrix, its entries drawn row by row."""
-    return [[rng.randrange(gf.q) for _ in range(ncols)] for _ in range(nrows)]
+    """A uniform code matrix, its entries drawn row by row.
+
+    The entries are those nrows * ncols calls of rng.randrange(q) would
+    give, from the same stream, without calling it.
+    """
+    q = gf.q
+    return [_draw_codes(rng, q, ncols) for _ in range(nrows)]
 
 
 def random_invertible(gf, n, rng):
-    """A uniform invertible n x n code matrix: the first full-rank draw."""
+    """A uniform invertible n x n code matrix: the first full-rank draw.
+
+    Its entries are drawn as random_matrix draws them.  Each row is
+    reduced against the rows kept so far as it is drawn; at the first
+    dependent row the rest of that matrix is drawn unreduced, so the
+    stream is the one a whole-matrix rank test would leave, and the next
+    matrix is drawn.
+    """
     if n < 1:
         raise ValueError(f"an invertible matrix needs n >= 1, got n = {n}")
+    q = gf.q
     while True:
-        mat = random_matrix(gf, n, n, rng)
-        if _eliminate(gf, list(mat), n)[0] == n:
+        mat, elim = [], []
+        for i in range(n):
+            row = _draw_codes(rng, q, n)
+            step = _echelon_step(gf, elim, row)
+            if step is None:
+                _draw_codes(rng, q, (n - 1 - i) * n)
+                break
+            mat.append(row)
+            elim.append(step)
+        else:
             return mat
 
 

@@ -261,7 +261,7 @@ def _resample_member(flag, i, rng):
         S = _random_between(gf, lower, upper, alpha[i], rng)
         if S != members[i]:
             members[i] = S
-            return Flag(gf, m, alpha, tuple(members))
+            return Flag._trusted(gf, m, alpha, tuple(members))
     raise RuntimeError("member resampling stalled")
 
 

@@ -66,12 +66,16 @@ def test_field_options_that_name_no_single_field_are_usage_errors(capsys):
         ["--p", "2", "--e", "-1"],
         ["--q", "4", "--p", "3"],
         ["--q", "4", "--p", "2"],
+        ["--q", "4", "--e", "3"],
+        ["--q", "4", "--e", "1"],
     ):
         rc, out, err = run(capsys, "count", *argv, "--m", "3", "--l", "1")
         assert rc == 2 and out == ""
         assert err.startswith("error: ")
     _, _, err = run(capsys, "count", "--q", "4", "--p", "3", "--m", "3", "--l", "1")
     assert "not both" in err
+    _, _, err = run(capsys, "count", "--q", "4", "--e", "3", "--m", "3", "--l", "1")
+    assert "--p with --e" in err
 
 
 def test_points_listing(capsys):
