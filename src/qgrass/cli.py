@@ -47,7 +47,7 @@ def _resolve_field(args):
         if args.p is not None:
             raise ValueError("give --q or --p, not both")
         if args.e is not None:
-            raise ValueError("give --q, or --p with --e, not --q with --e")
+            raise ValueError("give --q, or --p with --e")
         return field_from_order(args.q)
     if args.p is not None:
         return make_field(args.p, 1 if args.e is None else args.e)

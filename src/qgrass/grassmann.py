@@ -298,7 +298,9 @@ def random_flag(gf, m, alpha, rng=None):
     alpha = check_alpha(alpha, m)
     rng = _as_rng(rng)
     T = random_invertible(gf, m, rng)
-    subs = tuple(Subspace._span(gf, T[:a], m) if a < m else Subspace.full(gf, m) for a in alpha)
+    subs = tuple(
+        Subspace._span(gf, T[:a], m) if a < m else Subspace.full(gf, m) for a in alpha
+    )
     return Flag._trusted(gf, m, alpha, subs)
 
 

@@ -19,6 +19,14 @@ perp of a row space and U & V is (U.perp() + V.perp()).perp().
 matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
 fields, so no sum can overflow.
+
+Random matrices draw every code through one helper, _draw_codes, which
+runs CPython's rejection loop for randrange(q) on the public
+getrandbits: for a random.Random the stream is randrange's, code for
+code, without randrange's per-call cost.  random_invertible tests rank
+row by row as it draws, reducing each row against the rows kept so far
+with _echelon_step; a dependent row ends the matrix, whose remaining
+entries are still drawn so that the stream stays the same.
 """
 
 from operator import mul
