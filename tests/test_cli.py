@@ -6,7 +6,12 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from qgrass.cli import build_parser, main
+from qgrass.field import field_from_order
+from qgrass.grassmann import Flag, enumerate_grassmannian, gaussian_binomial
+from qgrass.schubert import SchubertVariety
 from qgrass.verify import CAMPAIGNS
 
 MUTANTS = {
@@ -101,6 +106,47 @@ def test_points_budget_exit_code(capsys):
     rc, _, err = run(capsys, "points", "--q", "2", "--m", "30", "--l", "15")
     assert rc == 3
     assert "budget" in err
+
+
+def _count(capsys, *argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    return json.loads(out)["count"]
+
+
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (4, 4), (9, 3)])
+def test_points_count_only_counts_what_is_enumerated(tmp_path, capsys, q, m):
+    gf = field_from_order(q)
+    field = ["--q", str(q), "--m", str(m)]
+    for l in (-1, 0, 1, 2, m, m + 1):
+        shape = [*field, "--l", str(l)]
+        got = _count(capsys, "points", *shape, "--count-only")
+        assert got == len(list(enumerate_grassmannian(gf, m, l))), l
+        assert got == _count(capsys, "count", *shape), l
+    path = str(tmp_path / "flag.json")
+    for alpha in ((1,), (m,), (1, m), (2, m), (1, 2, m)):
+        text = ",".join(map(str, alpha))
+        shape = [*field, "--alpha", text]
+        closed_form = _count(capsys, "count", *shape)
+        run(capsys, "gen-flag", *shape, "--seed", str(sum(alpha)), "-o", path)
+        with open(path) as fh:
+            drawn = Flag.from_json_dict(json.load(fh))
+        for flag, option in ((None, []), (drawn, ["--flag", path])):
+            omega = SchubertVariety(flag) if flag else SchubertVariety.standard(gf, m, alpha)
+            got = _count(capsys, "points", *shape, *option, "--count-only")
+            assert got == len(omega.point_set()) == closed_form, (alpha, option)
+
+
+def test_points_limit_is_the_size_of_the_grassmannian(capsys):
+    size = gaussian_binomial(4, 2, 3)
+    for shape in (["--l", "2"], ["--alpha", "2,4"]):
+        for mode in (["--count-only"], []):
+            argv = ["points", "--q", "3", "--m", "4", *shape, *mode]
+            rc, out, err = run(capsys, *argv, "--limit", str(size))
+            assert rc == 0, err
+            assert json.loads(out)["count"] == _count(capsys, "count", *argv[1:7])
+            rc, out, err = run(capsys, *argv, "--limit", str(size - 1))
+            assert (rc, out) == (3, "") and "budget" in err
 
 
 def test_alpha_nc_and_condition_word(capsys):

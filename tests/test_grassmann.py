@@ -68,7 +68,9 @@ def test_enumeration_is_complete_and_canonical(gf2):
     assert pts[0].basis == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
-@pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 3, 2), (2, 5, 2), (4, 3, 1)])
+@pytest.mark.parametrize(
+    "q,m,l", [(2, 4, 2), (3, 3, 2), (2, 5, 2), (4, 3, 1), (3, 5, 1), (4, 5, 2), (2, 6, 3)]
+)
 def test_rank_unrank_round_trip(q, m, l):
     gf = make_field(*((2, 2) if q == 4 else (q, 1)))
     pts = list(enumerate_grassmannian(gf, m, l))
