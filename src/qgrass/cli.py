@@ -14,6 +14,7 @@ from .errors import BudgetExceededError
 from .field import field_from_order, make_field
 from .grassmann import (
     Flag,
+    _count_grassmannian,
     enumerate_grassmannian,
     gaussian_binomial,
     random_flag,
@@ -104,8 +105,11 @@ def _cmd_count(args):
             "count": gaussian_binomial(args.m, args.l, gf.q),
         }
         if args.polynomial:
-            full = tuple(args.m - args.l + 1 + i for i in range(args.l))
-            doc["polynomial"] = list(cell_count_polynomial(full, args.m))
+            if not 0 <= args.l <= args.m:
+                raise ValueError(f"--l {args.l} is outside [0, {args.m}], so there is no polynomial")
+            # G(0, m) is one point and has no dimension tuple
+            full = tuple(range(args.m - args.l + 1, args.m + 1))
+            doc["polynomial"] = list(cell_count_polynomial(full, args.m)) if full else [1]
     else:
         alpha = _parse_alpha(args.alpha)
         coeffs = cell_count_polynomial(alpha, args.m)
@@ -126,19 +130,20 @@ def _cmd_points(args):
     if (args.l is None) == (args.alpha is None):
         raise ValueError("give exactly one of --l or --alpha")
     if args.l is not None:
-        pts = enumerate_grassmannian(gf, args.m, args.l, limit=args.limit)
+        if args.flag is not None:
+            raise ValueError("--flag goes with --alpha")
+        count = functools.partial(_count_grassmannian, gf, args.m, args.l)
+        points = functools.partial(enumerate_grassmannian, gf, args.m, args.l)
         doc = {"q": gf.q, "m": args.m, "l": args.l}
     else:
         alpha = _parse_alpha(args.alpha)
         omega = SchubertVariety(_flag_for(args, gf, args.m, alpha))
-        pts = omega.points(limit=args.limit)
+        count, points = omega.count_points, omega.points
         doc = {"q": gf.q, "m": args.m, "alpha": list(alpha)}
-    if args.count_only and args.l is None:
-        doc["count"] = omega.count_points(limit=args.limit)  # unsorted
-    elif args.count_only:
-        doc["count"] = sum(1 for _ in pts)
+    if args.count_only:
+        doc["count"] = count(limit=args.limit)
     else:
-        rows = [W.to_rows() for W in pts]
+        rows = [W.to_rows() for W in points(limit=args.limit)]
         doc["count"] = len(rows)
         doc["points"] = rows
     _emit(doc)
@@ -379,8 +384,9 @@ def build_parser():
     s = subs.add_parser("gen-map", help="write a random semilinear map as JSON")
     _add_field_args(s)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--dual", action="store_true", help="force a contravariant map")
-    s.add_argument("--allow-dual", action="store_true", help="let the coin decide the variance")
+    variance = s.add_mutually_exclusive_group()
+    variance.add_argument("--dual", action="store_true", help="force a contravariant map")
+    variance.add_argument("--allow-dual", action="store_true", help="let the coin decide the variance")
     s.add_argument("-o", "--output")
     s.set_defaults(func=_cmd_gen_map)
 

@@ -10,7 +10,9 @@ O(cells) rank/unrank without materializing anything.
 A cell is walked, not unranked point by point: the free entries of one
 row do not depend on the other rows, so the cell is the product of one
 list of choices per row.  Schubert varieties walk their own cells the
-same way, with rows built from a flag's adapted basis.
+same way, with rows built from a flag's adapted basis.  Each tuple of
+rows the walk yields is one point, so a count is the walk, counted:
+no subspace is built and nothing is spanned.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .field import field_from_order
-from .linalg import Subspace, _echelon_step, random_invertible
+from .linalg import Subspace, _echelon_step, _identity, random_invertible
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -125,21 +127,23 @@ def _row_choices(gf, base, gens):
 
 
 def _walk_cell(gf, rows):
-    """Yield the row tuples of one cell, row 0 slowest.
+    """Yield the row tuples of one cell, row 0 slowest, each point once.
 
     rows holds one (base, gens) pair per row; row i ranges over
     base + sum x_j gens[j].  The later rows' choices are listed once and
-    multiplied out; row 0's are made as the walk reaches them, since in a
-    cell of G(1, m) they are the whole cell.
+    itertools.product multiplies each row-0 choice out against them;
+    row 0's choices are made as the walk reaches them, since in a cell
+    of G(1, m) they are the whole cell.  Distinct tuples span distinct
+    points, so counting the tuples counts the cell.
     """
     if not rows:
         yield ()
         return
     (base, gens), *rest = rows
     later = [list(_row_choices(gf, b, g)) for b, g in rest]
+    product = itertools.product
     for first in _row_choices(gf, base, gens):
-        for tail in itertools.product(*later):
-            yield (first, *tail)
+        yield from product((first,), *later)
 
 
 def check_enumeration_budget(gf, m, l, limit=None):
@@ -158,25 +162,37 @@ def check_enumeration_budget(gf, m, l, limit=None):
         )
 
 
+def _grassmannian_cells(gf, m, l, limit=None):
+    """Yield (pivots, rows) for each cell of G(l, m), in canonical order.
+
+    rows is what _walk_cell takes: pivot row i is the unit vector at
+    pivots[i] plus any combination of the unit vectors at later non-pivot
+    columns.  Yields nothing for l outside [0, m]; otherwise checks the
+    budget before the first cell.
+    """
+    if not 0 <= l <= m:
+        return
+    check_enumeration_budget(gf, m, l, limit)
+    eye = _identity(m)
+    for piv in itertools.combinations(range(m), l):
+        yield piv, [(eye[c], [eye[j] for j in range(c + 1, m) if j not in piv]) for c in piv]
+
+
 def enumerate_grassmannian(gf, m, l, limit=None):
     """Yield every l-dimensional subspace of GF(q)^m in canonical order.
 
     Refuses to start if the total exceeds the enumeration budget (the
     limit argument when given, otherwise the global bound).
     """
-    if not 0 <= l <= m:
-        return
-    # guard with the closed-form count first: the cell table itself can
-    # be enormous and must not be built for over-budget requests
-    check_enumeration_budget(gf, m, l, limit)
-    cells, _, _ = _cell_table(gf.q, m, l)
-    eye = Subspace.full(gf, m).basis
     trusted = Subspace._trusted
-    for cell in cells:
-        piv = cell.pivots
-        rows = [(eye[c], [eye[j] for j in range(c + 1, m) if j not in piv]) for c in piv]
+    for piv, rows in _grassmannian_cells(gf, m, l, limit):
         for basis in _walk_cell(gf, rows):
             yield trusted(gf, basis, piv, m)
+
+
+def _count_grassmannian(gf, m, l, limit=None):
+    """Count G(l, m) by walking its cells, under the same budget."""
+    return sum(1 for _, rows in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, rows))
 
 
 def rank_subspace(W):
@@ -318,7 +334,7 @@ def adapted_basis(flag):
     """
     gf, m = flag.gf, flag.m
     candidates = [(S.dim, reversed(S.basis)) for S in flag.subspaces]
-    candidates.append((m, Subspace.full(gf, m).basis))
+    candidates.append((m, _identity(m)))
     rows = []
     elim = []
     for dim, vectors in candidates:

@@ -29,15 +29,12 @@ from .linalg import (
     _code_rows,
     _echelon_step,
     _eliminate,
+    _identity,
     matmul,
     matrix_inverse,
     random_invertible,
 )
 from .schubert import SchubertVariety, dual_index_set
-
-
-def _identity(m):
-    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 
 def _transpose(mat):

@@ -68,6 +68,11 @@ def _eliminate(gf, rows, ncols):
     return r, tuple(pivots)
 
 
+def _identity(m):
+    """The m x m identity matrix as a tuple of int tuples."""
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
 def rref(gf, mat):
     """Reduced row echelon form.
 
@@ -293,8 +298,7 @@ class Subspace:
 
     @classmethod
     def full(cls, gf, m):
-        eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-        return cls._trusted(gf, eye, tuple(range(m)), m)
+        return cls._trusted(gf, _identity(m), tuple(range(m)), m)
 
     @property
     def dim(self):

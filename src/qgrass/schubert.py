@@ -180,20 +180,27 @@ class SchubertVariety:
     def _condition_lists(self):
         return {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
 
+    def _cell_rows(self, limit=None):
+        """Yield, for each cell beta, the rows _walk_cell takes.
+
+        Row i of a point in cell beta is b_(beta_i) + sum x_j b_j over
+        j < beta_i with j not in beta, b the flag's adapted basis.  The
+        budget, checked before the first cell, is the size of the whole
+        Grassmannian, as for enumerating it.
+        """
+        check_enumeration_budget(self.gf, self.m, self.l, limit)
+        b = adapted_basis(self.flag)
+        for beta in _cells(self.alpha, self.m):
+            yield [(b[x - 1], [b[j - 1] for j in range(1, x) if j not in beta]) for x in beta]
+
     def _cell_points(self, limit=None):
         """Yield the points cell by cell, each once, in no canonical order.
 
-        Row i of a point in cell beta is b_(beta_i) + sum x_j b_j over
-        j < beta_i with j not in beta, b the flag's adapted basis; the
-        span of the rows puts the point in canonical form.  The budget is
-        the size of the whole Grassmannian, as for enumerating it.
+        The span of a cell's rows puts the point in canonical form.
         """
         gf, m = self.gf, self.m
-        check_enumeration_budget(gf, m, self.l, limit)
-        b = adapted_basis(self.flag)
         span = Subspace._span
-        for beta in _cells(self.alpha, m):
-            rows = [(b[x - 1], [b[j - 1] for j in range(1, x) if j not in beta]) for x in beta]
+        for rows in self._cell_rows(limit):
             for cell_rows in _walk_cell(gf, rows):
                 yield span(gf, list(cell_rows), m)
 
@@ -209,8 +216,12 @@ class SchubertVariety:
         return self._point_set
 
     def count_points(self, limit=None):
-        """Number of points, counted cell by cell without holding them."""
-        return sum(1 for _ in self._cell_points(limit))
+        """Number of points: the walk of every cell, counted, not spanned.
+
+        Each tuple of cell rows is one point, so no point is built.
+        """
+        gf = self.gf
+        return sum(1 for rows in self._cell_rows(limit) for _ in _walk_cell(gf, rows))
 
     def count_polynomial(self):
         return cell_count_polynomial(self.alpha, self.m)

@@ -149,6 +149,55 @@ def test_points_limit_is_the_size_of_the_grassmannian(capsys):
             assert (rc, out) == (3, "") and "budget" in err
 
 
+def test_count_only_builds_no_subspace_and_eliminates_nothing(capsys, monkeypatch):
+    import qgrass
+    from qgrass import cli, linalg
+
+    gf = field_from_order(3)
+    flags = {"2,4": SchubertVariety.standard(gf, 4, (2, 4)).flag}
+    _, out, _ = run(capsys, "gen-flag", "--q", "3", "--m", "4", "--alpha", "1,3", "--seed", "8")
+    flags["1,3"] = Flag.from_json_dict(json.loads(out))
+    monkeypatch.setattr(cli, "_flag_for", lambda args, gf, m, alpha: flags[args.alpha])
+
+    def refuse(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(linalg.Subspace, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(linalg.Subspace, "_span", classmethod(refuse))
+    eliminate = linalg._eliminate
+    for name in dir(qgrass):
+        module = getattr(qgrass, name)
+        if getattr(module, "_eliminate", None) is eliminate:
+            monkeypatch.setattr(module, "_eliminate", refuse)
+    for shape in (["--l", "2"], ["--alpha", "2,4"], ["--alpha", "1,3"]):
+        argv = ["--q", "3", "--m", "4", *shape]
+        assert _count(capsys, "points", *argv, "--count-only") == _count(capsys, "count", *argv)
+    with pytest.raises(AssertionError, match="a point was built"):
+        linalg._eliminate(gf, [[1]], 1)
+
+
+def test_points_flag_goes_with_alpha(tmp_path, capsys):
+    for flag in (str(tmp_path / "missing.json"), "standard"):
+        for mode in (["--count-only"], []):
+            argv = ["points", "--q", "2", "--m", "4", "--l", "2", "--flag", flag, *mode]
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, "")
+            assert "--flag goes with --alpha" in err
+
+
+def test_count_polynomial_of_the_whole_grassmannian(capsys):
+    for m in (1, 4):
+        rc, out, _ = run(capsys, "count", "--q", "3", "--m", str(m), "--l", "0", "--polynomial")
+        assert rc == 0
+        assert json.loads(out) == {"q": 3, "m": m, "l": 0, "count": 1, "polynomial": [1]}
+    rc, out, _ = run(capsys, "count", "--q", "2", "--m", "4", "--l", "4", "--polynomial")
+    assert json.loads(out)["polynomial"] == [1]
+    for l in ("5", "-1"):
+        rc, out, err = run(capsys, "count", "--q", "2", "--m", "4", "--l", l, "--polynomial")
+        assert (rc, out) == (2, "")
+        assert f"--l {l}" in err and "[0, 4]" in err and "(" not in err
+
+
 def test_alpha_nc_and_condition_word(capsys):
     rc, out, _ = run(capsys, "alpha-nc", "--alpha", "2,3,4", "--m", "5")
     assert rc == 0
@@ -304,6 +353,14 @@ def test_generators_are_deterministic(capsys):
     rc, m1, _ = run(capsys, "gen-map", "--q", "4", "--m", "3", "--seed", "7", "--allow-dual")
     rc, m2, _ = run(capsys, "gen-map", "--q", "4", "--m", "3", "--seed", "7", "--allow-dual")
     assert m1 == m2
+
+
+def test_gen_map_takes_one_variance_option(capsys):
+    rc, out, err = run(capsys, "gen-map", "--q", "4", "--m", "3", "--dual", "--allow-dual")
+    assert (rc, out) == (2, "")
+    assert "not allowed with argument" in err
+    rc, out, _ = run(capsys, "gen-map", "--q", "4", "--m", "3", "--seed", "7", "--dual")
+    assert rc == 0 and json.loads(out)["dual"] is True
 
 
 def test_usage_errors(capsys):
