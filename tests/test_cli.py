@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import qgrass
+from qgrass import cli, linalg
 from qgrass.cli import build_parser, main
 from qgrass.field import field_from_order
 from qgrass.grassmann import Flag, enumerate_grassmannian, gaussian_binomial
@@ -150,9 +152,6 @@ def test_points_limit_is_the_size_of_the_grassmannian(capsys):
 
 
 def test_count_only_builds_no_subspace_and_eliminates_nothing(capsys, monkeypatch):
-    import qgrass
-    from qgrass import cli, linalg
-
     gf = field_from_order(3)
     flags = {"2,4": SchubertVariety.standard(gf, 4, (2, 4)).flag}
     _, out, _ = run(capsys, "gen-flag", "--q", "3", "--m", "4", "--alpha", "1,3", "--seed", "8")
