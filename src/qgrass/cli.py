@@ -17,6 +17,7 @@ from .grassmann import (
     _count_grassmannian,
     enumerate_grassmannian,
     gaussian_binomial,
+    check_alpha,
     random_flag,
     standard_flag,
 )
@@ -41,6 +42,17 @@ def _parse_alpha(text):
     except ValueError:
         raise ValueError(f"cannot parse dimension tuple {text!r}")
     return parts
+
+
+def _nonnegative(text):
+    """An int option of at least 0; argparse puts the option's name in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _resolve_field(args):
@@ -152,6 +164,8 @@ def _cmd_points(args):
 
 def _cmd_alpha_nc(args):
     alpha = _parse_alpha(args.alpha)
+    # without --m, only order and positivity can be checked
+    alpha = check_alpha(alpha, max(alpha) if args.m is None else args.m)
     doc = {"alpha": list(alpha), "non_redundant": list(alpha_nc(alpha))}
     if args.m is not None:
         doc["m"] = args.m
@@ -161,7 +175,7 @@ def _cmd_alpha_nc(args):
 
 
 def _cmd_dual_alpha(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = check_alpha(_parse_alpha(args.alpha), args.m)
     dual = dual_index_set(alpha, args.m)
     _emit(
         {
@@ -286,7 +300,7 @@ def _add_field_args(sub):
     sub.add_argument("--q", type=int, help="field order (prime power)")
     sub.add_argument("--p", type=int, help="field characteristic")
     sub.add_argument("--e", type=int, help="extension degree over the prime field (with --p; default 1)")
-    sub.add_argument("--m", type=int, required=True, help="ambient dimension")
+    sub.add_argument("--m", type=_nonnegative, required=True, help="ambient dimension")
 
 
 @functools.cache
@@ -369,7 +383,7 @@ def build_parser():
     s.add_argument("--include-dual", action="store_true")
     s.add_argument("--no-frobenius", action="store_true")
     s.add_argument("--oracle", default="subsample", choices=["full", "subsample", "none"])
-    s.add_argument("--subsample", type=int, default=200)
+    s.add_argument("--subsample", type=_nonnegative, default=200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--timing", action="store_true")
     s.set_defaults(func=_cmd_census)

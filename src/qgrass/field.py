@@ -175,6 +175,8 @@ class GF:
         self.e = e
         self.q = q
         self.modulus = _smallest_irreducible(p, e)
+        # ints and tuples of ints hash alike in every process
+        self._hash = hash((p, e, self.modulus))
         self._tables = None
         if e > 1:
             self._build_tables()
@@ -455,8 +457,7 @@ class GF:
         )
 
     def __hash__(self):
-        # ints and tuples of ints hash alike in every process
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -9,10 +9,18 @@ O(cells) rank/unrank without materializing anything.
 
 A cell is walked, not unranked point by point: the free entries of one
 row do not depend on the other rows, so the cell is the product of one
-list of choices per row.  Schubert varieties walk their own cells the
-same way, with rows built from a flag's adapted basis.  Each tuple of
-rows the walk yields is one point, so a count is the walk, counted:
-no subspace is built and nothing is spanned.
+list of choices per row.  Row 0's choices are made as the walk reaches
+them; every later row's list is built flat, one generator at a time.
+Schubert varieties walk their own cells the same way, with rows built
+from a flag's adapted basis.  Each tuple of rows the walk yields is one
+point, so a count is the walk, counted: no subspace is built and
+nothing is spanned.
+
+What depends only on the shape is built once per process, as immutable
+tuples shared by every caller: the cells of G(l, m) (_grassmannian_layout,
+and _cell_table for rank and unrank), the size of G(l, m) that every
+budget check reads, and per field the multipliers a row walk steps
+through.  What depends on a flag is built per variety.
 """
 
 import itertools
@@ -55,6 +63,10 @@ def gaussian_binomial(m, l, q):
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+# the size every budget check reads, computed once per shape
+_grassmannian_size = lru_cache(maxsize=None)(gaussian_binomial)
 
 
 def check_alpha(alpha, m, allow_empty=False):
@@ -108,6 +120,12 @@ def _cell_member(gf, m, cell, t):
     return Subspace._trusted(gf, tuple(map(tuple, rows)), cell.pivots, m)
 
 
+@lru_cache(maxsize=None)
+def _negatives(gf):
+    """-x for x = 1..q-1, so that v - f * g runs over v + x * g in code order."""
+    return tuple(gf._neg(x) for x in range(1, gf.q))
+
+
 def _row_choices(gf, base, gens):
     """Yield base + sum x_j gens[j] over every x, gens[0] most significant.
 
@@ -119,28 +137,49 @@ def _row_choices(gf, base, gens):
         return
     *head, g = gens
     sub_row = gf._sub_row
-    negs = [gf._neg(x) for x in range(1, gf.q)]
+    negs = _negatives(gf)
     for v in _row_choices(gf, base, head):
         yield v
         for f in negs:
             yield tuple(sub_row(v, f, g))
 
 
+def _row_list(gf, base, gens):
+    """list(_row_choices(gf, base, gens)), built flat.
+
+    One pass per generator g puts each v - f * g right after its v, which
+    is the order the recursion yields, without passing every choice up
+    through one generator frame per generator.
+    """
+    choices = [tuple(base)]
+    sub_row = gf._sub_row
+    negs = _negatives(gf)
+    for g in gens:
+        grown = []
+        append = grown.append
+        for v in choices:
+            append(v)
+            for f in negs:
+                append(tuple(sub_row(v, f, g)))
+        choices = grown
+    return choices
+
+
 def _walk_cell(gf, rows):
     """Yield the row tuples of one cell, row 0 slowest, each point once.
 
     rows holds one (base, gens) pair per row; row i ranges over
-    base + sum x_j gens[j].  The later rows' choices are listed once and
-    itertools.product multiplies each row-0 choice out against them;
-    row 0's choices are made as the walk reaches them, since in a cell
-    of G(1, m) they are the whole cell.  Distinct tuples span distinct
-    points, so counting the tuples counts the cell.
+    base + sum x_j gens[j].  The later rows' choices are listed once,
+    flat, and itertools.product multiplies each row-0 choice out against
+    them; row 0's choices are made as the walk reaches them, since in a
+    cell of G(1, m) they are the whole cell.  Distinct tuples span
+    distinct points, so counting the tuples counts the cell.
     """
     if not rows:
         yield ()
         return
     (base, gens), *rest = rows
-    later = [list(_row_choices(gf, b, g)) for b, g in rest]
+    later = [_row_list(gf, b, g) for b, g in rest]
     product = itertools.product
     for first in _row_choices(gf, base, gens):
         yield from product((first,), *later)
@@ -152,7 +191,7 @@ def check_enumeration_budget(gf, m, l, limit=None):
     The budget is the limit argument when given, otherwise the global
     bound.  The size comes from the closed form, so nothing is built.
     """
-    total = gaussian_binomial(m, l, gf.q)
+    total = _grassmannian_size(m, l, gf.q)
     bound = limit if limit is not None else enumeration_bound()
     if total > bound:
         raise BudgetExceededError(
@@ -173,9 +212,17 @@ def _grassmannian_cells(gf, m, l, limit=None):
     if not 0 <= l <= m:
         return
     check_enumeration_budget(gf, m, l, limit)
+    yield from _grassmannian_layout(m, l)
+
+
+@lru_cache(maxsize=None)
+def _grassmannian_layout(m, l):
+    """The (pivots, rows) of every cell of G(l, m), built once per shape."""
     eye = _identity(m)
-    for piv in itertools.combinations(range(m), l):
-        yield piv, [(eye[c], [eye[j] for j in range(c + 1, m) if j not in piv]) for c in piv]
+    return tuple(
+        (piv, tuple((eye[c], tuple(eye[j] for j in range(c + 1, m) if j not in piv)) for c in piv))
+        for piv in itertools.combinations(range(m), l)
+    )
 
 
 def enumerate_grassmannian(gf, m, l, limit=None):

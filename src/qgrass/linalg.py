@@ -29,6 +29,7 @@ with _echelon_step; a dependent row ends the matrix, whose remaining
 entries are still drawn so that the stream stays the same.
 """
 
+from functools import lru_cache
 from operator import mul
 
 
@@ -68,8 +69,9 @@ def _eliminate(gf, rows, ncols):
     return r, tuple(pivots)
 
 
+@lru_cache(maxsize=None)
 def _identity(m):
-    """The m x m identity matrix as a tuple of int tuples."""
+    """The m x m identity matrix as a tuple of int tuples, built once per m."""
     return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 

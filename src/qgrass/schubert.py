@@ -17,10 +17,16 @@ of the Grassmannian (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
 Amer. Math. Monthly 79, 1972).  Membership by rank (contains) only
 checks single points: witnesses, and the redundancy campaign, which
 tests the conditions themselves.
+
+The cells of a dimension tuple, the basis indices of each cell's rows
+and the non-redundant positions depend on (alpha, m) alone, so they are
+built once per shape, as tuples, and shared by every variety of that
+shape.  A variety builds only what its flag decides: the adapted basis
+and the rows read from it.
 """
 
 import itertools
-from functools import cached_property
+from functools import lru_cache
 
 from .field import field_from_order
 from .grassmann import (
@@ -59,18 +65,41 @@ def dual_index_set(alpha, m):
     return tuple(sorted(m + 1 - j for j in range(1, m + 1) if j not in aset))
 
 
+@lru_cache(maxsize=None)
+def _nc_positions(alpha):
+    """0-based positions of alpha's non-redundant entries, once per tuple."""
+    ncset = set(alpha_nc(alpha))
+    return tuple(i for i, a in enumerate(alpha) if a in ncset)
+
+
+@lru_cache(maxsize=None)
 def _cells(alpha, m):
     """The dimension tuples beta componentwise at most alpha, in order.
 
     Each names one Schubert cell of the variety: in a basis adapted to
     the flag, the points whose rows can be brought to b_(beta_i) plus
-    combinations of the b_j with j < beta_i and j not in beta.
+    combinations of the b_j with j < beta_i and j not in beta.  Built
+    once per (alpha, m), as a tuple.
     """
-    return [
+    return tuple(
         beta
         for beta in itertools.combinations(range(1, m + 1), len(alpha))
         if all(b <= a for b, a in zip(beta, alpha))
-    ]
+    )
+
+
+@lru_cache(maxsize=None)
+def _cell_layout(alpha, m):
+    """Per cell beta, each row's 0-based adapted-basis index and generators.
+
+    Row i of cell beta is basis row beta_i - 1 plus combinations of the
+    rows j - 1 with j < beta_i and j not in beta.  Built once per
+    (alpha, m), as nested tuples.
+    """
+    return tuple(
+        tuple((x - 1, tuple(j - 1 for j in range(1, x) if j not in beta)) for x in beta)
+        for beta in _cells(alpha, m)
+    )
 
 
 def cell_count_polynomial(alpha, m):
@@ -111,6 +140,7 @@ class SchubertVariety:
             raise ValueError("a variety needs at least one condition")
         self.flag = flag
         self._point_set = None
+        self._condition_lists = None
 
     @classmethod
     def standard(cls, gf, m, alpha):
@@ -132,17 +162,16 @@ class SchubertVariety:
     def l(self):
         return len(self.flag.alpha)
 
-    @cached_property
+    @property
     def alpha_nc(self):
         return alpha_nc(self.alpha)
 
-    @cached_property
+    @property
     def nc_positions(self):
         """0-based positions of the members at non-redundant dimensions."""
-        ncset = set(self.alpha_nc)
-        return tuple(i for i, a in enumerate(self.alpha) if a in ncset)
+        return _nc_positions(self.alpha)
 
-    @cached_property
+    @property
     def condition_word(self):
         return condition_word(self.alpha, self.m)
 
@@ -170,15 +199,13 @@ class SchubertVariety:
                 f"point has dimension {W.dim}, the variety lives in "
                 f"dimension {self.l}"
             )
+        if self._condition_lists is None:
+            self._condition_lists = {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
         try:
             conds = self._condition_lists[conditions]
         except KeyError:
             raise ValueError("conditions must be 'minimal' or 'all'") from None
         return all(intersection_dim(W, S) >= r for S, r in conds)
-
-    @cached_property
-    def _condition_lists(self):
-        return {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
 
     def _cell_rows(self, limit=None):
         """Yield, for each cell beta, the rows _walk_cell takes.
@@ -190,8 +217,8 @@ class SchubertVariety:
         """
         check_enumeration_budget(self.gf, self.m, self.l, limit)
         b = adapted_basis(self.flag)
-        for beta in _cells(self.alpha, self.m):
-            yield [(b[x - 1], [b[j - 1] for j in range(1, x) if j not in beta]) for x in beta]
+        for cell in _cell_layout(self.alpha, self.m):
+            yield [(b[x], [b[j] for j in gens]) for x, gens in cell]
 
     def _cell_points(self, limit=None):
         """Yield the points cell by cell, each once, in no canonical order.

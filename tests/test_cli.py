@@ -217,6 +217,42 @@ def test_dual_alpha(capsys):
     assert doc["self_dual"] is False
 
 
+def test_dimension_tuple_verbs_refuse_invalid_tuples(capsys):
+    for argv in (
+        ["alpha-nc", "--alpha", "3,1"],
+        ["alpha-nc", "--alpha", "2,2"],
+        ["alpha-nc", "--alpha", "0,2"],
+        ["alpha-nc", "--alpha", "1,5", "--m", "4"],
+        ["dual-alpha", "--alpha", "1,4", "--m", "3"],
+        ["dual-alpha", "--alpha", "2,1", "--m", "4"],
+        ["dual-alpha", "--alpha", "0,1", "--m", "4"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "dimensions" in err, argv
+    rc, out, _ = run(capsys, "alpha-nc", "--alpha", "1,3,4")
+    assert rc == 0 and json.loads(out)["non_redundant"] == [1, 4]
+
+
+def test_negative_ambient_dimension_is_a_usage_error(capsys):
+    for verb, shape in (("count", "--l"), ("points", "--l"), ("count", "--alpha")):
+        rc, out, err = run(capsys, verb, "--q", "2", "--m", "-1", shape, "1" if shape == "--alpha" else "0")
+        assert (rc, out) == (2, ""), verb
+        assert "--m" in err and "-1" in err, verb
+    rc, out, err = run(capsys, "count", "--q", "2", "--m", "-3", "--l", "0", "--polynomial")
+    assert (rc, out) == (2, "") and "--m" in err and "[0, -3]" not in err
+    # G(0, 0) is one point, the zero space
+    for verb in ("count", "points"):
+        rc, out, _ = run(capsys, verb, "--q", "2", "--m", "0", "--l", "0")
+        assert rc == 0 and json.loads(out)["count"] == 1
+
+
+def test_census_refuses_a_negative_subsample(capsys):
+    rc, out, err = run(capsys, "census", "--q", "2", "--m", "3", "--alpha", "1,3", "--subsample", "-1")
+    assert (rc, out) == (2, "")
+    assert "--subsample" in err and "Sample larger" not in err
+
+
 def test_gen_eq_image_aut_pipeline(tmp_path, capsys):
     f1 = tmp_path / "f1.json"
     f2 = tmp_path / "f2.json"
