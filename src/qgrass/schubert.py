@@ -236,10 +236,12 @@ class SchubertVariety:
         yield from sorted(self._cell_points(limit), key=rank_subspace)
 
     def point_set(self, limit=None):
-        # the budget holds on every call, not only the one that fills the cache
-        check_enumeration_budget(self.gf, self.m, self.l, limit)
+        # the budget holds on every call, not only the one that fills the
+        # cache; _cell_rows checks it before the first cell
         if self._point_set is None:
             self._point_set = frozenset(self._cell_points(limit))
+        else:
+            check_enumeration_budget(self.gf, self.m, self.l, limit)
         return self._point_set
 
     def count_points(self, limit=None):
