@@ -15,9 +15,9 @@ from .field import field_from_order, make_field
 from .grassmann import (
     Flag,
     _count_grassmannian,
+    check_alpha,
     enumerate_grassmannian,
     gaussian_binomial,
-    check_alpha,
     random_flag,
     standard_flag,
 )

@@ -72,14 +72,12 @@ def _nc_positions(alpha):
     return tuple(i for i, a in enumerate(alpha) if a in ncset)
 
 
-@lru_cache(maxsize=None)
 def _cells(alpha, m):
     """The dimension tuples beta componentwise at most alpha, in order.
 
     Each names one Schubert cell of the variety: in a basis adapted to
     the flag, the points whose rows can be brought to b_(beta_i) plus
-    combinations of the b_j with j < beta_i and j not in beta.  Built
-    once per (alpha, m), as a tuple.
+    combinations of the b_j with j < beta_i and j not in beta.
     """
     return tuple(
         beta
