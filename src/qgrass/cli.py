@@ -324,10 +324,10 @@ def build_parser():
 
     s = subs.add_parser("points", help="enumerate points as row-reduced matrices")
     _add_field_args(s)
-    s.add_argument("--l", type=int)
+    s.add_argument("--l", type=_nonnegative)
     s.add_argument("--alpha")
     s.add_argument("--flag", help="'standard' (default) or a flag JSON file")
-    s.add_argument("--limit", type=int, help="enumeration budget override")
+    s.add_argument("--limit", type=_nonnegative, help="enumeration budget override")
     s.add_argument("--count-only", action="store_true")
     s.set_defaults(func=_cmd_points)
 
@@ -365,11 +365,11 @@ def build_parser():
     s = subs.add_parser("verify", help="run a verification campaign")
     s.add_argument("campaign", help=f"one of {sorted(CAMPAIGNS)}")
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--l", type=int, required=True)
-    s.add_argument("--trials", type=int)
+    s.add_argument("--m", type=_nonnegative, required=True)
+    s.add_argument("--l", type=_nonnegative, required=True)
+    s.add_argument("--trials", type=_nonnegative)
     s.add_argument("--seed", type=int)
-    s.add_argument("--flags-per-alpha", type=int, dest="flags_per_alpha")
+    s.add_argument("--flags-per-alpha", type=_nonnegative, dest="flags_per_alpha")
     s.add_argument("--mutant")
     s.add_argument("--mode")
     s.add_argument("--timing", action="store_true", help="include wall time in the report")
@@ -379,7 +379,7 @@ def build_parser():
     _add_field_args(s)
     s.add_argument("--alpha", required=True)
     s.add_argument("--flag", help="'standard' (default) or a flag JSON file")
-    s.add_argument("--budget", type=int, default=10**7)
+    s.add_argument("--budget", type=_nonnegative, default=10**7)
     s.add_argument("--include-dual", action="store_true")
     s.add_argument("--no-frobenius", action="store_true")
     s.add_argument("--oracle", default="subsample", choices=["full", "subsample", "none"])

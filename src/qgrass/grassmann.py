@@ -9,8 +9,9 @@ O(cells) rank/unrank without materializing anything.
 
 A cell is walked, not unranked point by point: the free entries of one
 row do not depend on the other rows, so the cell is the product of one
-list of choices per row.  Row 0's choices are made as the walk reaches
-them; every later row's list is built flat, one generator at a time.
+list of choices per row, each in the canonical order that
+linalg._row_list lists.  Row 0's choices are read a chunk at a time as
+the walk reaches them; every later row's list is built once.
 Schubert varieties walk their own cells the same way, with rows built
 from a flag's adapted basis.  Each tuple of rows the walk yields is one
 point, so a count is the walk, counted: no subspace is built and
@@ -18,8 +19,8 @@ nothing is spanned.
 
 What depends only on the shape is built once per process, as immutable
 tuples shared by every caller: the cells of G(l, m) (_grassmannian_layout,
-and _cell_table for rank and unrank), the size of G(l, m) that every
-budget check reads, and per field the multipliers a row walk steps
+which the walk, rank and unrank all read), the size of G(l, m) that
+every budget check reads, and per field the multipliers a row walk steps
 through.  What depends on a flag is built per variety.
 """
 
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .field import field_from_order
-from .linalg import Subspace, _echelon_step, _identity, random_invertible
+from .linalg import Subspace, _echelon_step, _identity, _row_chunks, _row_list, random_invertible
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -83,97 +84,15 @@ def check_alpha(alpha, m, allow_empty=False):
     return alpha
 
 
-@dataclass(frozen=True)
-class _Cell:
-    pivots: tuple
-    free: tuple  # (row, col) positions, row-major
-    size: int
-    offset: int
-
-
-@lru_cache(maxsize=None)
-def _cell_table(q, m, l):
-    cells = []
-    offset = 0
-    for piv in itertools.combinations(range(m), l):
-        pivset = set(piv)
-        free = tuple(
-            (i, j)
-            for i in range(l)
-            for j in range(piv[i] + 1, m)
-            if j not in pivset
-        )
-        size = q ** len(free)
-        cells.append(_Cell(piv, free, size, offset))
-        offset += size
-    by_pivots = {c.pivots: c for c in cells}
-    return cells, by_pivots, offset
-
-
-def _cell_member(gf, m, cell, t):
-    q = gf.q
-    rows = [[0] * m for _ in cell.pivots]
-    for row, c in zip(rows, cell.pivots):
-        row[c] = 1
-    for i, j in reversed(cell.free):
-        t, rows[i][j] = divmod(t, q)
-    return Subspace._trusted(gf, tuple(map(tuple, rows)), cell.pivots, m)
-
-
-@lru_cache(maxsize=None)
-def _negatives(gf):
-    """-x for x = 1..q-1, so that v - f * g runs over v + x * g in code order."""
-    return tuple(gf._neg(x) for x in range(1, gf.q))
-
-
-def _row_choices(gf, base, gens):
-    """Yield base + sum x_j gens[j] over every x, gens[0] most significant.
-
-    Rows are tuples.  With unit vectors off the base's support as gens,
-    the x_j land as codes in their columns.
-    """
-    if not gens:
-        yield tuple(base)
-        return
-    *head, g = gens
-    sub_row = gf._sub_row
-    negs = _negatives(gf)
-    for v in _row_choices(gf, base, head):
-        yield v
-        for f in negs:
-            yield tuple(sub_row(v, f, g))
-
-
-def _row_list(gf, base, gens):
-    """list(_row_choices(gf, base, gens)), built flat.
-
-    One pass per generator g puts each v - f * g right after its v, which
-    is the order the recursion yields, without passing every choice up
-    through one generator frame per generator.
-    """
-    choices = [tuple(base)]
-    sub_row = gf._sub_row
-    negs = _negatives(gf)
-    for g in gens:
-        grown = []
-        append = grown.append
-        for v in choices:
-            append(v)
-            for f in negs:
-                append(tuple(sub_row(v, f, g)))
-        choices = grown
-    return choices
-
-
 def _walk_cell(gf, rows):
     """Yield the row tuples of one cell, row 0 slowest, each point once.
 
     rows holds one (base, gens) pair per row; row i ranges over
     base + sum x_j gens[j].  The later rows' choices are listed once,
-    flat, and itertools.product multiplies each row-0 choice out against
-    them; row 0's choices are made as the walk reaches them, since in a
-    cell of G(1, m) they are the whole cell.  Distinct tuples span
-    distinct points, so counting the tuples counts the cell.
+    flat, and itertools.product multiplies each chunk of row 0's choices
+    out against them; row 0 is read in chunks (_row_chunks), since in a
+    cell of G(1, m) it is the whole cell.  Distinct tuples span distinct
+    points, so counting the tuples counts the cell.
     """
     if not rows:
         yield ()
@@ -181,8 +100,8 @@ def _walk_cell(gf, rows):
     (base, gens), *rest = rows
     later = [_row_list(gf, b, g) for b, g in rest]
     product = itertools.product
-    for first in _row_choices(gf, base, gens):
-        yield from product((first,), *later)
+    for firsts in _row_chunks(gf, base, gens):
+        yield from product(firsts, *later)
 
 
 def check_enumeration_budget(gf, m, l, limit=None):
@@ -202,12 +121,10 @@ def check_enumeration_budget(gf, m, l, limit=None):
 
 
 def _grassmannian_cells(gf, m, l, limit=None):
-    """Yield (pivots, rows) for each cell of G(l, m), in canonical order.
+    """Yield (pivots, rows, free) for each cell of G(l, m), in canonical order.
 
-    rows is what _walk_cell takes: pivot row i is the unit vector at
-    pivots[i] plus any combination of the unit vectors at later non-pivot
-    columns.  Yields nothing for l outside [0, m]; otherwise checks the
-    budget before the first cell.
+    Yields nothing for l outside [0, m]; otherwise checks the budget
+    before the first cell.
     """
     if not 0 <= l <= m:
         return
@@ -217,12 +134,21 @@ def _grassmannian_cells(gf, m, l, limit=None):
 
 @lru_cache(maxsize=None)
 def _grassmannian_layout(m, l):
-    """The (pivots, rows) of every cell of G(l, m), built once per shape."""
+    """The (pivots, rows, free) of every cell of G(l, m), once per shape.
+
+    free lists the cell's free entries (row, column), row-major: in pivot
+    row i, every later column that is no pivot.  rows is what _walk_cell
+    takes: pivot row i is the unit vector at pivots[i] plus any
+    combination of the unit vectors at its free columns.  A cell holds
+    q ** len(free) points.
+    """
     eye = _identity(m)
-    return tuple(
-        (piv, tuple((eye[c], tuple(eye[j] for j in range(c + 1, m) if j not in piv)) for c in piv))
-        for piv in itertools.combinations(range(m), l)
-    )
+    layout = []
+    for piv in itertools.combinations(range(m), l):
+        free = tuple((i, j) for i, c in enumerate(piv) for j in range(c + 1, m) if j not in piv)
+        rows = tuple((eye[c], tuple(eye[j] for k, j in free if k == i)) for i, c in enumerate(piv))
+        layout.append((piv, rows, free))
+    return tuple(layout)
 
 
 def enumerate_grassmannian(gf, m, l, limit=None):
@@ -232,35 +158,49 @@ def enumerate_grassmannian(gf, m, l, limit=None):
     limit argument when given, otherwise the global bound).
     """
     trusted = Subspace._trusted
-    for piv, rows in _grassmannian_cells(gf, m, l, limit):
+    for piv, rows, _ in _grassmannian_cells(gf, m, l, limit):
         for basis in _walk_cell(gf, rows):
             yield trusted(gf, basis, piv, m)
 
 
 def _count_grassmannian(gf, m, l, limit=None):
     """Count G(l, m) by walking its cells, under the same budget."""
-    return sum(1 for _, rows in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, rows))
+    return sum(1 for _, rows, _ in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, rows))
 
 
 def rank_subspace(W):
-    """Position of a subspace in the canonical enumeration order."""
-    _, by_pivots, _ = _cell_table(W.gf.q, W.m, W.dim)
-    cell = by_pivots[W.pivots]
+    """Position of a subspace in the canonical enumeration order.
+
+    The cells before W's own count by their sizes; W's free entries,
+    row-major, are the base-q digits of its place within its cell.
+    """
+    q, basis = W.gf.q, W.basis
+    offset = 0
+    for piv, _, free in _grassmannian_layout(W.m, W.dim):
+        if piv == W.pivots:
+            break
+        offset += q ** len(free)
     t = 0
-    for i, j in cell.free:
-        t = t * W.gf.q + W.basis[i][j]
-    return cell.offset + t
+    for i, j in free:
+        t = t * q + basis[i][j]
+    return offset + t
 
 
 def unrank_subspace(gf, m, l, r):
-    cells, _, total = _cell_table(gf.q, m, l)
+    q = gf.q
+    total = _grassmannian_size(m, l, q)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} outside [0, {total})")
     # cells are few; linear scan beats bisect bookkeeping at these sizes
-    for cell in cells:
-        if r < cell.offset + cell.size:
-            return _cell_member(gf, m, cell, r - cell.offset)
-    raise AssertionError("unreachable")
+    for piv, rows, free in _grassmannian_layout(m, l):
+        size = q ** len(free)
+        if r < size:
+            break
+        r -= size
+    basis = [list(base) for base, _ in rows]
+    for i, j in reversed(free):
+        r, basis[i][j] = divmod(r, q)
+    return Subspace._trusted(gf, tuple(map(tuple, basis)), piv, m)
 
 
 def random_subspace(gf, m, l, rng=None):

@@ -30,6 +30,7 @@ from .linalg import (
     _echelon_step,
     _eliminate,
     _identity,
+    _slot_filler,
     matmul,
     matrix_inverse,
     random_invertible,
@@ -64,7 +65,7 @@ class SemilinearMap:
         The caller vouches for an invertible m x m matrix of codes, an
         int power in [0, e) and a bool dual.
         """
-        self = _new(cls)
+        self = object.__new__(cls)
         _fill(self, gf, m, tuple(map(tuple, matrix)), frobenius_power, dual)
         return self
 
@@ -189,20 +190,7 @@ class SemilinearMap:
         )
 
 
-# The slots are stored through their descriptors, past the __setattr__
-# that keeps instances immutable.
-_new = object.__new__
-_set_gf, _set_m, _set_matrix, _set_power, _set_dual = (
-    SemilinearMap.__dict__[name].__set__ for name in SemilinearMap.__slots__
-)
-
-
-def _fill(self, gf, m, matrix, frobenius_power, dual):
-    _set_gf(self, gf)
-    _set_m(self, m)
-    _set_matrix(self, matrix)
-    _set_power(self, frobenius_power)
-    _set_dual(self, dual)
+_fill = _slot_filler(SemilinearMap)
 
 
 def compose(outer, inner):

@@ -20,6 +20,10 @@ matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
 fields, so no sum can overflow.
 
+One function, _row_list, lists the canonical order base + sum x_j g_j
+(g_0 most significant, each x_j in code order) of cell rows and subspace
+vectors alike; _row_chunks reads it in pieces of about q^(k/2) rows.
+
 Random matrices draw every code through one helper, _draw_codes, which
 runs CPython's rejection loop for randrange(q) on the public
 getrandbits: for a random.Random the stream is randrange's, code for
@@ -67,6 +71,49 @@ def _eliminate(gf, rows, ncols):
         pivots.append(c)
         r += 1
     return r, tuple(pivots)
+
+
+@lru_cache(maxsize=None)
+def _negatives(gf):
+    """-x for x = 1..q-1, so that v - f * g runs over v + x * g in code order."""
+    return tuple(gf._neg(x) for x in range(1, gf.q))
+
+
+def _row_list(gf, base, gens):
+    """Every base + sum x_j gens[j], as tuples, gens[0] most significant.
+
+    This is the canonical order: each x_j runs through the codes in order,
+    so with unit vectors off the base's support as gens, the x_j land as
+    codes in their columns.  One pass per generator g puts each v - f * g
+    right after its v.
+    """
+    choices = [tuple(base)]
+    sub_row = gf._sub_row
+    negs = _negatives(gf)
+    for g in gens:
+        grown = []
+        append = grown.append
+        for v in choices:
+            append(v)
+            for f in negs:
+                append(tuple(sub_row(v, f, g)))
+        choices = grown
+    return choices
+
+
+def _row_chunks(gf, base, gens):
+    """_row_list(gf, base, gens) as consecutive lists, listed lazily.
+
+    The first half of the k generators is listed once, and the rest is
+    listed under each of those choices, so no more than about q^(k/2) of
+    the q^k rows are held at a time.  Below two generators the whole
+    list is the one chunk.
+    """
+    half = len(gens) // 2
+    if not half:
+        return (_row_list(gf, base, gens),)
+    rest = gens[half:]
+    return (_row_list(gf, head, rest) for head in _row_list(gf, base, gens[:half]))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +313,7 @@ class Subspace:
         span = Subspace._span(gf, list(basis), ambient)
         if span.basis != basis:
             raise ValueError("rows are not the reduced row echelon basis of their span")
-        _fill(self, gf, basis, span.pivots, ambient)
+        _fill(self, gf, ambient, basis, span.pivots, None)
 
     @classmethod
     def _trusted(cls, gf, basis, pivots, m):
@@ -276,7 +323,7 @@ class Subspace:
         of a subspace of GF(q)^m and pivots its pivot columns.
         """
         self = _new(cls)
-        _fill(self, gf, basis, pivots, m)
+        _fill(self, gf, m, basis, pivots, None)
         return self
 
     def __setattr__(self, name, value):
@@ -336,12 +383,6 @@ class Subspace:
     def __lt__(self, other):
         return self.dim < other.dim and self.__le__(other)
 
-    def __ge__(self, other):
-        return other.__le__(self)
-
-    def __gt__(self, other):
-        return other.__lt__(self)
-
     def __add__(self, other):
         self._check_ambient(other)
         return Subspace._span(self.gf, [*self.basis, *other.basis], self.m)
@@ -394,9 +435,12 @@ class Subspace:
         return v
 
     def vectors(self, nonzero=False):
-        q, d = self.gf.q, self.dim
-        for t in range(1 if nonzero else 0, q**d):
-            yield self.vector_at(t)
+        """Yield every vector as a tuple, in the order of vector_at."""
+        chunks = iter(_row_chunks(self.gf, (0,) * self.m, self.basis))
+        if nonzero:
+            yield from next(chunks)[1:]
+        for chunk in chunks:
+            yield from chunk
 
     def _check_ambient(self, other):
         if not isinstance(other, Subspace):
@@ -422,17 +466,25 @@ class Subspace:
         return f"Subspace(dim={self.dim}, m={self.m}, {self.gf!r})"
 
 
-# The slots are stored through their descriptors, past the __setattr__
-# that keeps instances immutable.
+def _slot_filler(cls):
+    """fill(self, *values): set the five slots of cls, in slot order.
+
+    The slots are stored through their descriptors, past the __setattr__
+    that keeps instances immutable; one call per slot, unrolled, since
+    every trusted build runs it.
+    """
+    set_a, set_b, set_c, set_d, set_e = (cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def fill(self, a, b, c, d, e):
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_d(self, d)
+        set_e(self, e)
+
+    return fill
+
+
 _new = object.__new__
-_set_gf, _set_m, _set_basis, _set_pivots, _set_hash = (
-    Subspace.__dict__[name].__set__ for name in Subspace.__slots__
-)
-
-
-def _fill(self, gf, basis, pivots, m):
-    _set_gf(self, gf)
-    _set_m(self, m)
-    _set_basis(self, basis)
-    _set_pivots(self, pivots)
-    _set_hash(self, None)
+_fill = _slot_filler(Subspace)
+_set_hash = Subspace._hash.__set__

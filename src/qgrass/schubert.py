@@ -104,15 +104,14 @@ def cell_count_polynomial(alpha, m):
     """Coefficients (low degree first) of the point count as a polynomial in q.
 
     Summing q^(sum_i (b_i - i)) over the dimension tuples b that are
-    componentwise at most alpha.  The constant term is always 1.
+    componentwise at most alpha.  The constant term is always 1, and the
+    top one, alpha's own cell, is never 0.
     """
     alpha = check_alpha(alpha, m)
     l = len(alpha)
     coeffs = [0] * (sum(alpha) - l * (l + 1) // 2 + 1)
     for beta in _cells(alpha, m):
         coeffs[sum(b - i - 1 for i, b in enumerate(beta))] += 1
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return tuple(coeffs)
 
 
@@ -168,10 +167,6 @@ class SchubertVariety:
     def nc_positions(self):
         """0-based positions of the members at non-redundant dimensions."""
         return _nc_positions(self.alpha)
-
-    @property
-    def condition_word(self):
-        return condition_word(self.alpha, self.m)
 
     def all_conditions(self):
         """Every (member, required intersection dimension) pair."""

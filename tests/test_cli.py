@@ -120,7 +120,8 @@ def _count(capsys, *argv):
 def test_points_count_only_counts_what_is_enumerated(tmp_path, capsys, q, m):
     gf = field_from_order(q)
     field = ["--q", str(q), "--m", str(m)]
-    for l in (-1, 0, 1, 2, m, m + 1):
+    # a negative --l is a usage error (test_negative_integer_options_are_usage_errors)
+    for l in (0, 1, 2, m, m + 1):
         shape = [*field, "--l", str(l)]
         got = _count(capsys, "points", *shape, "--count-only")
         assert got == len(list(enumerate_grassmannian(gf, m, l))), l
@@ -253,6 +254,92 @@ def test_census_refuses_a_negative_subsample(capsys):
     assert "--subsample" in err and "Sample larger" not in err
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--l", ["points", "--q", "2", "--m", "3", "--count-only", "--l"]),
+        ("--limit", ["points", "--q", "2", "--m", "3", "--l", "1", "--limit"]),
+        ("--budget", ["census", "--q", "2", "--m", "3", "--alpha", "1,3", "--budget"]),
+        ("--m", ["verify", "redundancy", "--q", "2", "--l", "1", "--m"]),
+        ("--l", ["verify", "redundancy", "--q", "2", "--m", "3", "--l"]),
+        ("--trials", ["verify", "flag-equality", "--q", "2", "--m", "4", "--l", "2", "--trials"]),
+        ("--flags-per-alpha", ["verify", "redundancy", "--q", "2", "--m", "3", "--l", "1", "--flags-per-alpha"]),
+    ],
+    ids=["points-l", "points-limit", "census-budget", "verify-m", "verify-l", "verify-trials", "verify-flags-per-alpha"],
+)
+def test_negative_integer_options_are_usage_errors(capsys, option, argv):
+    rc, out, err = run(capsys, *argv, "-1")
+    assert (rc, out) == (2, "")
+    assert f"argument {option}: must be at least 0, got -1" in err
+    rc, out, err = run(capsys, *argv, "x")
+    assert (rc, out) == (2, "")
+    assert f"argument {option}: invalid int value: 'x'" in err
+
+
+def test_count_outside_the_grassmannian_is_zero(capsys):
+    for l in ("-1", "4"):
+        rc, out, _ = run(capsys, "count", "--q", "2", "--m", "3", "--l", l)
+        assert rc == 0 and json.loads(out)["count"] == 0
+
+
+def test_unparsable_dimension_tuple_is_a_usage_error(capsys):
+    for verb in ("count", "points"):
+        rc, out, err = run(capsys, verb, "--q", "2", "--m", "4", "--alpha", "1,x")
+        assert (rc, out) == (2, "")
+        assert "cannot parse dimension tuple '1,x'" in err
+
+
+def test_points_needs_exactly_one_shape(capsys):
+    for shape in ([], ["--l", "2", "--alpha", "2,4"]):
+        rc, out, err = run(capsys, "points", "--q", "2", "--m", "4", *shape)
+        assert (rc, out) == (2, "")
+        assert "give exactly one of --l or --alpha" in err
+
+
+def test_a_flag_file_of_another_shape_is_refused(tmp_path, capsys):
+    flag = tmp_path / "flag.json"
+    assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "1,3", "-o", str(flag))[0] == 0
+    for argv in (
+        ["points", "--q", "2", "--m", "4", "--alpha", "2,4"],
+        ["points", "--q", "3", "--m", "4", "--alpha", "1,3"],
+        ["census", "--q", "2", "--m", "5", "--alpha", "1,3"],
+    ):
+        rc, out, err = run(capsys, *argv, "--flag", str(flag))
+        assert (rc, out) == (2, ""), argv
+        assert "flag file does not match the requested field/shape" in err, argv
+    rc, out, _ = run(capsys, "points", "--q", "2", "--m", "4", "--alpha", "1,3", "--flag", str(flag), "--count-only")
+    assert rc == 0 and json.loads(out)["count"] == 3
+
+
+def test_a_variety_file_loads_like_its_flag_file(tmp_path, capsys):
+    flag_file, variety_file = tmp_path / "flag.json", tmp_path / "variety.json"
+    assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "3", "-o", str(flag_file))[0] == 0
+    omega = SchubertVariety(Flag.from_json_dict(json.loads(flag_file.read_text())))
+    variety_file.write_text(json.dumps(omega.to_json_dict()))
+    assert cli._load_variety(str(variety_file)) == omega == cli._load_variety(str(flag_file))
+    rc, out, _ = run(capsys, "eq", str(variety_file), str(flag_file), "--oracle")
+    assert rc == 0 and json.loads(out) == {"fast": True, "oracle": True, "agree": True}
+
+
+def test_a_fast_answer_the_oracle_contradicts_exits_1(tmp_path, capsys, monkeypatch):
+    flag, tau = tmp_path / "flag.json", tmp_path / "tau.json"
+    assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", str(flag))[0] == 0
+    assert run(capsys, "gen-map", "--q", "2", "--m", "4", "--seed", "3", "-o", str(tau))[0] == 0
+    rc, out, _ = run(capsys, "aut-check", str(tau), str(flag), "--both")
+    truth = json.loads(out)["oracle"]
+    assert rc == 0
+
+    monkeypatch.setattr(cli, "equal_fast", lambda o1, o2: False)
+    rc, out, _ = run(capsys, "eq", str(flag), str(flag), "--oracle")
+    assert rc == 1
+    assert json.loads(out) == {"fast": False, "oracle": True, "agree": False}
+
+    monkeypatch.setattr(cli, "is_automorphism_fast", lambda tau, omega: not truth)
+    rc, out, _ = run(capsys, "aut-check", str(tau), str(flag), "--both")
+    assert rc == 1
+    assert json.loads(out) == {"fast": not truth, "oracle": truth, "agree": False}
+
+
 def test_gen_eq_image_aut_pipeline(tmp_path, capsys):
     f1 = tmp_path / "f1.json"
     f2 = tmp_path / "f2.json"
@@ -350,7 +437,7 @@ def test_an_empty_campaign_is_a_usage_error(capsys):
         capsys, "verify", "redundancy", "--q", "2", "--m", "4", "--l", "2",
         "--flags-per-alpha", "-3", "--mutant", "drop-nonredundant-condition",
     )
-    assert rc == 2 and "flags_per_alpha=-3" in err
+    assert rc == 2 and "argument --flags-per-alpha: must be at least 0, got -3" in err
 
 
 def test_verify_unknown_campaign(capsys):

@@ -104,6 +104,16 @@ def test_random_subspace_is_seeded_and_spread(gf2):
     assert len(seen) >= 30  # of 35
 
 
+def test_draws_without_an_rng_are_valid(gf2):
+    # rng=None draws from a fresh, unseeded random.Random
+    fl = random_flag(gf2, 4, (2, 4))
+    assert fl.alpha == (2, 4) and fl[0] < fl[1] == Subspace.full(gf2, 4)
+    assert Flag.from_json_dict(fl.to_json_dict()) == fl
+    W = random_subspace(gf2, 4, 2)
+    assert W.dim == 2 and W == Subspace(gf2, W.basis, ambient=4)
+    assert 0 <= rank_subspace(W) < 35
+
+
 def test_check_alpha():
     assert check_alpha((1, 3), 4) == (1, 3)
     assert check_alpha([2], 2) == (2,)

@@ -1,65 +1,89 @@
 """What the per-shape tables and the cell walk must keep.
 
-A cell walk multiplies one list of choices per row, row 0 slowest, in the
-order _row_choices yields them; a Subspace hashes like the tuple of its
-field, ambient dimension and basis.  Tables built once per shape may be
-shared between callers only if none of them can change a table.
+One function lists the canonical order base + sum x_j g_j, g_0 most
+significant and each x_j in code order; a cell walk multiplies one such
+list per row, row 0 slowest, and a subspace lists its vectors in it.
+Each is checked here against a reference built in this file from
+itertools.product and the public gf.add and gf.mul.  A Subspace hashes
+like the tuple of its field, ambient dimension and basis.  Tables built
+once per shape may be shared between callers only if none of them can
+change a table.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from qgrass.field import make_field
-from qgrass.grassmann import (
-    _grassmannian_layout,
-    _negatives,
-    _row_choices,
-    _row_list,
-    _walk_cell,
-    enumerate_grassmannian,
-)
-from qgrass.linalg import _identity
+from qgrass.grassmann import _grassmannian_layout, _walk_cell, enumerate_grassmannian
+from qgrass.linalg import Subspace, _identity, _negatives, _row_chunks, _row_list
 from qgrass.schubert import SchubertVariety, _cell_layout, _cells, _nc_positions
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+# every field with 0-6 generators, up to q^k = 9^4 rows, so that the
+# reference below stays quick
+CASES = [(k, p, e) for k in range(7) for p, e in FIELDS if (p**e) ** k <= 9**4]
 
 
 def _random_row(gf, m, rng):
     return [rng.randrange(gf.q) for _ in range(m)]
 
 
-@pytest.mark.parametrize("p, e", FIELDS)
-@pytest.mark.parametrize("ngens", range(4))
-def test_flat_row_list_is_the_list_of_row_choices(p, e, ngens):
+def _reference(gf, base, gens):
+    """base + sum x_j gens[j] over x in itertools.product's order, as tuples."""
+    terms = [[gf.mul(x, g) for x in range(gf.q)] for g in gens]
+    return [tuple(functools.reduce(gf.add, combo, list(base))) for combo in itertools.product(*terms)]
+
+
+@pytest.mark.parametrize("ngens, p, e", CASES)
+def test_flat_row_list_is_the_list_of_row_choices(ngens, p, e):
     gf = make_field(p, e)
     rng = random.Random(f"flat/{gf.q}/{ngens}")
     for m in (1, 4):
-        for _ in range(3):
-            base = _random_row(gf, m, rng)
-            gens = [_random_row(gf, m, rng) for _ in range(ngens)]
-            flat = _row_list(gf, base, gens)
-            assert flat == list(_row_choices(gf, base, gens))
-            assert len(flat) == gf.q**ngens
+        base = _random_row(gf, m, rng)
+        gens = [_random_row(gf, m, rng) for _ in range(ngens)]
+        flat = _row_list(gf, base, gens)
+        assert flat == _reference(gf, base, gens)
+        assert len(flat) == gf.q**ngens
+        # read lazily, in q^(k // 2) chunks of q^(k - k // 2) rows each
+        chunks = list(_row_chunks(gf, base, gens))
+        assert [v for chunk in chunks for v in chunk] == flat
+        assert [len(chunk) for chunk in chunks] == [gf.q ** (ngens - ngens // 2)] * gf.q ** (ngens // 2)
 
 
-@pytest.mark.parametrize("p, e", FIELDS)
-@pytest.mark.parametrize("ngens", range(4))
-def test_cell_walk_is_the_product_of_the_row_choices(p, e, ngens):
+@pytest.mark.parametrize("ngens, p, e", CASES)
+def test_cell_walk_is_the_product_of_the_row_choices(ngens, p, e):
     gf = make_field(p, e)
     m = 5
     rng = random.Random(f"{gf.q}/{ngens}")
-    for _ in range(3):
-        rows = [
-            (_random_row(gf, m, rng), [_random_row(gf, m, rng)]),
-            (_random_row(gf, m, rng), [_random_row(gf, m, rng) for _ in range(ngens)]),
-        ]
-        if ngens < 2:
-            rows.append((_random_row(gf, m, rng), [_random_row(gf, m, rng) for _ in range(ngens)]))
-        choices = [list(_row_choices(gf, base, gens)) for base, gens in rows]
-        assert list(_walk_cell(gf, rows)) == list(itertools.product(*choices))
-        assert all(isinstance(v, tuple) for row in choices for v in row)
+    # row 0, read a chunk at a time, carries the ngens generators
+    rows = [
+        (_random_row(gf, m, rng), [_random_row(gf, m, rng) for _ in range(ngens)]),
+        (_random_row(gf, m, rng), [_random_row(gf, m, rng)]),
+    ]
+    if ngens < 2:
+        rows.append((_random_row(gf, m, rng), [_random_row(gf, m, rng) for _ in range(ngens)]))
+    choices = [_reference(gf, base, gens) for base, gens in rows]
+    assert list(_walk_cell(gf, rows[:1])) == [(v,) for v in choices[0]]
+    assert list(_walk_cell(gf, rows)) == list(itertools.product(*choices))
+
+
+@pytest.mark.parametrize("ngens, p, e", CASES)
+def test_subspace_vectors_are_the_canonical_order(ngens, p, e):
+    gf = make_field(p, e)
+    m = ngens + 1
+    rng = random.Random(f"vectors/{gf.q}/{ngens}")
+    S = Subspace.zero(gf, m)
+    while S.dim < ngens:
+        S = Subspace.from_rows(gf, [*S.basis, _random_row(gf, m, rng)], ambient=m)
+    vectors = list(S.vectors())
+    assert vectors == _reference(gf, [0] * m, S.basis)
+    assert all(isinstance(v, tuple) for v in vectors)
+    assert [list(v) for v in vectors] == [S.vector_at(t) for t in range(gf.q**ngens)]
+    assert list(S.vectors(nonzero=True)) == vectors[1:]
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import bruteforce as bf
+from qgrass.cli import main
 from qgrass.errors import BudgetExceededError
 from qgrass.field import make_field
 from qgrass.group import SemilinearMap, is_automorphism_fast, is_automorphism_oracle
@@ -277,6 +278,25 @@ def test_census_line_in_three_space():
     assert rep.oracle_checked == 168
     assert rep.tested == 168
     assert rep.fraction == pytest.approx(24 / 168)
+
+
+def test_a_census_records_the_maps_its_criterion_gets_wrong(monkeypatch, capsys):
+    # a criterion that accepts every map disagrees with the oracle on the
+    # 144 maps that move the line; the census records the first 50
+    monkeypatch.setattr("qgrass.verify.is_automorphism_fast", lambda tau, omega: True)
+    om = SchubertVariety.standard(make_field(2), 3, (1, 3))
+    rep = stabilizer_census(om, oracle="full")
+    assert (rep.fast_count, rep.oracle_count, rep.oracle_checked) == (168, 24, 168)
+    assert len(rep.mismatches) == 50
+    for record in rep.mismatches:
+        assert set(record) == {"matrix", "frobenius_power", "dual", "fast", "oracle"}
+        assert (record["fast"], record["oracle"], record["dual"]) == (True, False, False)
+        assert record["frobenius_power"] == 0
+        tau = SemilinearMap.from_matrix(om.gf, record["matrix"])
+        assert not is_automorphism_oracle(tau, om)
+    assert rep.verdict == "fail"
+    assert main(["census", "--q", "2", "--m", "3", "--alpha", "1,3", "--oracle", "full"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
 
 def test_census_with_frobenius_layer():
