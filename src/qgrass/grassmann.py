@@ -4,8 +4,9 @@ Enumeration is organized by pivot-column cells: every l-dimensional
 subspace has a unique RREF basis, the possible pivot-column sets are the
 l-subsets of {0..m-1} in lexicographic order, and within a cell the free
 entries are read row-major as the base-q digits of an index, most
-significant first.  This gives a total order on the Grassmannian and
-O(cells) rank/unrank without materializing anything.
+significant first.  This gives a total order on the Grassmannian, rank
+by one table lookup and unrank by a scan of the cells, without
+materializing anything.
 
 A cell is walked, not unranked point by point: the free entries of one
 row do not depend on the other rows, so the cell is the product of one
@@ -21,7 +22,9 @@ What depends only on the shape is built once per process, as immutable
 tuples shared by every caller: the cells of G(l, m) (_grassmannian_layout,
 which the walk, rank and unrank all read), the size of G(l, m) that
 every budget check reads, and per field the multipliers a row walk steps
-through.  What depends on a flag is built per variety.
+through.  Rank reads one dict per (m, l, q), from each cell's pivots to
+its offset in the canonical order (_cell_offsets).  What depends on a
+flag is built per variety.
 """
 
 import itertools
@@ -168,18 +171,30 @@ def _count_grassmannian(gf, m, l, limit=None):
     return sum(1 for _, rows, _ in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, rows))
 
 
+@lru_cache(maxsize=None)
+def _cell_offsets(m, l, q):
+    """Each G(l, m) cell's pivots -> (rank of its first point, free entries).
+
+    The rank of a cell's first point is the summed size of the cells
+    before it.  Built once per (m, l, q), from _grassmannian_layout.
+    """
+    offsets = {}
+    offset = 0
+    for piv, _, free in _grassmannian_layout(m, l):
+        offsets[piv] = (offset, free)
+        offset += q ** len(free)
+    return offsets
+
+
 def rank_subspace(W):
     """Position of a subspace in the canonical enumeration order.
 
-    The cells before W's own count by their sizes; W's free entries,
-    row-major, are the base-q digits of its place within its cell.
+    The cells before W's own count by their sizes (_cell_offsets); W's
+    free entries, row-major, are the base-q digits of its place within
+    its cell.
     """
     q, basis = W.gf.q, W.basis
-    offset = 0
-    for piv, _, free in _grassmannian_layout(W.m, W.dim):
-        if piv == W.pivots:
-            break
-        offset += q ** len(free)
+    offset, free = _cell_offsets(W.m, W.dim, q)[W.pivots]
     t = 0
     for i, j in free:
         t = t * q + basis[i][j]

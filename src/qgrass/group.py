@@ -18,6 +18,12 @@ those is the image of a member of the flag (or of the zero space).
 A map holds its matrix as a tuple of int tuples and acts on the tuple
 basis of a subspace directly: Frobenius entry by entry, then matmul,
 then one elimination.
+
+The automorphism oracle maps no subspace.  It hands the map's three
+parts to schubert._images_within, which walks the images of the
+variety's cells (theta^k permutes a cell's free entries, and a
+contravariant image walks the cell's annihilators) and reduces each
+image once against the variety's own conditions.
 """
 
 import itertools
@@ -35,7 +41,7 @@ from .linalg import (
     matrix_inverse,
     random_invertible,
 )
-from .schubert import SchubertVariety, dual_index_set
+from .schubert import SchubertVariety, _images_within, dual_index_set
 
 
 def _transpose(mat):
@@ -324,9 +330,8 @@ def is_automorphism_fast(tau, omega):
 
 
 def is_automorphism_oracle(tau, omega):
-    """Ground truth: map every point and compare the sets."""
+    """Ground truth: map every point and test it against the variety."""
     _check_action(tau, omega)
-    pts = omega.point_set()
     # invertible maps act injectively on subspaces, so landing inside the
-    # point set is the same as permuting it; this lets the scan exit early
-    return all(tau(W) in pts for W in pts)
+    # variety is the same as permuting its points; the walk exits early
+    return _images_within(omega, omega, tau.frobenius_power, tau.matrix, tau.dual)

@@ -18,6 +18,13 @@ Amer. Math. Monthly 79, 1972).  Membership by rank (contains) only
 checks single points: witnesses, and the redundancy campaign, which
 tests the conditions themselves.
 
+The oracles build no point set either: _images_within walks the
+images of a variety's cells under a semilinear map and reduces each
+image once against a target's conditions.  point_set stays for what
+needs the set itself: alpha-uniqueness, points() and the stabilizer
+census, which tests thousands of maps against one variety, most of
+them failing at their first point.
+
 The cells of a dimension tuple, the basis indices of each cell's rows
 and the non-redundant positions depend on (alpha, m) alone, so they are
 built once per shape, as tuples, and shared by every variety of that
@@ -39,7 +46,7 @@ from .grassmann import (
     rank_subspace,
     standard_flag,
 )
-from .linalg import Subspace, intersection_dim
+from .linalg import Subspace, _eliminate, intersection_dim, matmul, matrix_inverse
 
 
 def alpha_nc(alpha):
@@ -96,6 +103,24 @@ def _cell_layout(alpha, m):
     """
     return tuple(
         tuple((x - 1, tuple(j - 1 for j in range(1, x) if j not in beta)) for x in beta)
+        for beta in _cells(alpha, m)
+    )
+
+
+@lru_cache(maxsize=None)
+def _perp_layout(alpha, m):
+    """Per cell beta, the rows whose walk lists its points' annihilators.
+
+    A point of cell beta (in the basis the cells are read in) is spanned
+    by rows e_(beta_i) + sum x_ij e_j over j < beta_i, j not in beta, so
+    y annihilates it exactly when y_(beta_i) = -sum x_ij y_j.  Its
+    annihilator has one row per f not in beta: e_f plus -x_if times each
+    e_(beta_i) with beta_i > f.  The -x_if run over the field as the x_if
+    do, so walking these rows lists each point's annihilator once.  Laid
+    out as _cell_layout is, once per (alpha, m).
+    """
+    return tuple(
+        tuple((f - 1, tuple(b - 1 for b in beta if b > f)) for f in range(1, m + 1) if f not in beta)
         for beta in _cells(alpha, m)
     )
 
@@ -283,17 +308,72 @@ class SchubertVariety:
         return cls(flag)
 
 
+def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
+    """Whether (theta^k, matrix, dual) sends every point of omega onto target.
+
+    With T omega's adapted basis, a point of cell beta is C T for C in
+    the cell, and its image spans theta^k(C) theta^k(T) M.  theta^k fixes
+    0 and 1 and permutes the field, so theta^k(C) runs over the cell as
+    C does: the images of cell beta are the walk of _cell_layout on the
+    rows of N = theta^k(T) M.  A contravariant image is the annihilator
+    of C N, which is Y N^-T for Y an annihilator of C: the walk of
+    _perp_layout on the rows of N^-T.  Each walked tuple is a point.
+
+    The rows are first taken into target's adapted coordinates with the
+    columns reversed, so that an elimination's pivot c is the last
+    nonzero coordinate m - c (1-based) of a reduced row.  A point meets
+    the target's member of dimension a in the rows ending at or before
+    a; it lies on target exactly when its sorted end positions p_i are
+    at most alpha_i, which is every condition of target at once.  One
+    elimination per point, no subspace built, and the walk stops at the
+    first point off target.  The budget, checked before the first cell,
+    is the size of G(l, m), as for point_set.
+    """
+    gf, m = omega.gf, omega.m
+    check_enumeration_budget(gf, m, omega.l)
+    rows = basis = adapted_basis(omega.flag)
+    if frobenius_power:
+        rows = gf.frobenius(rows, frobenius_power)
+    if matrix is not None:
+        rows = matmul(gf, rows, matrix)
+    layout = _cell_layout
+    if dual:
+        rows = list(zip(*matrix_inverse(gf, rows)))
+        layout = _perp_layout
+    if target is not omega:
+        basis = adapted_basis(target.flag)
+    rows = matmul(gf, rows, [row[::-1] for row in matrix_inverse(gf, basis)])
+    # pivots c_1 < ... < c_l end at m - c_l < ... < m - c_1, so p_i <= alpha_i
+    # reads c_(l+1-i) >= m - alpha_i
+    floors = tuple(m - a for a in reversed(target.alpha))
+    for cell in layout(omega.alpha, m):
+        for point in _walk_cell(gf, [(rows[x], [rows[j] for j in gens]) for x, gens in cell]):
+            pivots = _eliminate(gf, list(point), m)[1]
+            for c, floor in zip(pivots, floors):
+                if c < floor:
+                    return False
+    return True
+
+
 def _check_comparable(o1, o2):
     if o1.gf != o2.gf or o1.m != o2.m:
         raise ValueError("varieties in different ambient spaces")
 
 
 def equal_oracle(o1, o2):
-    """Point-set equality by full enumeration.  The slow ground truth."""
+    """Point-set equality by walking every point.  The slow ground truth.
+
+    Every point of o2 is tested against o1's conditions (_images_within
+    under the identity).  Equal dimension tuples give cells of equal
+    sizes, so then that inclusion is equality; otherwise the reverse
+    inclusion is walked too.
+    """
     _check_comparable(o1, o2)
     if o1.l != o2.l:
         return False
-    return o1.point_set() == o2.point_set()
+    if not _images_within(o2, o1):
+        return False
+    return o1.alpha == o2.alpha or _images_within(o1, o2)
 
 
 def equal_fast(o1, o2):

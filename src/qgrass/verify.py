@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .schubert import (
     SchubertVariety,
+    _images_within,
     alpha_nc,
     dual_index_set,
     equal_fast,
@@ -379,8 +380,12 @@ def verify_dual_image(
 
     Each trial draws one contravariant map and, for every dimension
     tuple, a random flag; the image descriptor's point set must equal
-    the pointwise image.  The mutant mis-reflects the dimension tuple
-    and must fail (sometimes by building an invalid flag, which counts).
+    the pointwise image.  tau is injective, so that is two checks: the
+    descriptor has as many points as the variety (count_points), and
+    tau maps every point of the variety onto the descriptor (the cell
+    walk of schubert._images_within).  The mutant mis-reflects the
+    dimension tuple and must fail (sometimes by building an invalid
+    flag, which counts).
     """
     if m != 2 * l:
         raise ValueError("contravariant images need m = 2l")
@@ -394,7 +399,6 @@ def verify_dual_image(
         for alpha in alphas:
             omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
             cases += 1
-            pointwise = {tau(W) for W in omega.point_set()}
             record = {
                 "trial": idx,
                 "seed": s,
@@ -410,14 +414,17 @@ def verify_dual_image(
                     {**record, "problem": "image-flag-invalid", "error": str(err)}
                 )
                 continue
-            if image.point_set() != pointwise:
+            descriptor_size, pointwise_size = image.count_points(), omega.count_points()
+            if descriptor_size != pointwise_size or not _images_within(
+                omega, image, tau.frobenius_power, tau.matrix, tau.dual
+            ):
                 failures.append(
                     {
                         **record,
                         "problem": "image-points-differ",
                         "image_alpha": list(image.alpha),
-                        "descriptor_size": len(image.point_set()),
-                        "pointwise_size": len(pointwise),
+                        "descriptor_size": descriptor_size,
+                        "pointwise_size": pointwise_size,
                     }
                 )
         return {"cases": cases, "failures": failures}

@@ -340,6 +340,20 @@ def test_a_fast_answer_the_oracle_contradicts_exits_1(tmp_path, capsys, monkeypa
     assert json.loads(out) == {"fast": not truth, "oracle": truth, "agree": False}
 
 
+def test_the_oracle_verbs_exit_3_over_the_budget(tmp_path, capsys, monkeypatch):
+    flag, tau = tmp_path / "flag.json", tmp_path / "tau.json"
+    assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", str(flag))[0] == 0
+    assert run(capsys, "gen-map", "--q", "2", "--m", "4", "--seed", "3", "-o", str(tau))[0] == 0
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "34")
+    rc, out, err = run(capsys, "eq", str(flag), str(flag), "--oracle")
+    assert rc == 3 and out == "" and "budget" in err
+    rc, out, err = run(capsys, "aut-check", str(tau), str(flag), "--both")
+    assert rc == 3 and out == "" and "budget" in err
+    # the fast answers enumerate nothing
+    assert run(capsys, "eq", str(flag), str(flag))[0] == 0
+    assert run(capsys, "aut-check", str(tau), str(flag), "--fast")[0] == 0
+
+
 def test_gen_eq_image_aut_pipeline(tmp_path, capsys):
     f1 = tmp_path / "f1.json"
     f2 = tmp_path / "f2.json"
@@ -464,6 +478,17 @@ def test_census_budget_exit(capsys):
         "--budget", "100",
     )
     assert rc == 3
+
+
+def test_census_timing_adds_only_the_elapsed_time(capsys):
+    census = ["census", "--q", "2", "--m", "3", "--alpha", "1,3", "--oracle", "subsample", "--subsample", "5"]
+    rc, plain, _ = run(capsys, *census)
+    assert rc == 0
+    rc, timed, _ = run(capsys, *census, "--timing")
+    assert rc == 0
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert isinstance(timed.pop("elapsed_seconds"), float)
+    assert timed == plain
 
 
 def test_generators_are_deterministic(capsys):

@@ -8,6 +8,8 @@ from qgrass.errors import BudgetExceededError
 from qgrass.field import make_field
 from qgrass.grassmann import (
     Flag,
+    _cell_offsets,
+    _grassmannian_layout,
     adapted_basis,
     check_alpha,
     enumerate_grassmannian,
@@ -80,6 +82,20 @@ def test_rank_unrank_round_trip(q, m, l):
         assert unrank_subspace(gf, m, l, r) == pts[r]
     with pytest.raises(ValueError):
         unrank_subspace(gf, m, l, len(pts))
+
+
+@pytest.mark.parametrize("q,m,l", [(3, 5, 2), (2, 6, 3)])
+def test_rank_reads_one_offset_table_per_shape(q, m, l):
+    gf = make_field(q)
+    pts = list(enumerate_grassmannian(gf, m, l))
+    assert [rank_subspace(W) for W in pts] == list(range(len(pts)))
+    assert [unrank_subspace(gf, m, l, r) for r in range(len(pts))] == pts
+    offsets = _cell_offsets(m, l, q)
+    assert offsets is _cell_offsets(m, l, q)
+    assert len(offsets) == len(_grassmannian_layout(m, l))
+    for W in pts:
+        offset, free = offsets[W.pivots]
+        assert offset <= rank_subspace(W) < offset + q ** len(free)
 
 
 def test_enumeration_budget(gf2, monkeypatch):

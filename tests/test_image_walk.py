@@ -1,0 +1,182 @@
+"""The image walk of schubert._images_within against the set formulations.
+
+The oracles (is_automorphism_oracle, equal_oracle and the dual-image
+campaign's comparison) walk the cells of a variety's image and test
+each walked point by its end positions in the target's adapted basis.
+Here each answer is compared with the one point sets give, computed in
+the test: all(tau(W) in pts for W in pts), o1.point_set() ==
+o2.point_set() and image.point_set() == {tau(W) for W in pts}.  The
+position test itself is compared with contains and with span sets
+(bruteforce.py), and the annihilator layout with the annihilators of
+each cell's points.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import bruteforce as bf
+from qgrass.field import make_field
+from qgrass.grassmann import Flag, _walk_cell, enumerate_grassmannian, random_flag
+from qgrass.group import (
+    SemilinearMap,
+    compose,
+    image_of_schubert,
+    is_automorphism_oracle,
+    random_semilinear,
+)
+from qgrass.linalg import Subspace, _identity
+from qgrass.schubert import SchubertVariety, _cell_layout, _images_within, _perp_layout, equal_oracle
+from qgrass.verify import _flag_stabilizer, _member_mover, _perp_symmetric_flag, _resample_member
+
+# (p, e, m, l, flags per alpha or None for one flag on every alpha)
+SHAPES = [
+    (2, 1, 4, 2, None),
+    (3, 1, 4, 2, None),
+    (2, 2, 4, 2, None),
+    (2, 1, 5, 2, None),
+    (2, 1, 6, 3, 4),
+]
+
+
+def _alphas(m, l, sampled, rng):
+    alphas = list(itertools.combinations(range(1, m + 1), l))
+    return alphas if sampled is None else rng.sample(alphas, sampled)
+
+
+def _maps(omega, rng):
+    """Random, stabilizing, mover, twisted and (on G(l, 2l)) contravariant maps."""
+    gf, m = omega.gf, omega.m
+    maps = [random_semilinear(gf, m, rng=rng), _flag_stabilizer(omega.flag, rng)]
+    mover = _member_mover(omega.flag, rng)
+    if mover is not None:
+        maps.append(mover)
+    for k in range(1, gf.e):
+        maps.append(SemilinearMap._trusted(gf, m, random_semilinear(gf, m, rng=rng).matrix, k, False))
+    if m == 2 * omega.l:
+        maps.append(random_semilinear(gf, m, rng=rng, dual=True))
+        maps.append(compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(omega.flag, rng)))
+    return maps
+
+
+@pytest.mark.parametrize("p,e,m,l,sampled", SHAPES)
+def test_the_automorphism_oracle_agrees_with_the_point_set(p, e, m, l, sampled):
+    gf = make_field(p, e)
+    rng = random.Random(100 * p + 10 * e + m)
+    kinds = set()
+    for alpha in _alphas(m, l, sampled, rng):
+        omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        pts = omega.point_set()
+        for tau in _maps(omega, rng):
+            want = all(tau(W) in pts for W in pts)
+            assert is_automorphism_oracle(tau, omega) == want, (alpha, tau)
+            kinds.add((tau.dual, tau.frobenius_power > 0, want))
+    assert (False, False, True) in kinds and (False, False, False) in kinds
+    if m == 2 * l:
+        assert (True, False, False) in kinds
+    if e > 1:
+        assert (False, True, False) in kinds
+
+
+@pytest.mark.parametrize("p,e,m,l", [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3)])
+def test_perp_symmetric_flags_are_kept_by_the_walk(p, e, m, l):
+    gf = make_field(p, e)
+    rng = random.Random(7)
+    kept = 0
+    for alpha in itertools.combinations(range(1, m + 1), l):
+        flag = _perp_symmetric_flag(gf, m, alpha)
+        if flag is None:
+            continue
+        omega = SchubertVariety(flag)
+        tau = compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(flag, rng))
+        pts = omega.point_set()
+        assert all(tau(W) in pts for W in pts)
+        assert is_automorphism_oracle(tau, omega)
+        kept += 1
+    assert kept
+
+
+@pytest.mark.parametrize("p,e,m,l,sampled", SHAPES)
+def test_the_equality_oracle_agrees_with_the_point_sets(p, e, m, l, sampled):
+    gf = make_field(p, e)
+    rng = random.Random(200 * p + 10 * e + m)
+    alphas = _alphas(m, l, sampled, rng)
+    seen = set()
+    for alpha in alphas:
+        f1 = random_flag(gf, m, alpha, rng=rng)
+        others = [f1, random_flag(gf, m, alpha, rng=rng), random_flag(gf, m, rng.choice(alphas), rng=rng)]
+        others += [_resample_member(f1, i, rng) for i in range(l) if alpha[i] < m]
+        o1 = SchubertVariety(f1)
+        for f2 in others:
+            o2 = SchubertVariety(f2)
+            want = o1.point_set() == o2.point_set()
+            assert equal_oracle(o1, o2) == equal_oracle(o2, o1) == want, (alpha, f2.alpha)
+            seen.add((f2.alpha == alpha, want))
+    assert {(True, True), (True, False), (False, False)} <= seen
+    lines = SchubertVariety(random_flag(gf, m, (m,), rng=rng))
+    assert not equal_oracle(o1, lines) and not equal_oracle(lines, o1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_the_dual_image_comparison_agrees_with_the_pointwise_image(p, e):
+    gf = make_field(p, e)
+    m = 4
+    rng = random.Random(300 * p + e)
+    seen = set()
+    for alpha in itertools.combinations(range(1, m + 1), 2):
+        omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        pts = omega.point_set()
+        tau, other = (random_semilinear(gf, m, rng=rng, dual=True) for _ in range(2))
+        for image in (image_of_schubert(tau, omega), image_of_schubert(other, omega)):
+            want = image.point_set() == {tau(W) for W in pts}
+            got = image.count_points() == omega.count_points() and _images_within(
+                omega, image, tau.frobenius_power, tau.matrix, tau.dual
+            )
+            assert got == want, alpha
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def _one_point_variety(W):
+    """The variety at alpha = (1, ..., l) of a flag ending at W: W alone."""
+    gf, m = W.gf, W.m
+    members = tuple(Subspace.from_rows(gf, W.basis[:k], ambient=m) for k in range(1, W.dim + 1))
+    return SchubertVariety(Flag(gf, m, tuple(range(1, W.dim + 1)), members))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_position_test_is_membership(q):
+    gf = make_field(q)
+    m, l = 4, 2
+    rng = random.Random(q)
+    points = list(enumerate_grassmannian(gf, m, l))
+    spans = {W: bf.span_set(W.basis, q, m) for W in points}
+    for alpha in itertools.combinations(range(1, m + 1), l):
+        omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+        members = [bf.span_set(S.basis, q, m) for S in omega.flag.subspaces]
+        on = 0
+        for W in points:
+            want = all(len(spans[W] & S) >= q**i for i, S in enumerate(members, 1))
+            assert _images_within(_one_point_variety(W), omega) == omega.contains(W, "all") == want
+            on += want
+        assert on == omega.count_points()
+
+
+@pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 4, 2), (2, 6, 3)])
+def test_each_perp_cell_walks_the_annihilators_of_its_points(q, m, l):
+    gf = make_field(q)
+    eye = _identity(m)
+    top = tuple(range(m - l + 1, m + 1))  # every cell of G(l, m)
+
+    def walked(cell):
+        rows = [(eye[x], [eye[j] for j in gens]) for x, gens in cell]
+        return [Subspace.from_rows(gf, list(point), ambient=m) for point in _walk_cell(gf, rows)]
+
+    total = 0
+    for cell, perp_cell in zip(_cell_layout(top, m), _perp_layout(top, m)):
+        points, annihilators = walked(cell), walked(perp_cell)
+        assert len(set(annihilators)) == len(annihilators) == len(points)
+        assert set(annihilators) == {W.perp() for W in points}
+        total += len(points)
+    assert total == len(list(enumerate_grassmannian(gf, m, l)))

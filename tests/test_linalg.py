@@ -357,3 +357,11 @@ def test_subspace_accepts_exactly_its_own_rref_rows(p, e, m, max_rows):
             else:
                 assert canonical, rows
                 assert W == Subspace.from_rows(gf, rows, ambient=m)
+
+
+def test_reprs_name_the_shape_and_the_field(gf4):
+    assert repr(Subspace.full(gf4, 3)) == "Subspace(dim=3, m=3, GF(4))"
+    assert repr(SemilinearMap.identity(gf4, 3)) == "SemilinearMap(m=3, GF(4), covariant)"
+    assert repr(SemilinearMap.frobenius_map(gf4, 3)) == "SemilinearMap(m=3, GF(4), frobenius^1, covariant)"
+    assert repr(SemilinearMap.perp_map(gf4, 2)) == "SemilinearMap(m=2, GF(4), contravariant)"
+    assert repr(SchubertVariety.standard(gf4, 4, (2, 4))) == "SchubertVariety(alpha=(2, 4), m=4, GF(4))"

@@ -11,8 +11,14 @@ import bruteforce as bf
 from qgrass.cli import main
 from qgrass.errors import BudgetExceededError
 from qgrass.field import make_field
-from qgrass.group import SemilinearMap, is_automorphism_fast, is_automorphism_oracle
-from qgrass.schubert import SchubertVariety
+from qgrass.group import (
+    SemilinearMap,
+    image_of_schubert,
+    is_automorphism_fast,
+    is_automorphism_oracle,
+    random_semilinear,
+)
+from qgrass.schubert import SchubertVariety, _images_within, equal_oracle
 from qgrass.verify import (
     CAMPAIGNS,
     VerificationReport,
@@ -375,3 +381,119 @@ def test_campaign_registry():
     }
     rep = CAMPAIGNS["redundancy"](2, 3, 1, flags_per_alpha=2, seed=1)
     assert rep.verdict == "pass"
+
+
+# -- a wrong oracle or witness is caught -------------------------------------
+
+FLAG_EQUALITY = ["verify", "flag-equality", "--q", "2", "--m", "4", "--l", "2", "--trials", "12", "--seed", "2"]
+RECORD_FIELDS = {"trial", "seed", "kind", "alpha", "fast", "oracle", "problem"}
+
+
+def _problems(rep):
+    for record in rep.failures:
+        assert set(record) == RECORD_FIELDS, record
+    return {record["problem"] for record in rep.failures}
+
+
+def test_a_negated_equality_oracle_is_caught(monkeypatch):
+    monkeypatch.setattr("qgrass.verify.equal_oracle", lambda o1, o2: not equal_oracle(o1, o2))
+    rep = verify_flag_equality(2, 4, 2, trials=12, seed=2)
+    assert rep.verdict == "fail"
+    problems = _problems(rep)
+    assert {"identical-pair-unequal", "redundant-change-was-seen", "nc-change-was-invisible"} <= problems
+    by_problem = {}
+    for record in rep.failures:
+        by_problem.setdefault(record["problem"], []).append(record)
+    assert {r["kind"] for r in by_problem["identical-pair-unequal"]} == {"identical"}
+    assert {r["kind"] for r in by_problem["redundant-change-was-seen"]} == {"redundant-resample"}
+    assert {r["kind"] for r in by_problem["nc-change-was-invisible"]} == {"nc-differ"}
+    for record in rep.failures:
+        if record["problem"] != "no-verified-witness":
+            assert record["fast"] != record["oracle"]
+    assert main(FLAG_EQUALITY) == 1
+
+
+def test_a_missing_witness_is_caught(monkeypatch, capsys):
+    monkeypatch.setattr("qgrass.verify.equality_witness", lambda o1, o2: None)
+    rep = verify_flag_equality(2, 4, 2, trials=12, seed=2)
+    assert _problems(rep) == {"no-verified-witness"}
+    assert len(rep.failures) == rep.parameters["negative_cases"] > 0
+    assert rep.parameters["witnessed"] == 0
+    assert all(r["oracle"] is False for r in rep.failures)
+    assert main(FLAG_EQUALITY) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_a_negated_automorphism_oracle_is_caught(monkeypatch):
+    def negated(tau, omega):
+        return not is_automorphism_oracle(tau, omega)
+
+    monkeypatch.setattr("qgrass.verify.is_automorphism_oracle", negated)
+    rep = verify_automorphism_criterion(2, 4, 2, trials=12, seed=3)
+    surprised = [r for r in rep.failures if r["problem"] == "constructed-case-surprised"]
+    assert surprised and {r["kind"] for r in surprised} >= {"stabilizing", "perp-symmetric", "mover"}
+    for record in rep.failures:
+        assert set(record) == RECORD_FIELDS | {"contravariant"}
+        assert record["fast"] != record["oracle"]
+    # the covariant campaign holds its constructions against the fast
+    # side, so a wrong oracle shows there as a disagreement on every trial
+    rep = verify_covariant_criterion(2, 4, 2, trials=12, seed=5)
+    assert _problems(rep) == {"fast-oracle-disagreement"}
+    assert len(rep.failures) == 12
+    shape = ["--q", "2", "--m", "4", "--l", "2", "--trials", "12"]
+    assert main(["verify", "automorphism-criterion", *shape]) == 1
+    assert main(["verify", "covariant-criterion", *shape]) == 1
+
+
+def test_a_negated_fast_criterion_surprises_the_covariant_constructions(monkeypatch):
+    def negated(tau, omega):
+        return not is_automorphism_fast(tau, omega)
+
+    monkeypatch.setattr("qgrass.verify.is_automorphism_fast", negated)
+    rep = verify_covariant_criterion(2, 4, 2, trials=12, seed=5)
+    surprised = [r for r in rep.failures if r["problem"] == "constructed-case-surprised"]
+    assert {r["kind"] for r in surprised} == {"stabilizing", "mover"}
+    assert _problems(rep) == {"fast-oracle-disagreement", "constructed-case-surprised"}
+
+
+def test_a_descriptor_holding_more_than_the_image_is_caught(monkeypatch):
+    # the whole G(2, 4) holds every image, so only the sizes tell it apart
+    whole = SchubertVariety.standard(make_field(2), 4, (3, 4))
+    monkeypatch.setattr("qgrass.verify.image_of_schubert", lambda tau, omega: whole)
+    rep = verify_dual_image(2, 4, 2, trials=2, seed=6)
+    assert {f["problem"] for f in rep.failures} == {"image-points-differ"}
+    assert len(rep.failures) == 2 * 5  # every tuple but (3, 4) itself
+    for record in rep.failures:
+        assert record["descriptor_size"] == 35 > record["pointwise_size"]
+        assert record["image_alpha"] == [3, 4] != record["alpha"]
+
+
+# -- the oracles' walks keep the enumeration budget --------------------------
+
+
+def test_the_oracle_walks_keep_the_budget(monkeypatch):
+    gf = make_field(2)
+    rng = random.Random(4)
+    omega = SchubertVariety(random_flag(gf, 4, (2, 4), rng=rng))
+    other = SchubertVariety(random_flag(gf, 4, (2, 4), rng=rng))
+    tau = random_semilinear(gf, 4, rng=rng)
+    sigma = random_semilinear(gf, 4, rng=rng, dual=True)
+    image = image_of_schubert(sigma, omega)
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "35")  # G(2, 4) over GF(2) exactly
+    sigma_parts = (sigma.frobenius_power, sigma.matrix, sigma.dual)
+    is_automorphism_oracle(tau, omega)
+    equal_oracle(omega, other)
+    assert _images_within(omega, image, *sigma_parts)
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "34")
+    with pytest.raises(BudgetExceededError):
+        is_automorphism_oracle(tau, omega)
+    with pytest.raises(BudgetExceededError):
+        is_automorphism_oracle(sigma, omega)
+    with pytest.raises(BudgetExceededError):
+        equal_oracle(omega, other)
+    with pytest.raises(BudgetExceededError):
+        equal_oracle(omega, omega)
+    with pytest.raises(BudgetExceededError):
+        _images_within(omega, image, *sigma_parts)
+    with pytest.raises(BudgetExceededError):
+        verify_dual_image(2, 4, 2, trials=1, seed=6)
