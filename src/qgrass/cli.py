@@ -206,7 +206,8 @@ def _cmd_eq(args):
             doc["witness"] = {
                 "point": W.to_rows(),
                 "in_first": o1.contains(W),
-                "in_second": o2.contains(W),
+                # a point of another dimension is never on o2
+                "in_second": W.dim == o2.l and o2.contains(W),
             }
     _emit(doc)
     return rc

@@ -13,18 +13,21 @@ row do not depend on the other rows, so the cell is the product of one
 list of choices per row, each in the canonical order that
 linalg._row_list lists.  Row 0's choices are read a chunk at a time as
 the walk reaches them; every later row's list is built once.
-Schubert varieties walk their own cells the same way, with rows built
-from a flag's adapted basis.  Each tuple of rows the walk yields is one
-point, so a count is the walk, counted: no subspace is built and
-nothing is spanned.
+
+The cells of G(l, m) (_grassmannian_layout) are the package's one cell
+layout.  A cell's rows hold column indices, and _walk_cell reads them
+on a basis: G(l, m) on the identity, a Schubert variety on its flag's
+adapted basis reversed (schubert._schubert_cells), an annihilator walk
+on an inverse transpose.  Each tuple of rows the walk yields is one
+point, so a count is the walk, counted: nothing is spanned.
 
 What depends only on the shape is built once per process, as immutable
-tuples shared by every caller: the cells of G(l, m) (_grassmannian_layout,
-which the walk, rank and unrank all read), the size of G(l, m) that
-every budget check reads, and per field the multipliers a row walk steps
-through.  Rank reads one dict per (m, l, q), from each cell's pivots to
-its offset in the canonical order (_cell_offsets).  What depends on a
-flag is built per variety.
+tuples shared by every caller: the cells of G(l, m), which the walk,
+rank and unrank all read, the size of G(l, m) that every budget check
+reads, and per field the multipliers a row walk steps through.  Rank
+reads one dict per (m, l, q), from each cell's pivots to its offset in
+the canonical order (_cell_offsets).  What depends on a flag is built
+per variety.
 """
 
 import itertools
@@ -87,23 +90,25 @@ def check_alpha(alpha, m, allow_empty=False):
     return alpha
 
 
-def _walk_cell(gf, rows):
-    """Yield the row tuples of one cell, row 0 slowest, each point once.
+def _walk_cell(gf, basis, rows):
+    """Yield the row tuples of one cell read on basis, row 0 slowest.
 
-    rows holds one (base, gens) pair per row; row i ranges over
-    base + sum x_j gens[j].  The later rows' choices are listed once,
-    flat, and itertools.product multiplies each chunk of row 0's choices
-    out against them; row 0 is read in chunks (_row_chunks), since in a
-    cell of G(1, m) it is the whole cell.  Distinct tuples span distinct
-    points, so counting the tuples counts the cell.
+    rows holds one (pivot, free columns) pair of indices per row, as
+    _grassmannian_layout lists them: row i ranges over basis[pivot] +
+    sum x_j basis[j] over its free columns j.  The later rows' choices
+    are listed once, flat, and itertools.product multiplies each chunk
+    of row 0's choices out against them; row 0 is read in chunks
+    (_row_chunks), since in a cell of G(1, m) it is the whole cell.  On
+    an invertible basis distinct tuples span distinct points, so
+    counting the tuples counts the cell.
     """
     if not rows:
         yield ()
         return
-    (base, gens), *rest = rows
-    later = [_row_list(gf, b, g) for b, g in rest]
+    (c, free), *rest = rows
+    later = [_row_list(gf, basis[b], [basis[j] for j in js]) for b, js in rest]
     product = itertools.product
-    for firsts in _row_chunks(gf, base, gens):
+    for firsts in _row_chunks(gf, basis[c], [basis[j] for j in free]):
         yield from product(firsts, *later)
 
 
@@ -141,15 +146,15 @@ def _grassmannian_layout(m, l):
 
     free lists the cell's free entries (row, column), row-major: in pivot
     row i, every later column that is no pivot.  rows is what _walk_cell
-    takes: pivot row i is the unit vector at pivots[i] plus any
-    combination of the unit vectors at its free columns.  A cell holds
-    q ** len(free) points.
+    takes: row i's pivot column and free columns, as indices into the
+    basis the cell is read on.  On the identity, row i is the unit
+    vector at pivots[i] plus any combination of the unit vectors at its
+    free columns.  A cell holds q ** len(free) points.
     """
-    eye = _identity(m)
     layout = []
     for piv in itertools.combinations(range(m), l):
         free = tuple((i, j) for i, c in enumerate(piv) for j in range(c + 1, m) if j not in piv)
-        rows = tuple((eye[c], tuple(eye[j] for k, j in free if k == i)) for i, c in enumerate(piv))
+        rows = tuple((c, tuple(j for k, j in free if k == i)) for i, c in enumerate(piv))
         layout.append((piv, rows, free))
     return tuple(layout)
 
@@ -161,14 +166,16 @@ def enumerate_grassmannian(gf, m, l, limit=None):
     limit argument when given, otherwise the global bound).
     """
     trusted = Subspace._trusted
+    eye = _identity(m)
     for piv, rows, _ in _grassmannian_cells(gf, m, l, limit):
-        for basis in _walk_cell(gf, rows):
+        for basis in _walk_cell(gf, eye, rows):
             yield trusted(gf, basis, piv, m)
 
 
 def _count_grassmannian(gf, m, l, limit=None):
     """Count G(l, m) by walking its cells, under the same budget."""
-    return sum(1 for _, rows, _ in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, rows))
+    eye = _identity(m)
+    return sum(1 for _, rows, _ in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, eye, rows))
 
 
 @lru_cache(maxsize=None)
@@ -207,12 +214,12 @@ def unrank_subspace(gf, m, l, r):
     if not 0 <= r < total:
         raise ValueError(f"rank {r} outside [0, {total})")
     # cells are few; linear scan beats bisect bookkeeping at these sizes
-    for piv, rows, free in _grassmannian_layout(m, l):
+    for piv, _, free in _grassmannian_layout(m, l):
         size = q ** len(free)
         if r < size:
             break
         r -= size
-    basis = [list(base) for base, _ in rows]
+    basis = [list(_identity(m)[c]) for c in piv]
     for i, j in reversed(free):
         r, basis[i][j] = divmod(r, q)
     return Subspace._trusted(gf, tuple(map(tuple, basis)), piv, m)

@@ -20,10 +20,11 @@ basis of a subspace directly: Frobenius entry by entry, then matmul,
 then one elimination.
 
 The automorphism oracle maps no subspace.  It hands the map's three
-parts to schubert._images_within, which walks the images of the
-variety's cells (theta^k permutes a cell's free entries, and a
-contravariant image walks the cell's annihilators) and reduces each
-image once against the variety's own conditions.
+parts to schubert._images_within, which reads the variety's cells, the
+G(l, m) cells that clear its floors, on the mapped adapted basis
+(theta^k permutes a cell's free entries, and a contravariant image
+reads the annihilators' cells on the inverse transpose) and tests each
+image's pivots against the variety's own floors.
 """
 
 import itertools

@@ -10,34 +10,39 @@ so the variety only sees the members at the non-redundant dimensions.
 That observation drives the fast equality test, and the brute-force
 machinery here exists to check it and its consequences honestly.
 
-Points are generated, not filtered out of G(l, m).  In a basis adapted
-to the flag every point lies in exactly one Schubert cell C_beta with
-beta <= alpha componentwise, and each cell is walked like an RREF cell
-of the Grassmannian (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
-Amer. Math. Monthly 79, 1972).  Membership by rank (contains) only
-checks single points: witnesses, and the redundancy campaign, which
-tests the conditions themselves.
+Points are walked, not filtered out of G(l, m) one by one.  Read in
+its flag's adapted basis reversed, a point's RREF pivots c_1 < ... < c_l
+say where it meets the flag, and it lies on the variety exactly when
+c_(l+1-i) >= m - alpha_i for every i: the pivots clear the floors
+m - alpha_i.  The RREF cells of G(l, m) are the Schubert cells of that
+reversed basis (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
+Amer. Math. Monthly 79, 1972), so the variety is the G(l, m) cells
+whose pivots clear its floors (_schubert_cells), walked on that basis.
+Membership by rank (contains) only checks single points: witnesses,
+and the redundancy campaign, which tests the conditions themselves.
 
 The oracles build no point set either: _images_within walks the
-images of a variety's cells under a semilinear map and reduces each
-image once against a target's conditions.  point_set stays for what
-needs the set itself: alpha-uniqueness, points() and the stabilizer
-census, which tests thousands of maps against one variety, most of
-them failing at their first point.
+images of a variety's cells under a semilinear map and tests each
+image's pivots against a target's floors, the same test the cells are
+kept by.  point_set stays for what needs the set itself:
+alpha-uniqueness, points() and the stabilizer census, which tests
+thousands of maps against one variety, most of them failing at their
+first point.
 
-The cells of a dimension tuple, the basis indices of each cell's rows
-and the non-redundant positions depend on (alpha, m) alone, so they are
-built once per shape, as tuples, and shared by every variety of that
-shape.  A variety builds only what its flag decides: the adapted basis
-and the rows read from it.
+Which cells a dimension tuple keeps and its non-redundant positions
+depend on (alpha, m) alone, so they are built once per shape, as
+tuples, and the kept cells are the G(l, m) layout's own tuples.  A
+variety builds only what its flag decides: the adapted basis the
+cells are read on.
 """
 
-import itertools
 from functools import lru_cache
+from operator import ge
 
 from .field import field_from_order
 from .grassmann import (
     Flag,
+    _grassmannian_layout,
     _walk_cell,
     adapted_basis,
     check_alpha,
@@ -79,64 +84,62 @@ def _nc_positions(alpha):
     return tuple(i for i, a in enumerate(alpha) if a in ncset)
 
 
-def _cells(alpha, m):
-    """The dimension tuples beta componentwise at most alpha, in order.
+def _floors(alpha, m):
+    """The floors m - alpha_i, lowest first, that a point's pivots must clear.
 
-    Each names one Schubert cell of the variety: in a basis adapted to
-    the flag, the points whose rows can be brought to b_(beta_i) plus
-    combinations of the b_j with j < beta_i and j not in beta.
+    In the adapted basis reversed, pivot c stands for adapted row m - c
+    (1-based), so the conditions p_i <= alpha_i on the sorted rows p_i
+    read c_(l+1-i) >= m - alpha_i.
     """
-    return tuple(
-        beta
-        for beta in itertools.combinations(range(1, m + 1), len(alpha))
-        if all(b <= a for b, a in zip(beta, alpha))
-    )
+    return tuple(m - a for a in reversed(alpha))
+
+
+def _clears(pivots, floors):
+    """Whether each pivot is at least its floor: the point is on the variety."""
+    return all(map(ge, pivots, floors))
 
 
 @lru_cache(maxsize=None)
-def _cell_layout(alpha, m):
-    """Per cell beta, each row's 0-based adapted-basis index and generators.
+def _schubert_cells(alpha, m, dual=False):
+    """The G(l, m) cells whose pivots clear alpha's floors, once per shape.
 
-    Row i of cell beta is basis row beta_i - 1 plus combinations of the
-    rows j - 1 with j < beta_i and j not in beta.  Built once per
-    (alpha, m), as nested tuples.
+    These are the (pivots, rows, free) tuples of _grassmannian_layout
+    itself, not copies.  Read on a basis adapted to the flag, reversed,
+    they are the Schubert cells of the variety: each of its points lies
+    in exactly one (Fulton, Young Tableaux, ch. 9).
+
+    With dual, the G(m - l, m) cells whose reversed complement clears
+    the floors.  In the basis's own order, a point of cell c has row i
+    at position s_i = m - 1 - c_i plus x_ij times each free position
+    before it, so y annihilates it exactly when y_(s_i) = -sum x_ij y_j.
+    Its annihilator has one row per f not among the s_i: e_f plus -x_if
+    times each e_(s_i) past f.  That is the G(m - l, m) cell whose
+    reversed complement is c, read on the dual basis in its own order,
+    and as the -x_if run over the field as the x_if do, its walk lists
+    each annihilator once.
     """
+    floors = _floors(alpha, m)
+    l = len(alpha)
+    if not dual:
+        return tuple(cell for cell in _grassmannian_layout(m, l) if _clears(cell[0], floors))
     return tuple(
-        tuple((x - 1, tuple(j - 1 for j in range(1, x) if j not in beta)) for x in beta)
-        for beta in _cells(alpha, m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _perp_layout(alpha, m):
-    """Per cell beta, the rows whose walk lists its points' annihilators.
-
-    A point of cell beta (in the basis the cells are read in) is spanned
-    by rows e_(beta_i) + sum x_ij e_j over j < beta_i, j not in beta, so
-    y annihilates it exactly when y_(beta_i) = -sum x_ij y_j.  Its
-    annihilator has one row per f not in beta: e_f plus -x_if times each
-    e_(beta_i) with beta_i > f.  The -x_if run over the field as the x_if
-    do, so walking these rows lists each point's annihilator once.  Laid
-    out as _cell_layout is, once per (alpha, m).
-    """
-    return tuple(
-        tuple((f - 1, tuple(b - 1 for b in beta if b > f)) for f in range(1, m + 1) if f not in beta)
-        for beta in _cells(alpha, m)
+        cell
+        for cell in _grassmannian_layout(m, m - l)
+        if _clears([c for c in range(m) if m - 1 - c not in cell[0]], floors)
     )
 
 
 def cell_count_polynomial(alpha, m):
     """Coefficients (low degree first) of the point count as a polynomial in q.
 
-    Summing q^(sum_i (b_i - i)) over the dimension tuples b that are
-    componentwise at most alpha.  The constant term is always 1, and the
-    top one, alpha's own cell, is never 0.
+    One q^len(free) per cell of the variety.  The constant term is
+    always 1, and the top one, alpha's own cell, is never 0.
     """
     alpha = check_alpha(alpha, m)
     l = len(alpha)
     coeffs = [0] * (sum(alpha) - l * (l + 1) // 2 + 1)
-    for beta in _cells(alpha, m):
-        coeffs[sum(b - i - 1 for i, b in enumerate(beta))] += 1
+    for _, _, free in _schubert_cells(alpha, m):
+        coeffs[len(free)] += 1
     return tuple(coeffs)
 
 
@@ -225,29 +228,28 @@ class SchubertVariety:
             raise ValueError("conditions must be 'minimal' or 'all'") from None
         return all(intersection_dim(W, S) >= r for S, r in conds)
 
-    def _cell_rows(self, limit=None):
-        """Yield, for each cell beta, the rows _walk_cell takes.
+    def _walk(self, limit=None):
+        """Yield the points as row tuples, cell by cell, each once.
 
-        Row i of a point in cell beta is b_(beta_i) + sum x_j b_j over
-        j < beta_i with j not in beta, b the flag's adapted basis.  The
-        budget, checked before the first cell, is the size of the whole
-        Grassmannian, as for enumerating it.
+        Each cell of _schubert_cells is read on the flag's adapted basis
+        reversed.  The budget, checked before the first cell, is the size
+        of the whole Grassmannian, as for enumerating it.
         """
-        check_enumeration_budget(self.gf, self.m, self.l, limit)
-        b = adapted_basis(self.flag)
-        for cell in _cell_layout(self.alpha, self.m):
-            yield [(b[x], [b[j] for j in gens]) for x, gens in cell]
+        gf = self.gf
+        check_enumeration_budget(gf, self.m, self.l, limit)
+        basis = adapted_basis(self.flag)[::-1]
+        for _, rows, _ in _schubert_cells(self.alpha, self.m):
+            yield from _walk_cell(gf, basis, rows)
 
     def _cell_points(self, limit=None):
-        """Yield the points cell by cell, each once, in no canonical order.
+        """Yield the points, each once, in no canonical order.
 
-        The span of a cell's rows puts the point in canonical form.
+        The span of a walked tuple puts the point in canonical form.
         """
         gf, m = self.gf, self.m
         span = Subspace._span
-        for rows in self._cell_rows(limit):
-            for cell_rows in _walk_cell(gf, rows):
-                yield span(gf, list(cell_rows), m)
+        for rows in self._walk(limit):
+            yield span(gf, list(rows), m)
 
     def points(self, limit=None):
         """Yield the points in canonical Grassmannian order."""
@@ -255,7 +257,7 @@ class SchubertVariety:
 
     def point_set(self, limit=None):
         # the budget holds on every call, not only the one that fills the
-        # cache; _cell_rows checks it before the first cell
+        # cache; _walk checks it before the first cell
         if self._point_set is None:
             self._point_set = frozenset(self._cell_points(limit))
         else:
@@ -263,12 +265,8 @@ class SchubertVariety:
         return self._point_set
 
     def count_points(self, limit=None):
-        """Number of points: the walk of every cell, counted, not spanned.
-
-        Each tuple of cell rows is one point, so no point is built.
-        """
-        gf = self.gf
-        return sum(1 for rows in self._cell_rows(limit) for _ in _walk_cell(gf, rows))
+        """Number of points: the walk, counted, not spanned."""
+        return sum(1 for _ in self._walk(limit))
 
     def count_polynomial(self):
         return cell_count_polynomial(self.alpha, self.m)
@@ -311,23 +309,21 @@ class SchubertVariety:
 def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     """Whether (theta^k, matrix, dual) sends every point of omega onto target.
 
-    With T omega's adapted basis, a point of cell beta is C T for C in
-    the cell, and its image spans theta^k(C) theta^k(T) M.  theta^k fixes
-    0 and 1 and permutes the field, so theta^k(C) runs over the cell as
-    C does: the images of cell beta are the walk of _cell_layout on the
-    rows of N = theta^k(T) M.  A contravariant image is the annihilator
-    of C N, which is Y N^-T for Y an annihilator of C: the walk of
-    _perp_layout on the rows of N^-T.  Each walked tuple is a point.
+    With T omega's adapted basis reversed, a point of a cell is C T for
+    C in the cell, and its image spans theta^k(C) theta^k(T) M.  theta^k
+    fixes 0 and 1 and permutes the field, so theta^k(C) runs over the
+    cell as C does: the images of omega's cells are the walk of
+    _schubert_cells on the rows of N = theta^k(T) M.  A contravariant
+    image is the annihilator of C N, which is Y N^-T for Y an
+    annihilator of C: with T in its own order, the walk of the dual
+    cells on the rows of N^-T.  Each walked tuple is a point.
 
     The rows are first taken into target's adapted coordinates with the
-    columns reversed, so that an elimination's pivot c is the last
-    nonzero coordinate m - c (1-based) of a reduced row.  A point meets
-    the target's member of dimension a in the rows ending at or before
-    a; it lies on target exactly when its sorted end positions p_i are
-    at most alpha_i, which is every condition of target at once.  One
-    elimination per point, no subspace built, and the walk stops at the
-    first point off target.  The budget, checked before the first cell,
-    is the size of G(l, m), as for point_set.
+    columns reversed, so one elimination gives a point's pivots in the
+    basis target's cells are read on, and the point lies on target
+    exactly when they clear target's floors.  No subspace is built, and
+    the walk stops at the first point off target.  The budget, checked
+    before the first cell, is the size of G(l, m), as for point_set.
     """
     gf, m = omega.gf, omega.m
     check_enumeration_budget(gf, m, omega.l)
@@ -336,22 +332,15 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
         rows = gf.frobenius(rows, frobenius_power)
     if matrix is not None:
         rows = matmul(gf, rows, matrix)
-    layout = _cell_layout
-    if dual:
-        rows = list(zip(*matrix_inverse(gf, rows)))
-        layout = _perp_layout
+    rows = list(zip(*matrix_inverse(gf, rows))) if dual else rows[::-1]
     if target is not omega:
         basis = adapted_basis(target.flag)
     rows = matmul(gf, rows, [row[::-1] for row in matrix_inverse(gf, basis)])
-    # pivots c_1 < ... < c_l end at m - c_l < ... < m - c_1, so p_i <= alpha_i
-    # reads c_(l+1-i) >= m - alpha_i
-    floors = tuple(m - a for a in reversed(target.alpha))
-    for cell in layout(omega.alpha, m):
-        for point in _walk_cell(gf, [(rows[x], [rows[j] for j in gens]) for x, gens in cell]):
-            pivots = _eliminate(gf, list(point), m)[1]
-            for c, floor in zip(pivots, floors):
-                if c < floor:
-                    return False
+    floors = _floors(target.alpha, m)
+    for _, cell, _ in _schubert_cells(omega.alpha, m, dual):
+        for point in _walk_cell(gf, rows, cell):
+            if not _clears(_eliminate(gf, list(point), m)[1], floors):
+                return False
     return True
 
 

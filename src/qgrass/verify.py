@@ -493,8 +493,6 @@ def _perp_symmetric_flag(gf, m, alpha):
     """
     if dual_index_set(alpha, m) != tuple(alpha):
         return None
-    if m % 2 != 0:
-        return None
     half = m // 2
     chain = [Subspace.zero(gf, m)]
     cur = chain[0]

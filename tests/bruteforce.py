@@ -174,6 +174,30 @@ def q_binomial_poly(m, l):
     return prev[l]
 
 
+def schubert_count_poly(alpha):
+    """Coefficient tuple of sum q^(sum_i beta_i - i) over beta <= alpha.
+
+    beta runs over the strictly increasing tuples of positive integers
+    that are componentwise at most alpha: the Schubert cells of the
+    variety at alpha.  Built from the recurrence on the last entry,
+    P(caps) = sum over b <= caps_l of q^(b - l) P(min(caps_i, b - 1)),
+    with P(()) = 1; no Grassmannian is involved.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def count(caps):
+        if not caps:
+            return (1,)
+        l = len(caps)
+        total = [0] * (sum(caps) - l * (l + 1) // 2 + 1)
+        for b in range(l, caps[-1] + 1):
+            for d, c in enumerate(count(tuple(min(a, b - 1) for a in caps[:-1]))):
+                total[b - l + d] += c
+        return tuple(total)
+
+    return count(tuple(alpha))
+
+
 def poly_eval(coeffs, x):
     acc = 0
     for c in reversed(tuple(coeffs)):

@@ -393,6 +393,21 @@ def test_gen_eq_image_aut_pipeline(tmp_path, capsys):
     assert set(json.loads(out)) == {"oracle"}
 
 
+def test_eq_witness_for_varieties_of_different_point_dimension(tmp_path, capsys):
+    paths = []
+    for alpha in ("2,4", "3"):
+        paths.append(str(tmp_path / f"flag-{alpha}.json"))
+        assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", alpha,
+                   "--seed", "1", "-o", paths[-1])[0] == 0
+    rc, out, _ = run(capsys, "eq", *paths, "--oracle", "--witness")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["fast"], doc["oracle"], doc["agree"]) == (False, False, True)
+    witness = doc["witness"]
+    assert (witness["in_first"], witness["in_second"]) == (True, False)
+    assert len(witness["point"]) == 2
+
+
 def test_image_of_contravariant_needs_middle(tmp_path, capsys):
     flag = tmp_path / "f.json"
     smap = tmp_path / "s.json"

@@ -7,8 +7,8 @@ Here each answer is compared with the one point sets give, computed in
 the test: all(tau(W) in pts for W in pts), o1.point_set() ==
 o2.point_set() and image.point_set() == {tau(W) for W in pts}.  The
 position test itself is compared with contains and with span sets
-(bruteforce.py), and the annihilator layout with the annihilators of
-each cell's points.
+(bruteforce.py), and the dual cells with the annihilators of each
+cell's points.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from qgrass.group import (
     random_semilinear,
 )
 from qgrass.linalg import Subspace, _identity
-from qgrass.schubert import SchubertVariety, _cell_layout, _images_within, _perp_layout, equal_oracle
+from qgrass.schubert import SchubertVariety, _images_within, _schubert_cells, equal_oracle
 from qgrass.verify import _flag_stabilizer, _member_mover, _perp_symmetric_flag, _resample_member
 
 # (p, e, m, l, flags per alpha or None for one flag on every alpha)
@@ -167,16 +167,24 @@ def test_the_position_test_is_membership(q):
 def test_each_perp_cell_walks_the_annihilators_of_its_points(q, m, l):
     gf = make_field(q)
     eye = _identity(m)
+
+    def walked(basis, rows):
+        return [Subspace.from_rows(gf, list(point), ambient=m) for point in _walk_cell(gf, basis, rows)]
+
+    def dual_pivots(pivots):
+        return tuple(f for f in range(m) if m - 1 - f not in pivots)
+
+    # a cell is read on the reversed identity, its dual cell on the identity
     top = tuple(range(m - l + 1, m + 1))  # every cell of G(l, m)
-
-    def walked(cell):
-        rows = [(eye[x], [eye[j] for j in gens]) for x, gens in cell]
-        return [Subspace.from_rows(gf, list(point), ambient=m) for point in _walk_cell(gf, rows)]
-
+    duals = {piv: rows for piv, rows, _ in _schubert_cells(top, m, True)}
     total = 0
-    for cell, perp_cell in zip(_cell_layout(top, m), _perp_layout(top, m)):
-        points, annihilators = walked(cell), walked(perp_cell)
+    for piv, rows, _ in _schubert_cells(top, m):
+        points, annihilators = walked(eye[::-1], rows), walked(eye, duals[dual_pivots(piv)])
         assert len(set(annihilators)) == len(annihilators) == len(points)
         assert set(annihilators) == {W.perp() for W in points}
         total += len(points)
     assert total == len(list(enumerate_grassmannian(gf, m, l)))
+    # below the top, the dual cells are those of the kept cells
+    for alpha in itertools.combinations(range(1, m + 1), l):
+        kept = {dual_pivots(piv) for piv, _, _ in _schubert_cells(alpha, m)}
+        assert kept == {piv for piv, _, _ in _schubert_cells(alpha, m, True)}

@@ -7,7 +7,9 @@ Each is checked here against a reference built in this file from
 itertools.product and the public gf.add and gf.mul.  A Subspace hashes
 like the tuple of its field, ambient dimension and basis.  Tables built
 once per shape may be shared between callers only if none of them can
-change a table.
+change a table.  A Schubert variety's cells are the G(l, m) layout's
+own tuples, filtered, and their sizes are checked against a recurrence
+that does not use the package.
 """
 
 import functools
@@ -16,10 +18,11 @@ import random
 
 import pytest
 
+import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import _grassmannian_layout, _walk_cell, enumerate_grassmannian
 from qgrass.linalg import Subspace, _identity, _negatives, _row_chunks, _row_list
-from qgrass.schubert import SchubertVariety, _cell_layout, _cells, _nc_positions
+from qgrass.schubert import SchubertVariety, _nc_positions, _schubert_cells, cell_count_polynomial
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 
@@ -67,8 +70,14 @@ def test_cell_walk_is_the_product_of_the_row_choices(ngens, p, e):
     if ngens < 2:
         rows.append((_random_row(gf, m, rng), [_random_row(gf, m, rng) for _ in range(ngens)]))
     choices = [_reference(gf, base, gens) for base, gens in rows]
-    assert list(_walk_cell(gf, rows[:1])) == [(v,) for v in choices[0]]
-    assert list(_walk_cell(gf, rows)) == list(itertools.product(*choices))
+    # the walk reads each row's pivot and free columns as indices into a basis
+    basis = [v for base, gens in rows for v in (base, *gens)]
+    cell, k = [], 0
+    for _, gens in rows:
+        cell.append((k, tuple(range(k + 1, k + 1 + len(gens)))))
+        k += 1 + len(gens)
+    assert list(_walk_cell(gf, basis, cell[:1])) == [(v,) for v in choices[0]]
+    assert list(_walk_cell(gf, basis, cell)) == list(itertools.product(*choices))
 
 
 @pytest.mark.parametrize("ngens, p, e", CASES)
@@ -105,8 +114,8 @@ def test_shape_tables_are_shared_tuples_no_caller_can_change():
     gf = make_field(3)
     tables = [
         _identity(4),
-        _cells((2, 4), 4),
-        _cell_layout((2, 4), 4),
+        _schubert_cells((2, 4), 4),
+        _schubert_cells((2, 4), 4, True),
         _grassmannian_layout(4, 2),
         _nc_positions((1, 3, 4)),
         _negatives(gf),
@@ -114,18 +123,34 @@ def test_shape_tables_are_shared_tuples_no_caller_can_change():
     for table in tables:
         assert _frozen(table), table
     assert _identity(4) is _identity(4)
-    assert _cell_layout((2, 4), 4) is _cell_layout((2, 4), 4)
+    assert _schubert_cells((2, 4), 4) is _schubert_cells((2, 4), 4)
     with pytest.raises(TypeError):
         _identity(4)[0] = (0, 0, 0, 0)
     with pytest.raises(TypeError):
-        _cells((2, 4), 4)[0] = (1, 2)
-    # what callers get to change is built fresh from the tables
+        _schubert_cells((2, 4), 4)[0] = ((0, 1), (), ())
+    # a walk hands out tuples, read from a basis built per call
     omega = SchubertVariety.standard(gf, 4, (2, 4))
-    before = repr(list(omega._cell_rows()))
-    for rows in omega._cell_rows():
-        for base, gens in rows:
-            base[0] = 2
-            gens.clear()
-    assert repr(list(omega._cell_rows())) == before
+    walked = list(omega._walk())
+    assert _frozen(tuple(walked)) and len(walked) == omega.count_points()
+    assert list(omega._walk()) == walked
     assert _identity(4)[0] == (1, 0, 0, 0)
     assert omega.nc_positions == (0, 1) and omega.alpha_nc == (2, 4)
+
+
+def test_the_cells_of_the_top_tuple_are_the_grassmannian_layout():
+    for m in range(1, 7):
+        for l in range(1, m + 1):
+            top = tuple(range(m - l + 1, m + 1))
+            for dual, k in ((False, l), (True, m - l)):
+                cells, layout = _schubert_cells(top, m, dual), _grassmannian_layout(m, k)
+                assert len(cells) == len(layout)
+                assert all(cell is whole for cell, whole in zip(cells, layout))
+
+
+def test_the_kept_cells_sum_to_the_recurrence():
+    for m in range(1, 7):
+        for alpha in (a for l in range(1, m + 1) for a in itertools.combinations(range(1, m + 1), l)):
+            sizes = [len(free) for _, _, free in _schubert_cells(alpha, m)]
+            want = bf.schubert_count_poly(alpha)
+            assert len(sizes) == sum(want), alpha
+            assert tuple(map(sizes.count, range(len(want)))) == want == cell_count_polynomial(alpha, m), alpha

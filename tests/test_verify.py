@@ -18,7 +18,7 @@ from qgrass.group import (
     is_automorphism_oracle,
     random_semilinear,
 )
-from qgrass.schubert import SchubertVariety, _images_within, equal_oracle
+from qgrass.schubert import SchubertVariety, _images_within, dual_index_set, equal_oracle
 from qgrass.verify import (
     CAMPAIGNS,
     VerificationReport,
@@ -271,6 +271,53 @@ def test_perp_symmetric_flag_construction():
     assert is_automorphism_oracle(perp, om)
     # reflection of the tuple's complement must equal the tuple itself
     assert _perp_symmetric_flag(gf, 4, (1, 4)) is None
+
+
+def test_a_campaign_records_each_trial_whose_criterion_raises(monkeypatch, capsys):
+    def raises(tau, omega):
+        raise ValueError("criterion refused")
+
+    monkeypatch.setattr("qgrass.verify.is_automorphism_fast", raises)
+    trials = 12
+    rep = verify_automorphism_criterion(2, 4, 2, trials=trials, seed=8)
+    assert rep.verdict == "fail" and rep.cases_tested == trials
+    assert sorted(f["trial"] for f in rep.failures) == list(range(trials))
+    for record in rep.failures:
+        assert set(record) == {"trial", "seed", "kind", "alpha", "problem", "error"}
+        assert (record["problem"], record["error"]) == ("fast-raised", "criterion refused")
+    assert {f["kind"] for f in rep.failures} >= {"random-covariant", "random-contravariant", "perp-symmetric"}
+    argv = ["verify", "automorphism-criterion", "--q", "2", "--m", "4", "--l", "2", "--trials", str(trials)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_the_contravariant_kinds_fall_back_where_no_flag_serves_them():
+    # over GF(3), x^2 + y^2 = 0 has no nonzero solution, and both tuples
+    # of G(1, 2) are their own reflected complement: no perp-symmetric
+    # flag and no non-self-dual tuple, so both kinds draw random maps
+    gf = make_field(3)
+    assert [dual_index_set(a, 2) for a in ((1,), (2,))] == [(1,), (2,)]
+    assert _perp_symmetric_flag(gf, 2, (1,)) is None
+    assert _perp_symmetric_flag(gf, 2, (2,)) is None
+    rep = verify_automorphism_criterion(3, 2, 1, trials=12, seed=1)
+    assert rep.verdict == "pass" and rep.cases_tested == 12
+
+
+# sha256 of the canonical JSON of two census reports, frozen before the
+# census's point set was listed from the Grassmannian's cell layout
+GOLDEN_CENSUSES = [
+    ((2, 2), 2, (1,), True, 720, "5d5d7553a1d82746f4296c856d8a5aec072c75d35487467f836433d066604545"),
+    ((3, 1), 3, (1, 3), False, 11232, "583999a5974eddf5a3c40499330aaa47f6944927b7d473faee0ed2fbb3058816"),
+]
+
+
+@pytest.mark.parametrize("field, m, alpha, dual, size, digest", GOLDEN_CENSUSES)
+def test_census_bytes_match_the_frozen_digest(field, m, alpha, dual, size, digest):
+    om = SchubertVariety(random_flag(make_field(*field), m, alpha, rng=1))
+    rep = stabilizer_census(om, oracle="full", include_dual=dual)
+    assert rep.group_size == rep.oracle_checked == size
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_census_line_in_three_space():
