@@ -43,7 +43,7 @@ internal: it never shows in a code.
 """
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError
 
@@ -379,6 +379,15 @@ class GF:
         self._mul = mul
         self._scale_row = scale_row
         self._sub_row = sub_row
+
+    @cached_property
+    def _negs(self):
+        """-x for x = 1..q-1, so that v - f * g runs over v + x * g in code order.
+
+        Built on the first row listing and then read as a plain attribute;
+        a field near the order bound that lists no rows never holds them.
+        """
+        return tuple(map(self._neg, range(1, self.q)))
 
     # -- digits ---------------------------------------------------------------
 

@@ -30,16 +30,16 @@ image's pivots against the variety's own floors.
 import itertools
 
 from .field import field_from_order
-from .grassmann import Flag, _as_rng, adapted_basis
+from .grassmann import Flag, _as_rng
 from .linalg import (
     Subspace,
     _code_rows,
     _echelon_step,
     _eliminate,
     _identity,
+    _inverse,
     _slot_filler,
     matmul,
-    matrix_inverse,
     random_invertible,
 )
 from .schubert import SchubertVariety, _images_within, dual_index_set
@@ -144,7 +144,7 @@ class SemilinearMap:
         if self.dual:
             mat = _transpose(gf.frobenius(self.matrix, k2))
         else:
-            mat = gf.frobenius(matrix_inverse(gf, self.matrix), k2)
+            mat = gf.frobenius(_inverse(gf, self.matrix), k2)
         return SemilinearMap._trusted(gf, self.m, mat, k2, self.dual)
 
     def __eq__(self, other):
@@ -210,7 +210,7 @@ def compose(outer, inner):
     left = gf.frobenius(inner.matrix, outer.frobenius_power)
     if inner.dual:
         # pulling the matrix through an annihilator transposes and inverts
-        right = _transpose(matrix_inverse(gf, outer.matrix))
+        right = _transpose(_inverse(gf, outer.matrix))
     else:
         right = outer.matrix
     mat = matmul(gf, left, right)
@@ -291,11 +291,11 @@ def _reflected_image(tau, omega, beta):
     """The variety at tuple beta whose members are images of prefixes.
 
     The member at b is tau of the flag's adapted-basis prefix of length
-    m - b.
+    m - b, read off the variety's own adapted basis.
     """
     gf, m = omega.gf, omega.m
-    basis = adapted_basis(omega.flag)
-    members = tuple(tau(Subspace._span(gf, basis[: m - b], m)) for b in beta)
+    basis = omega._adapted()
+    members = tuple(tau(Subspace._span(gf, list(basis[: m - b]), m)) for b in beta)
     return SchubertVariety(Flag(gf, m, beta, members))
 
 

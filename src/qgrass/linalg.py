@@ -18,7 +18,10 @@ annihilator, reads it off a subspace's own RREF basis.  kernel is the
 perp of a row space and U & V is (U.perp() + V.perp()).perp().
 matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
-fields, so no sum can overflow.
+fields, so no sum can overflow.  intersection_dim and matrix_inverse
+check their arguments and hand them to a private kernel
+(_intersection_dim, _inverse), which the package calls directly on
+subspaces and matrices it built itself.
 
 One function, _row_list, lists the canonical order base + sum x_j g_j
 (g_0 most significant, each x_j in code order) of cell rows and subspace
@@ -73,12 +76,6 @@ def _eliminate(gf, rows, ncols):
     return r, tuple(pivots)
 
 
-@lru_cache(maxsize=None)
-def _negatives(gf):
-    """-x for x = 1..q-1, so that v - f * g runs over v + x * g in code order."""
-    return tuple(gf._neg(x) for x in range(1, gf.q))
-
-
 def _row_list(gf, base, gens):
     """Every base + sum x_j gens[j], as tuples, gens[0] most significant.
 
@@ -88,8 +85,7 @@ def _row_list(gf, base, gens):
     right after its v.
     """
     choices = [tuple(base)]
-    sub_row = gf._sub_row
-    negs = _negatives(gf)
+    sub_row, negs = gf._sub_row, gf._negs
     for g in gens:
         grown = []
         append = grown.append
@@ -149,6 +145,11 @@ def intersection_dim(U, V):
     nonzero residuals need an elimination.
     """
     U._check_ambient(V)
+    return _intersection_dim(U, V)
+
+
+def _intersection_dim(U, V):
+    """intersection_dim without the checks: U and V share a field and an m."""
     if U.dim > V.dim:
         U, V = V, U
     left = [r for r in map(V._residual, U.basis) if any(r)]
@@ -182,7 +183,13 @@ def matrix_inverse(gf, mat):
     rows, n = _code_rows(gf, mat)
     if len(rows) != n:
         raise ValueError("inverse of a non-square matrix")
-    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    return _inverse(gf, rows)
+
+
+def _inverse(gf, rows):
+    """matrix_inverse without the checks on its argument: a square code matrix."""
+    n = len(rows)
+    aug = [[*row, *unit] for row, unit in zip(rows, _identity(n))]
     rk, pivots = _eliminate(gf, aug, 2 * n)
     if pivots[:n] != tuple(range(n)) or rk < n:
         raise ValueError("matrix is singular")

@@ -18,8 +18,11 @@ m - alpha_i.  The RREF cells of G(l, m) are the Schubert cells of that
 reversed basis (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
 Amer. Math. Monthly 79, 1972), so the variety is the G(l, m) cells
 whose pivots clear its floors (_schubert_cells), walked on that basis.
-Membership by rank (contains) only checks single points: witnesses,
-and the redundancy campaign, which tests the conditions themselves.
+Membership by rank (contains) checks single points, witnesses among
+them, with one intersection_dim per condition.  The redundancy
+campaign tests the conditions themselves: it evaluates each member's
+condition once per point (_conditions_met) and reads both the full and
+the reduced verdict off that one list.
 
 The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
@@ -32,8 +35,14 @@ first point.
 Which cells a dimension tuple keeps and its non-redundant positions
 depend on (alpha, m) alone, so they are built once per shape, as
 tuples, and the kept cells are the G(l, m) layout's own tuples.  A
-variety builds only what its flag decides: the adapted basis the
-cells are read on.
+variety builds only what its flag decides, its frame: the adapted
+basis the cells are read on, on first use, and that basis's inverse,
+which takes a point into its adapted coordinates, on first need.
+Everything that reads a variety's adapted coordinates (the walk, the
+oracles' image walk, the witness construction, the contravariant image
+and the campaigns' stabilizers and movers) takes them from the
+variety, so one variety derives its frame once however many of them
+run on it.
 """
 
 from functools import lru_cache
@@ -51,7 +60,7 @@ from .grassmann import (
     rank_subspace,
     standard_flag,
 )
-from .linalg import Subspace, _eliminate, intersection_dim, matmul, matrix_inverse
+from .linalg import Subspace, _eliminate, _intersection_dim, _inverse, matmul
 
 
 def alpha_nc(alpha):
@@ -166,6 +175,8 @@ class SchubertVariety:
         self.flag = flag
         self._point_set = None
         self._condition_lists = None
+        self._basis = None
+        self._basis_inverse = None
 
     @classmethod
     def standard(cls, gf, m, alpha):
@@ -204,13 +215,7 @@ class SchubertVariety:
         """Only the conditions at non-redundant dimensions."""
         return [(self.flag[i], i + 1) for i in self.nc_positions]
 
-    def contains(self, W, conditions="minimal"):
-        """Whether a point of the Grassmannian lies on the variety.
-
-        Each condition dim(W & S) >= r is one intersection_dim, which
-        reduces the smaller basis against the other's RREF rows.
-        conditions picks the full or the reduced condition list.
-        """
+    def _check_point(self, W):
         if not isinstance(W, Subspace):
             raise TypeError("expected a Subspace")
         if W.gf != self.gf or W.m != self.m:
@@ -220,13 +225,44 @@ class SchubertVariety:
                 f"point has dimension {W.dim}, the variety lives in "
                 f"dimension {self.l}"
             )
+
+    def contains(self, W, conditions="minimal"):
+        """Whether a point of the Grassmannian lies on the variety.
+
+        Each condition dim(W & S) >= r is one intersection_dim, which
+        reduces the smaller basis against the other's RREF rows; W is
+        checked once, not per condition.  conditions picks the full or
+        the reduced condition list.
+        """
+        self._check_point(W)
         if self._condition_lists is None:
             self._condition_lists = {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
         try:
             conds = self._condition_lists[conditions]
         except KeyError:
             raise ValueError("conditions must be 'minimal' or 'all'") from None
-        return all(intersection_dim(W, S) >= r for S, r in conds)
+        return all(_intersection_dim(W, S) >= r for S, r in conds)
+
+    def _conditions_met(self, W):
+        """Whether W meets each member S_i in dimension at least i + 1.
+
+        One intersection_dim per member, in flag order, so that both
+        condition lists can be read off one evaluation per point.
+        """
+        self._check_point(W)
+        return [_intersection_dim(W, S) > i for i, S in enumerate(self.flag.subspaces)]
+
+    def _adapted(self):
+        """The flag's adapted basis as row tuples, built on first use."""
+        if self._basis is None:
+            self._basis = tuple(map(tuple, adapted_basis(self.flag)))
+        return self._basis
+
+    def _adapted_inverse(self):
+        """The inverse of the adapted basis, built on first need."""
+        if self._basis_inverse is None:
+            self._basis_inverse = _inverse(self.gf, self._adapted())
+        return self._basis_inverse
 
     def _walk(self, limit=None):
         """Yield the points as row tuples, cell by cell, each once.
@@ -237,7 +273,7 @@ class SchubertVariety:
         """
         gf = self.gf
         check_enumeration_budget(gf, self.m, self.l, limit)
-        basis = adapted_basis(self.flag)[::-1]
+        basis = self._adapted()[::-1]
         for _, rows, _ in _schubert_cells(self.alpha, self.m):
             yield from _walk_cell(gf, basis, rows)
 
@@ -327,15 +363,13 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     """
     gf, m = omega.gf, omega.m
     check_enumeration_budget(gf, m, omega.l)
-    rows = basis = adapted_basis(omega.flag)
+    rows = omega._adapted()
     if frobenius_power:
         rows = gf.frobenius(rows, frobenius_power)
     if matrix is not None:
         rows = matmul(gf, rows, matrix)
-    rows = list(zip(*matrix_inverse(gf, rows))) if dual else rows[::-1]
-    if target is not omega:
-        basis = adapted_basis(target.flag)
-    rows = matmul(gf, rows, [row[::-1] for row in matrix_inverse(gf, basis)])
+    rows = list(zip(*_inverse(gf, rows))) if dual else rows[::-1]
+    rows = matmul(gf, rows, [row[::-1] for row in target._adapted_inverse()])
     floors = _floors(target.alpha, m)
     for _, cell, _ in _schubert_cells(omega.alpha, m, dual):
         for point in _walk_cell(gf, rows, cell):
@@ -389,7 +423,7 @@ def _witness_candidates(oa, ob, s):
     gf, m = oa.gf, oa.m
     alpha = oa.alpha
     l = len(alpha)
-    adapted = adapted_basis(oa.flag)
+    adapted = oa._adapted()
     if s == l - 1:
         gens = [adapted[j] for j in range(l - 1)]
     else:

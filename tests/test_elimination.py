@@ -82,16 +82,26 @@ def test_rref_invariants_and_span_size_over_extensions(p, e, max_rows, max_cols,
         assert gf.q**rk == _span_size(gf, mat, ncols) == _span_size(gf, R[:rk], ncols)
 
 
-def _span_of(S, p):
-    return bf.span_set(S.to_rows(), p, S.m)
+def _span_of(S, field):
+    return bf.span_set(S.to_rows(), field, S.m)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_contains_matches_span_sets_on_whole_grassmannian(p):
-    gf = make_field(p)
-    m, l = 4, 2
-    rng = random.Random(77 + p)
-    points = [(W, _span_of(W, p)) for W in enumerate_grassmannian(gf, m, l)]
+@pytest.mark.parametrize(
+    "p,e,m",
+    # the G(2, 4) prime-field cases are named by p alone
+    [
+        pytest.param(2, 1, 4, id="2"),
+        pytest.param(3, 1, 4, id="3"),
+        pytest.param(2, 2, 4, id="4"),
+        pytest.param(2, 1, 5, id="2-m5"),
+    ],
+)
+def test_contains_matches_span_sets_on_whole_grassmannian(p, e, m):
+    gf = make_field(p, e)
+    field = p if e == 1 else bf.cached_field(p, e)
+    l = 2
+    rng = random.Random(77 + p + 10 * (e - 1) + 100 * (m - 4))
+    points = [(W, _span_of(W, field)) for W in enumerate_grassmannian(gf, m, l)]
     for alpha in itertools.combinations(range(1, m + 1), l):
         for _ in range(2):
             omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng.randrange(2**30)))
@@ -101,7 +111,13 @@ def test_contains_matches_span_sets_on_whole_grassmannian(p):
                     if conditions == "minimal"
                     else omega.all_conditions()
                 )
-                spans = [(_span_of(S, p), r) for S, r in conds]
+                spans = [(_span_of(S, field), r) for S, r in conds]
                 for W, span_w in points:
-                    expect = all(bf.span_dim(span_w & s, p) >= r for s, r in spans)
+                    expect = all(bf.span_dim(span_w & s, gf.q) >= r for s, r in spans)
                     assert omega.contains(W, conditions) == expect
+            # the per-member list the redundancy campaign reads both
+            # condition lists off: entry i is dim(W & S_i) >= i + 1
+            members = [_span_of(S, field) for S in omega.flag.subspaces]
+            for W, span_w in points:
+                want = [bf.span_dim(span_w & s, gf.q) >= i + 1 for i, s in enumerate(members)]
+                assert omega._conditions_met(W) == want

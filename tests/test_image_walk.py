@@ -48,15 +48,15 @@ def _alphas(m, l, sampled, rng):
 def _maps(omega, rng):
     """Random, stabilizing, mover, twisted and (on G(l, 2l)) contravariant maps."""
     gf, m = omega.gf, omega.m
-    maps = [random_semilinear(gf, m, rng=rng), _flag_stabilizer(omega.flag, rng)]
-    mover = _member_mover(omega.flag, rng)
+    maps = [random_semilinear(gf, m, rng=rng), _flag_stabilizer(omega, rng)]
+    mover = _member_mover(omega, rng)
     if mover is not None:
         maps.append(mover)
     for k in range(1, gf.e):
         maps.append(SemilinearMap._trusted(gf, m, random_semilinear(gf, m, rng=rng).matrix, k, False))
     if m == 2 * omega.l:
         maps.append(random_semilinear(gf, m, rng=rng, dual=True))
-        maps.append(compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(omega.flag, rng)))
+        maps.append(compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(omega, rng)))
     return maps
 
 
@@ -89,7 +89,7 @@ def test_perp_symmetric_flags_are_kept_by_the_walk(p, e, m, l):
         if flag is None:
             continue
         omega = SchubertVariety(flag)
-        tau = compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(flag, rng))
+        tau = compose(SemilinearMap.perp_map(gf, m), _flag_stabilizer(omega, rng))
         pts = omega.point_set()
         assert all(tau(W) in pts for W in pts)
         assert is_automorphism_oracle(tau, omega)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import bruteforce as bf
+from qgrass import schubert
 from qgrass.errors import BudgetExceededError
 from qgrass.field import field_from_order, make_field
 from qgrass.grassmann import (
@@ -14,6 +15,7 @@ from qgrass.grassmann import (
     random_flag,
     standard_flag,
 )
+from qgrass.group import is_automorphism_fast, is_automorphism_oracle
 from qgrass.linalg import Subspace
 from qgrass.schubert import (
     SchubertVariety,
@@ -26,6 +28,7 @@ from qgrass.schubert import (
     equality_witness,
     polynomial_value,
 )
+from qgrass.verify import _flag_stabilizer, _resample_member
 
 # point counts over GF(2), ambient dimension 4, points of dimension 2,
 # one per dimension tuple; frozen from the enumeration oracle below
@@ -260,3 +263,32 @@ def test_witness_at_the_top_condition_needs_no_scan(q, m, l, monkeypatch):
         W = equality_witness(o1, o2)
         assert o1.contains(W) != o2.contains(W)
     assert kept > 200
+
+
+def test_a_variety_builds_its_adapted_basis_and_inverse_once(monkeypatch):
+    bases, inverses = [], []
+    adapted_basis, inverse = schubert.adapted_basis, schubert._inverse
+
+    def counted_basis(flag):
+        bases.append(flag)
+        return adapted_basis(flag)
+
+    def counted_inverse(gf, rows):
+        inverses.append(rows)
+        return inverse(gf, rows)
+
+    monkeypatch.setattr(schubert, "adapted_basis", counted_basis)
+    monkeypatch.setattr(schubert, "_inverse", counted_inverse)
+    gf = make_field(3)
+    rng = random.Random(12)
+    omega = SchubertVariety(random_flag(gf, 4, (1, 3), rng=rng))
+    tau = _flag_stabilizer(omega, rng)
+    assert is_automorphism_fast(tau, omega) and is_automorphism_oracle(tau, omega)
+    # the members at dimension 1 differ, and both are non-redundant
+    other = SchubertVariety(_resample_member(omega.flag, 0, rng))
+    assert not equal_oracle(omega, other) and not equal_oracle(other, omega)
+    W = equality_witness(omega, other)
+    assert omega.contains(W) != other.contains(W)
+    assert omega.count_points() == other.count_points() == polynomial_value(omega.count_polynomial(), 3)
+    assert bases == [omega.flag, other.flag]
+    assert inverses == [omega._adapted(), other._adapted()]

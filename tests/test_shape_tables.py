@@ -21,7 +21,7 @@ import pytest
 import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import _grassmannian_layout, _walk_cell, enumerate_grassmannian
-from qgrass.linalg import Subspace, _identity, _negatives, _row_chunks, _row_list
+from qgrass.linalg import Subspace, _identity, _row_chunks, _row_list
 from qgrass.schubert import SchubertVariety, _nc_positions, _schubert_cells, cell_count_polynomial
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
@@ -118,17 +118,18 @@ def test_shape_tables_are_shared_tuples_no_caller_can_change():
         _schubert_cells((2, 4), 4, True),
         _grassmannian_layout(4, 2),
         _nc_positions((1, 3, 4)),
-        _negatives(gf),
+        gf._negs,
     ]
     for table in tables:
         assert _frozen(table), table
     assert _identity(4) is _identity(4)
+    assert gf._negs is gf._negs == (2, 1)
     assert _schubert_cells((2, 4), 4) is _schubert_cells((2, 4), 4)
     with pytest.raises(TypeError):
         _identity(4)[0] = (0, 0, 0, 0)
     with pytest.raises(TypeError):
         _schubert_cells((2, 4), 4)[0] = ((0, 1), (), ())
-    # a walk hands out tuples, read from a basis built per call
+    # a walk hands out tuples, read from the variety's own adapted basis
     omega = SchubertVariety.standard(gf, 4, (2, 4))
     walked = list(omega._walk())
     assert _frozen(tuple(walked)) and len(walked) == omega.count_points()

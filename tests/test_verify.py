@@ -207,6 +207,14 @@ GOLDEN_REPORTS = [
      "b07d3335afa3fc83f00e371e175c5fe96b53a112e554e50a61567f3eb4f75795"),
     ("alpha-uniqueness", (2, 4, 2), dict(flags_per_alpha=4, seed=0),
      "b34d80cc536378f9feb1e9bef518ff9c21179e54c1b1a89164adbf0c1b38aede"),
+    # fields other than GF(2), and the sample path: the benchmark's
+    # digests cover these campaigns over GF(2) only
+    ("redundancy", (3, 4, 2), dict(flags_per_alpha=1, seed=5, mutant="drop-nonredundant-condition"),
+     "7cac62f9fe4ffc390cc5aeba076fb9c29db2f9decc2e8454723ab0776a084b1f"),
+    ("redundancy", (2, 5, 2), dict(mode="sample", flags_per_alpha=2, sample_points=40, seed=13),
+     "cab8851196be3ada51a1c5ae0378045145ca1d4ddf829294180bacb15669abef"),
+    ("automorphism-criterion", (3, 4, 2), dict(trials=30, seed=12),
+     "044463e615abef6da7f2f2bf895d64e04fa0f14cf0c7cfe1cf728b45ed6cacc8"),
 ]
 
 
@@ -271,6 +279,8 @@ def test_perp_symmetric_flag_construction():
     assert is_automorphism_oracle(perp, om)
     # reflection of the tuple's complement must equal the tuple itself
     assert _perp_symmetric_flag(gf, 4, (1, 4)) is None
+    # the search is deterministic, so it runs once per (field, m, alpha)
+    assert _perp_symmetric_flag(gf, 4, (2, 4)) is flag
 
 
 def test_a_campaign_records_each_trial_whose_criterion_raises(monkeypatch, capsys):
