@@ -12,9 +12,11 @@ from qgrass import (
     SchubertVariety,
     alpha_nc,
     cell_count_polynomial,
+    enumerate_grassmannian,
     make_field,
     polynomial_value,
 )
+from qgrass.linalg import intersection_dim
 
 gf = make_field(2)
 omega = SchubertVariety.standard(gf, 4, (2, 4))
@@ -34,10 +36,21 @@ print("value at q=3:", polynomial_value(coeffs, 3))
 print("\nreduced condition dimensions for (2,3,4) in 5-space:", alpha_nc((2, 3, 4)))
 print("reduced condition dimensions for (2,4):", alpha_nc((2, 4)))
 
-# membership by the reduced list always agrees with the full list
-full = [W for W in pts if omega.contains(W, conditions="all")]
-minimal = [W for W in pts if omega.contains(W, conditions="minimal")]
-print("reduced vs full agreement on all points:", full == minimal)
+# contains reads only the reduced conditions.  In (2, 3) the member of
+# dimension 2 is redundant, yet over all of G(2, 4) contains agrees with
+# the full list: each member S_i meets W in dimension at least i + 1
+omega23 = SchubertVariety.standard(gf, 4, (2, 3))
+grassmannian = list(enumerate_grassmannian(gf, 4, 2))
+full = [
+    all(intersection_dim(W, S) > i for i, S in enumerate(omega23.flag.subspaces))
+    for W in grassmannian
+]
+reduced = [omega23.contains(W) for W in grassmannian]
+print(
+    f"reduced vs full agreement on all {len(grassmannian)} points of G(2, 4):",
+    full == reduced,
+    f"({sum(full)} on the variety {omega23.alpha})",
+)
 
 # two different tuples can tie on the COUNT without tying on the SET
 a, b = (1, 4), (2, 3)

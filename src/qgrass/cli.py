@@ -82,10 +82,7 @@ def _load_json(path):
 
 
 def _load_variety(path):
-    doc = _load_json(path)
-    if "flag" in doc:
-        return SchubertVariety.from_json_dict(doc)
-    return SchubertVariety(Flag.from_json_dict(doc))
+    return SchubertVariety.from_json_dict(_load_json(path))
 
 
 def _load_map(path):

@@ -107,8 +107,6 @@ def _monic_polys(p, degree):
 
 def _is_irreducible(poly, p):
     degree = len(poly) - 1
-    if degree == 1:
-        return True
     if poly[0] == 0:
         return False
     for d in range(1, degree // 2 + 1):

@@ -19,10 +19,7 @@ reversed basis (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
 Amer. Math. Monthly 79, 1972), so the variety is the G(l, m) cells
 whose pivots clear its floors (_schubert_cells), walked on that basis.
 Membership by rank (contains) checks single points, witnesses among
-them, with one intersection_dim per condition.  The redundancy
-campaign tests the conditions themselves: it evaluates each member's
-condition once per point (_conditions_met) and reads both the full and
-the reduced verdict off that one list.
+them, with one intersection_dim per non-redundant member.
 
 The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
@@ -174,7 +171,6 @@ class SchubertVariety:
             raise ValueError("a variety needs at least one condition")
         self.flag = flag
         self._point_set = None
-        self._condition_lists = None
         self._basis = None
         self._basis_inverse = None
 
@@ -207,14 +203,6 @@ class SchubertVariety:
         """0-based positions of the members at non-redundant dimensions."""
         return _nc_positions(self.alpha)
 
-    def all_conditions(self):
-        """Every (member, required intersection dimension) pair."""
-        return [(S, i + 1) for i, S in enumerate(self.flag.subspaces)]
-
-    def minimal_conditions(self):
-        """Only the conditions at non-redundant dimensions."""
-        return [(self.flag[i], i + 1) for i in self.nc_positions]
-
     def _check_point(self, W):
         if not isinstance(W, Subspace):
             raise TypeError("expected a Subspace")
@@ -226,31 +214,16 @@ class SchubertVariety:
                 f"dimension {self.l}"
             )
 
-    def contains(self, W, conditions="minimal"):
+    def contains(self, W):
         """Whether a point of the Grassmannian lies on the variety.
 
-        Each condition dim(W & S) >= r is one intersection_dim, which
-        reduces the smaller basis against the other's RREF rows; W is
-        checked once, not per condition.  conditions picks the full or
-        the reduced condition list.
+        W is checked once.  Then only the members S_i at non-redundant
+        positions are tested, one intersection_dim each, for meeting W in
+        dimension at least i + 1; they imply the other conditions.
         """
         self._check_point(W)
-        if self._condition_lists is None:
-            self._condition_lists = {"minimal": self.minimal_conditions(), "all": self.all_conditions()}
-        try:
-            conds = self._condition_lists[conditions]
-        except KeyError:
-            raise ValueError("conditions must be 'minimal' or 'all'") from None
-        return all(_intersection_dim(W, S) >= r for S, r in conds)
-
-    def _conditions_met(self, W):
-        """Whether W meets each member S_i in dimension at least i + 1.
-
-        One intersection_dim per member, in flag order, so that both
-        condition lists can be read off one evaluation per point.
-        """
-        self._check_point(W)
-        return [_intersection_dim(W, S) > i for i, S in enumerate(self.flag.subspaces)]
+        members = self.flag.subspaces
+        return all(_intersection_dim(W, members[i]) > i for i in self.nc_positions)
 
     def _adapted(self):
         """The flag's adapted basis as row tuples, built on first use."""
@@ -438,8 +411,6 @@ def _witness_candidates(oa, ob, s):
         if Bs.contains_vector(x) or span_g.contains_vector(x):
             continue
         W = Subspace.from_rows(gf, gens + [x], ambient=m)
-        if W.dim != l:
-            continue
         if oa.contains(W) != ob.contains(W):
             return W
     return None

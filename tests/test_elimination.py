@@ -17,7 +17,7 @@ import pytest
 import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import enumerate_grassmannian, random_flag
-from qgrass.linalg import random_matrix, rank, rref
+from qgrass.linalg import intersection_dim, random_matrix, rank, rref
 from qgrass.schubert import SchubertVariety
 
 
@@ -105,19 +105,11 @@ def test_contains_matches_span_sets_on_whole_grassmannian(p, e, m):
     for alpha in itertools.combinations(range(1, m + 1), l):
         for _ in range(2):
             omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng.randrange(2**30)))
-            for conditions in ("minimal", "all"):
-                conds = (
-                    omega.minimal_conditions()
-                    if conditions == "minimal"
-                    else omega.all_conditions()
-                )
-                spans = [(_span_of(S, field), r) for S, r in conds]
-                for W, span_w in points:
-                    expect = all(bf.span_dim(span_w & s, gf.q) >= r for s, r in spans)
-                    assert omega.contains(W, conditions) == expect
-            # the per-member list the redundancy campaign reads both
-            # condition lists off: entry i is dim(W & S_i) >= i + 1
+            # every member's condition, dim(W & S_i) >= i + 1: contains
+            # reads only the non-redundant ones, the redundancy campaign
+            # evaluates them all with intersection_dim
             members = [_span_of(S, field) for S in omega.flag.subspaces]
             for W, span_w in points:
                 want = [bf.span_dim(span_w & s, gf.q) >= i + 1 for i, s in enumerate(members)]
-                assert omega._conditions_met(W) == want
+                assert [intersection_dim(W, S) > i for i, S in enumerate(omega.flag.subspaces)] == want
+                assert omega.contains(W) == all(want)

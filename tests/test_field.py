@@ -139,6 +139,8 @@ def test_inverse_and_power_by_scalar_products(q):
 def test_dot_products(gf4):
     assert gf4.dot([1, 2], [2, 2]) == 1  # x + x^2 = 1 when x^2 = x + 1
     assert gf4.dot([0, 0, 0], [1, 2, 3]) == 0
+    with pytest.raises(ValueError):
+        gf4.dot([1, 2], [1, 2, 3])
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (2, 3), (3, 2), (7, 3)])
@@ -225,6 +227,8 @@ def test_constructor_rejects_bad_parameters():
         GF(4)
     with pytest.raises(ValueError):
         GF(6)
+    with pytest.raises(ValueError):
+        GF(9)  # odd, and not prime
     with pytest.raises(ValueError):
         GF(1)
     with pytest.raises(ValueError):

@@ -165,6 +165,8 @@ def test_flag_validation(gf2, gf3):
     W3 = Subspace.from_rows(gf3, [[1, 0, 0, 0]], ambient=4)
     with pytest.raises(ValueError):
         Flag(gf2, 4, (1,), (W3,))  # wrong field
+    with pytest.raises(TypeError):
+        Flag(gf2, 4, (1,), (((1, 0, 0, 0),),))  # rows, not a Subspace
 
 
 def test_random_flag_reproducible(gf3):

@@ -132,6 +132,17 @@ def test_map_validation(gf2, gf4):
         tau("not a subspace")
     with pytest.raises(ValueError):
         tau(Subspace.zero(gf2, 4))
+    # a flag, a map or a variety of GF(2)^4 meets a map of GF(2)^3
+    with pytest.raises(ValueError):
+        tau(standard_flag(gf2, 4, (1, 3)))
+    with pytest.raises(ValueError):
+        compose(tau, SemilinearMap.identity(gf2, 4))
+    omega = SchubertVariety.standard(gf2, 4, (1, 3))
+    with pytest.raises(ValueError):
+        image_of_schubert(tau, omega)
+    with pytest.raises(ValueError):
+        is_automorphism_fast(tau, omega)
+    assert (tau == 0) is False
     with pytest.raises(AttributeError):
         tau.dual = True
 

@@ -158,7 +158,7 @@ def test_the_position_test_is_membership(q):
         on = 0
         for W in points:
             want = all(len(spans[W] & S) >= q**i for i, S in enumerate(members, 1))
-            assert _images_within(_one_point_variety(W), omega) == omega.contains(W, "all") == want
+            assert _images_within(_one_point_variety(W), omega) == omega.contains(W) == want
             on += want
         assert on == omega.count_points()
 

@@ -132,6 +132,8 @@ def test_matrix_inverse(p, e):
     singular = mat[:3] + [mat[2]]
     with pytest.raises(ValueError):
         matrix_inverse(gf, singular)
+    with pytest.raises(ValueError):
+        matrix_inverse(gf, mat[:3])  # not square
 
 
 def test_random_invertible_rejects_n_below_one(gf2):
@@ -150,6 +152,10 @@ def test_from_rows_and_from_matrix_validation(gf3):
         with pytest.raises(ValueError):
             SemilinearMap.from_matrix(gf3, [[1, bad], [0, 1]])
     assert Subspace.from_rows(gf3, [1, 2, 0]).basis == ((1, 2, 0),)
+    with pytest.raises(ValueError):
+        Subspace.from_rows(gf3, [[0, None]])  # not a code
+    with pytest.raises(ValueError):
+        Subspace.from_rows(gf3, [])  # no rows and no ambient dimension
     with pytest.raises(ValueError):
         SemilinearMap.from_matrix(gf3, [1, 2, 0])  # one row, three columns
 
@@ -189,6 +195,9 @@ def test_sum_and_containment(gf2):
         assert (A & B) <= A
         assert not (S < S)
         assert S <= S
+    assert not (Subspace.full(gf2, 5) <= A)  # a larger dimension
+    with pytest.raises(TypeError):
+        A <= 5
 
 
 def test_perp_matches_naive(gf2):
@@ -236,6 +245,7 @@ def test_subspace_identity(gf2, gf3):
     assert hash(A) == hash(B)
     C = Subspace.from_rows(gf2, [[1, 0, 1]], ambient=3)
     assert A != C
+    assert (A == 0) is False
     assert len({A, B, C}) == 2
     with pytest.raises(ValueError):
         A._check_ambient(Subspace.zero(gf3, 3))
@@ -265,6 +275,8 @@ def test_reduce_residual(gf3):
     # residual has zeros on pivot coordinates
     assert int(res[0]) == 0 and int(res[1]) == 0
     assert A.contains_vector([2, 2, 0]) == (not any(A.reduce([2, 2, 0])))
+    with pytest.raises(ValueError):
+        A.reduce([2, 2])  # short vector
 
 
 def _assert_int_tuples(W):

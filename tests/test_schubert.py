@@ -16,7 +16,7 @@ from qgrass.grassmann import (
     standard_flag,
 )
 from qgrass.group import is_automorphism_fast, is_automorphism_oracle
-from qgrass.linalg import Subspace
+from qgrass.linalg import Subspace, intersection_dim
 from qgrass.schubert import (
     SchubertVariety,
     alpha_nc,
@@ -127,9 +127,10 @@ def test_minimal_and_full_conditions_agree(gf2):
     rng = random.Random(13)
     for alpha in [(1, 2), (1, 3), (1, 2, 4), (2, 3, 4)]:
         omega = SchubertVariety(random_flag(gf2, 4, alpha, rng=rng.randrange(2**30)))
-        assert len(omega.minimal_conditions()) == len(omega.alpha_nc)
+        assert len(omega.nc_positions) == len(omega.alpha_nc)
         for W in enumerate_grassmannian(gf2, 4, len(alpha)):
-            assert omega.contains(W, "minimal") == omega.contains(W, "all")
+            full = all(intersection_dim(W, S) > i for i, S in enumerate(omega.flag.subspaces))
+            assert omega.contains(W) == full
 
 
 def test_contains_validates_input(gf2, gf3):
@@ -138,8 +139,6 @@ def test_contains_validates_input(gf2, gf3):
         omega.contains(Subspace.zero(gf2, 4))  # wrong dimension
     with pytest.raises(ValueError):
         omega.contains(Subspace.from_rows(gf3, [[1, 0, 0, 0], [0, 1, 0, 0]], ambient=4))
-    with pytest.raises(ValueError):
-        omega.contains(next(iter(omega.points())), conditions="bogus")
     with pytest.raises(TypeError):
         omega.contains([[1, 0, 0, 0]])
 
@@ -177,6 +176,13 @@ def test_witness_at_top_condition(gf2):
     W = equality_witness(o1, o2)
     assert W is not None and W.dim == 2
     assert o1.contains(W) != o2.contains(W)
+    # in G(1, 3) the witness is the searched line alone, with no generators
+    plane = Subspace.from_rows(gf2, [[1, 0, 0], [0, 0, 1]], ambient=3)
+    o1 = SchubertVariety.standard(gf2, 3, (2,))
+    o2 = SchubertVariety(Flag(gf2, 3, (2,), (plane,)))
+    W = equality_witness(o1, o2)
+    assert W is not None and W.dim == 1
+    assert o1.contains(W) != o2.contains(W)
 
 
 def test_witness_for_distinct_dimension_tuples(gf2):
@@ -200,6 +206,9 @@ def test_variety_json_round_trip(gf3):
     bad["alpha"] = [1, 2]
     with pytest.raises(ValueError):
         SchubertVariety.from_json_dict(bad)
+    bad = dict(data, flag=random_flag(gf3, 5, (2, 3), rng=8).to_json_dict())
+    with pytest.raises(ValueError):
+        SchubertVariety.from_json_dict(bad)  # the flag's m is not the variety's
 
 
 def test_descriptor_identity(gf2):
@@ -208,8 +217,11 @@ def test_descriptor_identity(gf2):
     assert o1 == o2 and hash(o1) == hash(o2)
     o3 = SchubertVariety(random_flag(gf2, 4, (1, 3), rng=3))
     assert o1 != o3 or o1.flag == o3.flag
+    assert (o1 == 0) is False
     with pytest.raises(ValueError):
         SchubertVariety(Flag(gf2, 4, (), ()))
+    with pytest.raises(TypeError):
+        SchubertVariety(None)
     with pytest.raises(ValueError):
         equal_fast(o1, SchubertVariety.standard(make_field(3), 4, (1, 3)))
 

@@ -46,6 +46,8 @@ def test_redundancy_campaign_passes():
 def test_redundancy_sampling_with_no_points_is_refused():
     with pytest.raises(ValueError, match="sample_points=0"):
         verify_redundancy(2, 4, 2, mode="sample", flags_per_alpha=1, sample_points=0)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        verify_redundancy(2, 4, 2, mode="bogus", flags_per_alpha=1)
 
 
 def test_redundancy_campaign_other_field():
