@@ -14,10 +14,8 @@ from .field import (
 )
 from .linalg import (
     Subspace,
-    kernel,
     matmul,
     matrix_inverse,
-    rank,
     rref,
 )
 from .grassmann import (
@@ -73,10 +71,8 @@ __all__ = [
     "field_from_order",
     "make_field",
     "Subspace",
-    "kernel",
     "matmul",
     "matrix_inverse",
-    "rank",
     "rref",
     "Flag",
     "adapted_basis",

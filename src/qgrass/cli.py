@@ -280,13 +280,8 @@ def _cmd_gen_flag(args):
 
 def _cmd_gen_map(args):
     gf = _resolve_field(args)
-    rng = random.Random(args.seed)
-    if args.dual:
-        tau = random_semilinear(gf, args.m, rng=rng, dual=True)
-    elif args.allow_dual:
-        tau = random_semilinear(gf, args.m, rng=rng, allow_dual=True)
-    else:
-        tau = random_semilinear(gf, args.m, rng=rng)
+    dual = None if args.allow_dual else args.dual
+    tau = random_semilinear(gf, args.m, rng=random.Random(args.seed), dual=dual)
     _emit(tau.to_json_dict(), out=args.output)
     return 0
 

@@ -469,20 +469,6 @@ class GF:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def to_json_dict(self):
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        gf = make_field(int(data["p"]), int(data["e"]))
-        want = tuple(int(c) for c in data.get("modulus", gf.modulus))
-        if want != gf.modulus:
-            raise ValueError(
-                f"modulus {list(want)} differs from the canonical choice "
-                f"{list(gf.modulus)} for GF({gf.q})"
-            )
-        return gf
-
 
 @lru_cache(maxsize=None)
 def make_field(p, e=1):

@@ -86,14 +86,6 @@ class SemilinearMap:
         return cls._trusted(gf, m, _identity(m), 0, False)
 
     @classmethod
-    def from_matrix(cls, gf, matrix, frobenius_power=0, dual=False):
-        return cls(gf, len(matrix), matrix, frobenius_power, dual)
-
-    @classmethod
-    def frobenius_map(cls, gf, m, k=1):
-        return cls(gf, m, _identity(m), k, False)
-
-    @classmethod
     def perp_map(cls, gf, m):
         return cls._trusted(gf, m, _identity(m), 0, True)
 
@@ -217,17 +209,17 @@ def compose(outer, inner):
     return SemilinearMap._trusted(gf, outer.m, mat, k, dual)
 
 
-def random_semilinear(gf, m, rng=None, allow_dual=False, dual=None):
+def random_semilinear(gf, m, rng=None, dual=False):
     """A random map: uniform invertible matrix, uniform Frobenius power.
 
-    dual picks the annihilator part outright; with dual=None it is drawn
-    uniformly when allow_dual is set, else off.
+    dual picks the annihilator part: False or True outright, or None for
+    a fair coin drawn after the matrix and the power.
     """
     rng = _as_rng(rng)
     mat = random_invertible(gf, m, rng)
     k = rng.randrange(gf.e)
     if dual is None:
-        dual = bool(rng.randrange(2)) if allow_dual else False
+        dual = bool(rng.randrange(2))
     return SemilinearMap._trusted(gf, m, mat, k, bool(dual))
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over a GF context: RREF, kernels, subspaces.
+"""Exact linear algebra over a GF context: RREF, annihilators, subspaces.
 
 Subspaces are the unit of currency for everything downstream.  A
 Subspace stores the unique reduced-row-echelon basis of its row space
@@ -9,13 +9,14 @@ Every vector and matrix here is Python ints: the matrices are 8x8 or
 smaller, where plain lists beat any array library's per-call overhead.
 Functions that build a matrix return it as a list of row lists.  There
 is one elimination kernel, _eliminate, driven by the two row operations
-each GF chose for itself.  rref, rank, matrix_inverse, spans and sums
-run on it, and Subspace() checks that its rows are an RREF basis by
+each GF chose for itself.  rref, matrix_inverse, spans and sums run
+on it, and Subspace() checks that its rows are an RREF basis by
 spanning them once.  Rows that are already reduced are not reduced
 again: intersection_dim reduces the smaller basis against the larger
 one's RREF rows and eliminates only what is left, and perp, the one
-annihilator, reads it off a subspace's own RREF basis.  kernel is the
-perp of a row space and U & V is (U.perp() + V.perp()).perp().
+annihilator, reads it off a subspace's own RREF basis.  A matrix's
+rank is the dim of Subspace.from_rows(gf, mat), its null space that
+span's perp, and U & V is (U.perp() + V.perp()).perp().
 matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
 fields, so no sum can overflow.  intersection_dim and matrix_inverse
@@ -131,10 +132,6 @@ def rref(gf, mat):
     return [list(row) for row in rows], rk, pivots
 
 
-def rank(gf, mat):
-    return rref(gf, mat)[1]
-
-
 def intersection_dim(U, V):
     """dim(U & V), from the residuals of U's rows against V.
 
@@ -194,11 +191,6 @@ def _inverse(gf, rows):
     if pivots[:n] != tuple(range(n)) or rk < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
-
-
-def kernel(gf, mat):
-    """Right null space {x : mat @ x = 0}: the annihilator of the row space."""
-    return Subspace.from_rows(gf, mat).perp()
 
 
 def _echelon_step(gf, elim, v):

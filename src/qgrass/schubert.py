@@ -25,7 +25,7 @@ The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
 image's pivots against a target's floors, the same test the cells are
 kept by.  point_set stays for what needs the set itself:
-alpha-uniqueness, points() and the stabilizer census, which tests
+alpha-uniqueness and the stabilizer census's oracle, which tests
 thousands of maps against one variety, most of them failing at their
 first point.
 
@@ -264,13 +264,13 @@ class SchubertVariety:
         """Yield the points in canonical Grassmannian order."""
         yield from sorted(self._cell_points(limit), key=rank_subspace)
 
-    def point_set(self, limit=None):
+    def point_set(self):
         # the budget holds on every call, not only the one that fills the
         # cache; _walk checks it before the first cell
         if self._point_set is None:
-            self._point_set = frozenset(self._cell_points(limit))
+            self._point_set = frozenset(self._cell_points())
         else:
-            check_enumeration_budget(self.gf, self.m, self.l, limit)
+            check_enumeration_budget(self.gf, self.m, self.l)
         return self._point_set
 
     def count_points(self, limit=None):

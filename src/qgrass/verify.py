@@ -191,6 +191,14 @@ def verify_redundancy(
     where the other conditions are implied, which is what is tested.
     The mutant drops the first reduced condition (a load-bearing one)
     and must produce failures.
+
+    Membership is equivariant: W lies on Omega(F.h) exactly when W.h^-1
+    lies on Omega(F), for h in GL(m), since dim(W & S.h) =
+    dim(W.h^-1 & S) for every member S.  Any two flags with the same
+    tuple differ by such an h, so in exhaustive mode, where W runs over
+    all of G(l, m), a tuple's first flag already meets every verdict a
+    flag with that tuple can give, and the rest of the flags_per_alpha
+    loop only repeats it.
     """
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -795,12 +803,13 @@ def stabilizer_census(
             bound=budget,
         )
     started = time.perf_counter()
-    pts = omega.point_set()
     oracle_targets = None
     if oracle == "subsample":
         rng = random.Random(seed)
         count = min(subsample, size)
         oracle_targets = set(rng.sample(range(size), count))
+    # the oracle's point set, built only when the oracle runs at least once
+    pts = omega.point_set() if oracle == "full" or oracle_targets else None
     fast_count = 0
     oracle_count = 0
     oracle_checked = 0

@@ -495,6 +495,18 @@ def test_census_budget_exit(capsys):
     assert rc == 3
 
 
+def test_a_census_builds_the_point_set_only_for_its_oracle(capsys, monkeypatch):
+    census = ["census", "--q", "2", "--m", "3", "--alpha", "1,3"]
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "6")  # G(2, 3) over GF(2) has 7 points
+    for oracle in (["--oracle", "none"], ["--oracle", "subsample", "--subsample", "0"]):
+        rc, out, _ = run(capsys, *census, *oracle)
+        assert rc == 0, oracle
+        doc = json.loads(out)
+        assert (doc["fast_count"], doc["oracle_checked"]) == (24, 0)
+    rc, _, err = run(capsys, *census, "--oracle", "subsample", "--subsample", "1")
+    assert rc == 3 and "over the bound 6" in err
+
+
 def test_census_timing_adds_only_the_elapsed_time(capsys):
     census = ["census", "--q", "2", "--m", "3", "--alpha", "1,3", "--oracle", "subsample", "--subsample", "5"]
     rc, plain, _ = run(capsys, *census)

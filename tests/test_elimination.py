@@ -17,7 +17,7 @@ import pytest
 import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import enumerate_grassmannian, random_flag
-from qgrass.linalg import intersection_dim, random_matrix, rank, rref
+from qgrass.linalg import Subspace, intersection_dim, random_matrix, rref
 from qgrass.schubert import SchubertVariety
 
 
@@ -70,7 +70,7 @@ def test_rref_invariants_and_span_size_over_extensions(p, e, max_rows, max_cols,
         mat = _random_rows(gf, rng, max_rows, max_cols)
         R, rk, pivots = rref(gf, mat)
         assert len(R) == len(mat) and all(len(row) == len(mat[0]) for row in R)
-        assert len(pivots) == rk == rank(gf, mat)
+        assert len(pivots) == rk == Subspace.from_rows(gf, mat).dim
         assert list(pivots) == sorted(set(pivots))
         for i, c in enumerate(pivots):
             assert R[i][c] == 1

@@ -16,12 +16,10 @@ from qgrass.grassmann import (
 from qgrass.group import SemilinearMap
 from qgrass.linalg import (
     Subspace,
-    kernel,
     matmul,
     matrix_inverse,
     random_invertible,
     random_matrix,
-    rank,
     rref,
 )
 from qgrass.schubert import SchubertVariety
@@ -50,7 +48,7 @@ def test_rref_matches_naive(p):
         form, naive_piv = bf.naive_rref(mat, p)
         assert [len(r) for r in R] == [ncols] * nrows
         assert all(type(x) is int for r in R for x in r)
-        assert rk == len(form) == rank(gf, mat)
+        assert rk == len(form) == Subspace.from_rows(gf, mat).dim
         assert pivots == naive_piv
         assert R[:rk] == [list(r) for r in form]
         assert not any(any(r) for r in R[rk:])
@@ -92,16 +90,17 @@ def test_kernel_annihilates(p, e):
     rng = random.Random(31 * p + e)
     for _ in range(25):
         mat = random_matrix(gf, rng.randrange(1, 4), rng.randrange(1, 6), rng)
-        ker = kernel(gf, mat)
-        assert ker.dim == len(mat[0]) - rank(gf, mat)
+        span = Subspace.from_rows(gf, mat)
+        ker = span.perp()
+        assert ker.dim == len(mat[0]) - span.dim
         for vec in ker.basis:
             column = [[x] for x in vec]
             assert not any(any(row) for row in matmul(gf, mat, column))
 
 
 def test_kernel_edge_cases(gf2):
-    assert kernel(gf2, _eye(4)).dim == 0
-    assert kernel(gf2, [[0] * 4] * 2).dim == 4
+    assert Subspace.from_rows(gf2, _eye(4)).perp().dim == 0
+    assert Subspace.from_rows(gf2, [[0] * 4] * 2).perp().dim == 4
 
 
 def test_matmul_matches_naive(gf4):
@@ -145,19 +144,19 @@ def test_random_invertible_rejects_n_below_one(gf2):
     assert rng.getstate() == state  # refused before any draw
 
 
-def test_from_rows_and_from_matrix_validation(gf3):
+def test_from_rows_and_map_constructor_validation(gf3):
     for bad in (3, -1):
         with pytest.raises(ValueError):
             Subspace.from_rows(gf3, [[0, bad]])
         with pytest.raises(ValueError):
-            SemilinearMap.from_matrix(gf3, [[1, bad], [0, 1]])
+            SemilinearMap(gf3, 2, [[1, bad], [0, 1]])
     assert Subspace.from_rows(gf3, [1, 2, 0]).basis == ((1, 2, 0),)
     with pytest.raises(ValueError):
         Subspace.from_rows(gf3, [[0, None]])  # not a code
     with pytest.raises(ValueError):
         Subspace.from_rows(gf3, [])  # no rows and no ambient dimension
     with pytest.raises(ValueError):
-        SemilinearMap.from_matrix(gf3, [1, 2, 0])  # one row, three columns
+        SemilinearMap(gf3, 3, [1, 2, 0])  # one row, three columns
 
 
 # -- Subspace ----------------------------------------------------------------
@@ -374,6 +373,6 @@ def test_subspace_accepts_exactly_its_own_rref_rows(p, e, m, max_rows):
 def test_reprs_name_the_shape_and_the_field(gf4):
     assert repr(Subspace.full(gf4, 3)) == "Subspace(dim=3, m=3, GF(4))"
     assert repr(SemilinearMap.identity(gf4, 3)) == "SemilinearMap(m=3, GF(4), covariant)"
-    assert repr(SemilinearMap.frobenius_map(gf4, 3)) == "SemilinearMap(m=3, GF(4), frobenius^1, covariant)"
+    assert repr(SemilinearMap(gf4, 3, _eye(3), 1)) == "SemilinearMap(m=3, GF(4), frobenius^1, covariant)"
     assert repr(SemilinearMap.perp_map(gf4, 2)) == "SemilinearMap(m=2, GF(4), contravariant)"
     assert repr(SchubertVariety.standard(gf4, 4, (2, 4))) == "SchubertVariety(alpha=(2, 4), m=4, GF(4))"

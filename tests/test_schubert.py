@@ -226,30 +226,35 @@ def test_descriptor_identity(gf2):
         equal_fast(o1, SchubertVariety.standard(make_field(3), 4, (1, 3)))
 
 
-def test_point_set_budget_holds_after_the_cache_is_filled(gf2):
+def test_point_set_budget_holds_after_the_cache_is_filled(gf2, monkeypatch):
     omega = SchubertVariety.standard(gf2, 6, (3, 6))
     assert len(omega.point_set()) == omega.count_points() == 203
     with pytest.raises(BudgetExceededError):
         omega.count_points(limit=10)
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "10")
     with pytest.raises(BudgetExceededError):
-        omega.point_set(limit=10)
+        omega.point_set()
     assert omega.count_points(limit=10**6) == 203
 
 
 @pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 4, 2), (2, 5, 3)])
-def test_budget_admits_exactly_the_grassmannian_size(q, m, l):
+def test_budget_admits_exactly_the_grassmannian_size(q, m, l, monkeypatch):
     gf = make_field(q)
     total = gaussian_binomial(m, l, q)
     omega = SchubertVariety(random_flag(gf, m, tuple(range(m - l + 1, m + 1)), rng=q))
     assert sum(1 for _ in enumerate_grassmannian(gf, m, l, limit=total)) == total
     assert omega.count_points(limit=total) == total
-    assert len(omega.point_set(limit=total)) == total
+    monkeypatch.setenv("QGRASS_MAX_ENUM", str(total))
+    assert len(omega.point_set()) == total
     with pytest.raises(BudgetExceededError):
         next(enumerate_grassmannian(gf, m, l, limit=total - 1))
     with pytest.raises(BudgetExceededError):
         omega.count_points(limit=total - 1)
+    monkeypatch.setenv("QGRASS_MAX_ENUM", str(total - 1))
     with pytest.raises(BudgetExceededError):
-        omega.point_set(limit=total - 1)
+        omega.point_set()  # the cached set
+    with pytest.raises(BudgetExceededError):
+        SchubertVariety(omega.flag).point_set()  # a fresh walk
 
 
 @pytest.mark.parametrize("q,m,l", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 5, 2), (2, 5, 3), (2, 6, 3)])

@@ -20,12 +20,10 @@ from qgrass.group import SemilinearMap, compose, enumerate_invertible, group_ord
 from qgrass.linalg import (
     Subspace,
     intersection_dim,
-    kernel,
     matmul,
     matrix_inverse,
     random_invertible,
     random_matrix,
-    rank,
     rref,
 )
 
@@ -95,7 +93,7 @@ def test_rref_and_rank_match_span_sets(p, e, max_rows, max_cols, trials):
         R = _ints(R)
         span = _span(mat, ref, ncols)
         assert len(R) == nrows and all(len(row) == ncols for row in R)
-        assert rank(gf, mat) == rk == len(pivots) and gf.q**rk == len(span)
+        assert Subspace.from_rows(gf, mat).dim == rk == len(pivots) and gf.q**rk == len(span)
         assert _span(R[:rk], ref, ncols) == span
         assert not any(any(row) for row in R[rk:])
         for i, c in enumerate(pivots):
@@ -196,15 +194,15 @@ def test_every_draw_site_keeps_its_random_stream(p, e):
 
             T = _mirror_invertible(ref, mirror, m)
             k = mirror.randrange(e)
-            want = SemilinearMap.from_matrix(gf, T, frobenius_power=k, dual=True)
+            want = SemilinearMap(gf, m, T, k, True)
             assert random_semilinear(gf, m, rng, dual=True) == want
             assert rng.getstate() == mirror.getstate()
 
             T = _mirror_invertible(ref, mirror, m)
             k = mirror.randrange(e)
             dual = bool(mirror.randrange(2))
-            want = SemilinearMap.from_matrix(gf, T, frobenius_power=k, dual=dual)
-            assert random_semilinear(gf, m, rng, allow_dual=True) == want
+            want = SemilinearMap(gf, m, T, k, dual)
+            assert random_semilinear(gf, m, rng, dual=None) == want
             assert rng.getstate() == mirror.getstate()
 
 
@@ -219,8 +217,6 @@ def test_kernel_and_perp_match_span_sets(p, e):
     for _ in range(8):
         mat = random_matrix(gf, rng.randrange(1, 4), n, rng)
         want = {x for x in _all_vectors(gf.q, n) if all(_dot(ref, row, x) == 0 for row in _ints(mat))}
-        K = kernel(gf, mat)
-        assert _span(K.basis, ref, n) == want
         A = Subspace.from_rows(gf, mat, ambient=n)
         assert _span(A.perp().basis, ref, n) == want
     assert _span(Subspace.zero(gf, n).perp().basis, ref, n) == set(_all_vectors(gf.q, n))
@@ -231,8 +227,9 @@ def test_kernel_and_perp_over_gf343():
     rng = random.Random(343)
     for _ in range(4):
         mat = random_matrix(gf, 2, 3, rng)
-        K = kernel(gf, mat)
-        assert K.dim == 3 - rank(gf, mat)
+        S = Subspace.from_rows(gf, mat)
+        K = S.perp()
+        assert K.dim == 3 - S.dim
         assert all(_dot(ref, row, x) == 0 for x in _span(K.basis, ref, 3) for row in mat)
         A = Subspace.from_rows(gf, mat[:1], ambient=3)
         P = A.perp()
@@ -298,7 +295,7 @@ def _image_set(ref, tau, W):
 def _maps(gf, m, rng):
     k = 1 if gf.e > 1 else 0
     return [
-        SemilinearMap.from_matrix(gf, random_invertible(gf, m, rng), frobenius_power=k, dual=dual)
+        SemilinearMap(gf, m, random_invertible(gf, m, rng), k, dual)
         for dual in (False, True)
     ]
 

@@ -21,7 +21,7 @@ from qgrass.schubert import SchubertVariety
 gf = make_field(3)
 flag = random_flag(gf, 4, (1, 3), rng=5)
 omega = SchubertVariety(flag)
-tau = random_semilinear(make_field(2, 2), 4, rng=6, allow_dual=True)
+tau = random_semilinear(make_field(2, 2), 4, rng=6, dual=None)
 print(hash(gf), hash(make_field(2, 2)), hash(flag[0]), hash(flag), hash(omega), hash(tau))
 print([W.basis for W in omega.point_set()])
 """

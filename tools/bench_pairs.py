@@ -4,8 +4,12 @@ For each seed, ``perfbench/run.py`` runs once in a parent checkout and
 once in a change checkout, one after the other; the parent goes first
 on odd seeds and the change on even ones, so neither side always meets
 the host warm.  Each run's figures are read back from the record it
-writes to ``perfbench/results/`` in its own checkout.  For every
-end-to-end metric that ``BENCHMARK.json`` lists, the report gives each
+writes to ``perfbench/results/`` in its own checkout.  ``run.py``
+writes that record only when it finishes, so a run that exits with a
+code other than 0 or 1 (1: a task failed its check), or leaves the
+record it found in place, stops the tool with a message naming the
+checkout and the seed, instead of reporting an earlier run's figures.
+For every end-to-end metric that ``BENCHMARK.json`` lists, the report gives each
 pair's values (parent -> change), each side's median, the parent's
 quartiles and how many pairs the change won:
 
@@ -46,6 +50,23 @@ def run_once(checkout, workload, seed, seconds):
     """One benchmark run in checkout; its exit code (1 when a task failed its check)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     return subprocess.run(cmd, cwd=checkout, stdout=subprocess.DEVNULL).returncode
+
+
+def _mtime_ns(path):
+    return path.stat().st_mtime_ns if path.exists() else None
+
+
+def fresh_run(checkout, workload, seed, seconds):
+    """run_once, refused unless it exits 0 or 1 and rewrites its record."""
+    path = record_path(checkout, workload, seed)
+    before = _mtime_ns(path)
+    rc = run_once(checkout, workload, seed, seconds)
+    print(f"seed {seed} {checkout}: exit {rc}", file=sys.stderr, flush=True)
+    if rc not in (0, 1):
+        raise SystemExit(f"{checkout}: the run of seed {seed} exited {rc}; its record is not this run's")
+    after = _mtime_ns(path)
+    if after is None or after == before:
+        raise SystemExit(f"{checkout}: the run of seed {seed} wrote no record; {path} is not this run's")
 
 
 def read_record(checkout, workload, seed, seconds):
@@ -93,8 +114,7 @@ def main(argv=None):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         if not args.report_only:
             for side in order:
-                rc = run_once(sides[side], args.workload, seed, args.seconds)
-                print(f"seed {seed} {side}: exit {rc}", file=sys.stderr, flush=True)
+                fresh_run(sides[side], args.workload, seed, args.seconds)
         records.append({side: read_record(path, args.workload, seed, args.seconds) for side, path in sides.items()})
 
     failed = {side: sum(r[side]["failed"] for r in records) for side in sides}
