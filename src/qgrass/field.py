@@ -44,6 +44,7 @@ internal: it never shows in a code.
 
 import itertools
 from functools import cached_property, lru_cache
+from operator import xor
 
 from .errors import BudgetExceededError
 
@@ -313,7 +314,7 @@ class GF:
             if p == 2:
 
                 def sub_row(row, f, piv):
-                    return [x ^ y for x, y in zip(row, piv)]  # f is 1
+                    return list(map(xor, row, piv))  # f is 1
 
             else:
 

@@ -35,9 +35,9 @@ from .linalg import (
     Subspace,
     _code_rows,
     _echelon_step,
-    _eliminate,
     _identity,
     _inverse,
+    _pivots,
     _slot_filler,
     matmul,
     random_invertible,
@@ -61,7 +61,7 @@ class SemilinearMap:
         k = int(frobenius_power)
         if not 0 <= k < gf.e:
             raise ValueError(f"frobenius power {k} outside [0, {gf.e})")
-        if _eliminate(gf, list(matrix), m)[0] != m:
+        if len(_pivots(gf, matrix)) != m:
             raise ValueError("matrix is singular")
         _fill(self, gf, m, matrix, k, bool(dual))
 

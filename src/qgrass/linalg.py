@@ -7,16 +7,21 @@ tuple equality and hashing is hashing that tuple.
 
 Every vector and matrix here is Python ints: the matrices are 8x8 or
 smaller, where plain lists beat any array library's per-call overhead.
-Functions that build a matrix return it as a list of row lists.  There
-is one elimination kernel, _eliminate, driven by the two row operations
-each GF chose for itself.  rref, matrix_inverse, spans and sums run
-on it, and Subspace() checks that its rows are an RREF basis by
-spanning them once.  Rows that are already reduced are not reduced
-again: intersection_dim reduces the smaller basis against the larger
-one's RREF rows and eliminates only what is left, and perp, the one
-annihilator, reads it off a subspace's own RREF basis.  A matrix's
-rank is the dim of Subspace.from_rows(gf, mat), its null space that
-span's perp, and U & V is (U.perp() + V.perp()).perp().
+Functions that build a matrix return it as a list of row lists.  Two
+kernels eliminate, both driven by the two row operations each GF chose
+for itself.  _eliminate reduces to the canonical RREF: rref,
+matrix_inverse, spans and sums run on it, and Subspace() checks that
+its rows are an RREF basis by spanning them once.  A question that
+needs only a rank or the pivot columns gets no RREF: _pivots reduces
+each row forward against the rows kept so far (_echelon_step) and
+reads the pivots off the kept rows' leading columns.  The rank tests
+of the maps and stabilizers, a point's pivots in the image walk and
+intersection_dim run on it.  Rows that are already reduced are not
+reduced again: intersection_dim reduces the smaller basis against the
+larger one's RREF rows and eliminates only what is left, and perp,
+the one annihilator, reads it off a subspace's own RREF basis.  A
+matrix's rank is the dim of Subspace.from_rows(gf, mat), its null
+space that span's perp, and U & V is (U.perp() + V.perp()).perp().
 matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
 fields, so no sum can overflow.  intersection_dim and matrix_inverse
@@ -139,7 +144,8 @@ def intersection_dim(U, V):
     are unit columns, so one pass clears them).  The residuals span
     (U + V) / V, so dim(U & V) = dim U - rank(residuals).  U is taken as
     the smaller of the two, to reduce fewer rows; only two or more
-    nonzero residuals need an elimination.
+    nonzero residuals need an elimination, and a forward one gives their
+    rank.  When V is the whole space, U & V is U and nothing is reduced.
     """
     U._check_ambient(V)
     return _intersection_dim(U, V)
@@ -147,18 +153,23 @@ def intersection_dim(U, V):
 
 def _intersection_dim(U, V):
     """intersection_dim without the checks: U and V share a field and an m."""
-    if U.dim > V.dim:
-        U, V = V, U
-    left = [r for r in map(V._residual, U.basis) if any(r)]
+    u, v = U.basis, V.basis
+    if len(u) > len(v):
+        U, V, u, v = V, U, v, u
+    if len(v) == V.m:  # V is the whole space, so U & V is U
+        return len(u)
+    left = [r for r in map(V._residual, u) if any(r)]
     if len(left) > 1:
-        return U.dim - _eliminate(U.gf, left, U.m)[0]
-    return U.dim - len(left)
+        return len(u) - len(_pivots(V.gf, left))
+    return len(u) - len(left)
 
 
 def matmul(gf, a, b):
     """The product of two code matrices, as a list of row lists."""
-    if any(len(row) != len(b) for row in a):
-        raise ValueError(f"rows of length {len(a[0])} times {len(b)} rows")
+    n = len(b)
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError(f"row {i} of length {len(row)} times {n} rows")
     if gf.e == 1:
         p = gf.p
         cols = list(zip(*b))
@@ -210,6 +221,22 @@ def _echelon_step(gf, elim, v):
         if c:
             return p, (v if c == 1 else gf._scale_row(v, gf.inv(c)))
     return None
+
+
+def _pivots(gf, rows):
+    """The sorted pivot columns of the span of rows, by forward elimination.
+
+    Each row is reduced against the rows kept so far (_echelon_step).
+    The kept rows' leading columns, sorted, are the RREF's pivots, and
+    their count is the rank.  Nothing is reduced upwards, and rows is
+    left unchanged.
+    """
+    elim = []
+    for row in rows:
+        step = _echelon_step(gf, elim, row)
+        if step is not None:
+            elim.append(step)
+    return tuple(sorted([p for p, _ in elim]))
 
 
 def _draw_codes(rng, q, count):
@@ -365,9 +392,11 @@ class Subspace:
         return v
 
     def reduce(self, vec):
-        """Residual of a vector after eliminating all pivot coordinates."""
-        if len(vec) != self.m:
-            raise ValueError(f"expected a vector of length {self.m}")
+        """Residual of a vector after eliminating all pivot coordinates.
+
+        vec is checked as from_rows checks rows: m codes in [0, q).
+        """
+        (vec,), _ = _code_rows(self.gf, [vec], self.m)
         return list(self._residual(vec))
 
     def contains_vector(self, vec):

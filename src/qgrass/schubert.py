@@ -57,7 +57,7 @@ from .grassmann import (
     rank_subspace,
     standard_flag,
 )
-from .linalg import Subspace, _eliminate, _intersection_dim, _inverse, matmul
+from .linalg import Subspace, _intersection_dim, _inverse, _pivots, matmul
 
 
 def alpha_nc(alpha):
@@ -328,9 +328,10 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     cells on the rows of N^-T.  Each walked tuple is a point.
 
     The rows are first taken into target's adapted coordinates with the
-    columns reversed, so one elimination gives a point's pivots in the
-    basis target's cells are read on, and the point lies on target
-    exactly when they clear target's floors.  No subspace is built, and
+    columns reversed, so a point's pivots, read by forward elimination
+    without an RREF (_pivots), are its pivots in the basis target's
+    cells are read on, and the point lies on target exactly when they
+    clear target's floors.  No subspace is built, and
     the walk stops at the first point off target.  The budget, checked
     before the first cell, is the size of G(l, m), as for point_set.
     """
@@ -346,7 +347,7 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     floors = _floors(target.alpha, m)
     for _, cell, _ in _schubert_cells(omega.alpha, m, dual):
         for point in _walk_cell(gf, rows, cell):
-            if not _clears(_eliminate(gf, list(point), m)[1], floors):
+            if not _clears(_pivots(gf, point), floors):
                 return False
     return True
 
@@ -408,7 +409,7 @@ def _witness_candidates(oa, ob, s):
     As = oa.flag[s]
     Bs = ob.flag[s]
     for x in As.vectors(nonzero=True):
-        if Bs.contains_vector(x) or span_g.contains_vector(x):
+        if not any(Bs._residual(x)) or not any(span_g._residual(x)):
             continue
         W = Subspace.from_rows(gf, gens + [x], ambient=m)
         if oa.contains(W) != ob.contains(W):

@@ -40,8 +40,8 @@ from .group import (
 )
 from .linalg import (
     Subspace,
-    _eliminate,
     _intersection_dim,
+    _pivots,
     matmul,
     random_matrix,
 )
@@ -257,7 +257,7 @@ def _random_between(gf, lower, upper, dim, rng):
     cur = lower
     while cur.dim < dim:
         v = upper.vector_at(rng.randrange(1, gf.q**upper.dim))
-        if not cur.contains_vector(v):
+        if any(cur._residual(v)):
             rows.append(v)
             cur = Subspace.from_rows(gf, rows, ambient=lower.m)
     return cur
@@ -476,7 +476,7 @@ def _flag_stabilizer(omega, rng):
         for d in bounds:
             for row in L[:d]:
                 row[d:] = [0] * (m - d)
-        if _eliminate(gf, list(L), m)[0] == m:
+        if len(_pivots(gf, L)) == m:
             return _in_adapted_coordinates(omega, L)
 
 
@@ -516,7 +516,7 @@ def _perp_symmetric_flag(gf, m, alpha):
         room = cur.perp()
         found = None
         for v in room.vectors(nonzero=True):
-            if cur.contains_vector(v):
+            if not any(cur._residual(v)):
                 continue
             if gf.dot(v, v) != 0:
                 continue

@@ -4,8 +4,12 @@ Prime fields are checked entry for entry against the textbook
 elimination in bruteforce.py (test_linalg.test_rref_matches_naive).
 Here extension fields, small and beyond order 256, are checked for the
 structural RREF invariants and for q^rank being the size of the span
-enumerated from every coefficient tuple.  Membership is checked on whole
-Grassmannians against intersections of span sets.
+enumerated from every coefficient tuple.  The pivot columns that rank
+and pivot tests read without an RREF are checked against the leading
+positions of span sets, on every short list of rows over small fields,
+and each field's row subtraction against the reference arithmetic.
+Membership is checked on whole Grassmannians against intersections of
+span sets.
 """
 
 import functools
@@ -17,7 +21,7 @@ import pytest
 import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import enumerate_grassmannian, random_flag
-from qgrass.linalg import Subspace, intersection_dim, random_matrix, rref
+from qgrass.linalg import Subspace, _pivots, intersection_dim, random_matrix, rref
 from qgrass.schubert import SchubertVariety
 
 
@@ -113,3 +117,102 @@ def test_contains_matches_span_sets_on_whole_grassmannian(p, e, m):
                 want = [bf.span_dim(span_w & s, gf.q) >= i + 1 for i, s in enumerate(members)]
                 assert [intersection_dim(W, S) > i for i, S in enumerate(omega.flag.subspaces)] == want
                 assert omega.contains(W) == all(want)
+
+
+def _leading_positions(span):
+    """The sorted first nonzero positions of the vectors of a span set."""
+    return tuple(sorted({next(i for i, x in enumerate(v) if x) for v in span if any(v)}))
+
+
+def _assert_pivots(gf, rows, leading):
+    """_pivots(gf, rows) is the span's leading positions; list rows stay as they were."""
+    before = [list(row) for row in rows] if type(rows) is list else None
+    pivots = _pivots(gf, rows)
+    assert type(pivots) is tuple and pivots == leading
+    if before is not None:
+        assert rows == before and all(type(row) is list for row in rows)
+
+
+@pytest.mark.parametrize(
+    "p,e,m",
+    [pytest.param(2, 1, 4, id="GF2-m4"), pytest.param(3, 1, 3, id="GF3-m3"), pytest.param(2, 2, 3, id="GF4-m3")],
+)
+def test_pivots_match_span_sets_on_every_short_list(p, e, m):
+    """Every list of one to three rows, zero and dependent rows included.
+
+    The span of a list is the span of its first rows' span and its last
+    row, so span_set runs once per (span, row), not once per list.  Odd
+    lists are passed as lists of lists, even ones as tuples of tuples.
+    """
+    gf = make_field(p, e)
+    field = p if e == 1 else bf.cached_field(p, e)
+    vectors = list(itertools.product(range(gf.q), repeat=m))
+    # (span of the head, last row), and each list of fewer than 3 rows,
+    # to the list's (span, leading positions)
+    found = {}
+
+    def oracle(rows):
+        key = (found[rows[:-1]][0] if len(rows) > 1 else None, rows[-1])
+        if key not in found:
+            span = bf.span_set(rows, field, m)
+            found[key] = span, _leading_positions(span)
+        if len(rows) < 3:
+            found[rows] = found[key]
+        return found[key][1]
+
+    count = 0
+    for nrows in (1, 2, 3):
+        for rows in itertools.product(vectors, repeat=nrows):
+            leading = oracle(rows)
+            _assert_pivots(gf, [list(row) for row in rows] if count % 2 else rows, leading)
+            count += 1
+    assert count == sum(len(vectors) ** k for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("p,e", [pytest.param(3, 2, id="GF9"), pytest.param(7, 3, id="GF343")])
+def test_pivots_match_span_sets_on_sampled_rows(p, e):
+    """Random short lists over larger fields, with zero, scaled and summed rows.
+
+    Over GF(343) span_set lists q^2 vectors per row after a plane, so
+    rows there span at most a plane, and only a line has a third row.
+    Each list is passed as lists and as tuples.
+    """
+    gf = make_field(p, e)
+    field = bf.cached_field(p, e)
+    rng = random.Random(59 * p + e)
+    if gf.q < 100:
+        cases = [_random_rows(gf, rng, 3, 3) for _ in range(40)]
+    else:
+        a, b = random_matrix(gf, 2, 3, rng)
+        c = rng.randrange(2, gf.q)  # not 1, so c * a is another row
+        cases = [[a], [[0, 0, 0], a], [a, gf.mul(c, a), [0, 0, 0]], [a, b]]
+    for rows in cases:
+        leading = _leading_positions(bf.span_set(rows, field, len(rows[0])))
+        _assert_pivots(gf, rows, leading)
+        _assert_pivots(gf, tuple(map(tuple, rows)), leading)
+
+
+@pytest.mark.parametrize(
+    "p,e,m,samples",
+    [(2, 1, 4, None), (3, 1, 3, None), (2, 2, 3, None), (3, 2, 3, 2000), (7, 3, 3, 2000)],
+)
+def test_sub_row_returns_a_list_matching_the_oracle(p, e, m, samples):
+    """row - f * piv, from list or tuple rows, is a new list equal to the reference."""
+    gf = make_field(p, e)
+    q, add, mul = bf._arithmetic(p if e == 1 else bf.cached_field(p, e))
+    if samples is None:
+        vectors = list(itertools.product(range(q), repeat=m))
+        triples = itertools.product(vectors, range(1, q), vectors)
+    else:
+        rng = random.Random(61 * p + e)
+        triples = [
+            (tuple(random_matrix(gf, 1, m, rng)[0]), rng.randrange(1, q), tuple(random_matrix(gf, 1, m, rng)[0]))
+            for _ in range(samples)
+        ]
+    minus_one = p - 1  # the code of -1 is the constant p - 1
+    for row, f, piv in triples:
+        want = [add(x, mul(minus_one, mul(f, y))) for x, y in zip(row, piv)]
+        for args in ((row, piv), (list(row), list(piv))):
+            got = gf._sub_row(args[0], f, args[1])
+            assert type(got) is list and got == want
+            assert got is not args[0] and tuple(args[0]) == row

@@ -118,6 +118,15 @@ def test_matmul_matches_naive(gf4):
         matmul(gf4, a, a)
 
 
+@pytest.mark.parametrize(
+    "a,message",
+    [([[1, 0], [1, 0, 1]], "row 1 of length 3 times 2 rows"), ([[1], [1, 0]], "row 0 of length 1 times 2 rows")],
+)
+def test_matmul_names_the_ragged_row(gf2, a, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        matmul(gf2, a, _eye(2))
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2)])
 def test_matrix_inverse(p, e):
     gf = make_field(p, e)
@@ -268,7 +277,7 @@ def test_subspace_validation_and_immutability(gf2):
         A.basis[0] = (0, 0, 0)
 
 
-def test_reduce_residual(gf3):
+def test_reduce_residual(gf2, gf3):
     A = Subspace.from_rows(gf3, [[1, 0, 2], [0, 1, 1]], ambient=3)
     res = A.reduce([2, 2, 1])
     # residual has zeros on pivot coordinates
@@ -276,6 +285,18 @@ def test_reduce_residual(gf3):
     assert A.contains_vector([2, 2, 0]) == (not any(A.reduce([2, 2, 0])))
     with pytest.raises(ValueError):
         A.reduce([2, 2])  # short vector
+    assert A.reduce((2, 2, 1)) == res and type(A.reduce((0, 0, 0))) is list
+    # codes outside [0, q) are refused, as from_rows refuses them: the
+    # whole space and the zero space see them too
+    for S, vec in [
+        (Subspace.full(gf2, 3), [2, 0, 1]),
+        (Subspace.zero(gf2, 3), [0, 0, 3]),
+        (A, [5, -1, 0]),
+        (Subspace.full(gf3, 2), [5, -1]),
+    ]:
+        for check in (S.reduce, S.contains_vector):
+            with pytest.raises(ValueError, match=rf"codes in \[0, {S.gf.q}\)"):
+                check(vec)
 
 
 def _assert_int_tuples(W):
