@@ -414,7 +414,3 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -54,31 +54,20 @@ from .errors import BudgetExceededError
 DEFAULT_ORDER_BOUND = 1 << 20
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n):
-    """The distinct primes dividing n, ascending."""
+    """The distinct primes dividing n, ascending; [] for n < 2.
+
+    The one trial division in the package: it steps through 2 and then
+    the odd numbers, dividing each factor out as it is found.
+    """
     out = []
-    d = 2
-    while d * d <= n:
+    for d in itertools.chain([2], itertools.count(3, 2)):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
     if n > 1:
         out.append(n)
     return out
@@ -159,7 +148,7 @@ class GF:
     """
 
     def __init__(self, p, e=1):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
@@ -205,9 +194,10 @@ class GF:
         """The smallest code g with g^((q-1)/r) != 1 for every prime r | q - 1."""
         q = self.q
         one = self._digits_of(1)
+        primes = _prime_factors(q - 1)
         for g in range(2, q):
             g_digits = self._digits_of(g)
-            for r in _prime_factors(q - 1):
+            for r in primes:
                 k, base, acc = (q - 1) // r, g_digits, one
                 while k:
                     if k & 1:
@@ -480,21 +470,12 @@ def make_field(p, e=1):
 def field_from_order(q):
     """GF instance for a prime-power order q, factoring q automatically."""
     q = int(q)
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = None
-    n = q
-    for d in itertools.chain([2], range(3, q + 1, 2)):
-        if d * d > n:
-            p = n
-            break
-        if n % d == 0:
-            p = d
-            break
-    e = 0
-    while n % p == 0 and n > 1:
+    (p,) = primes
+    e, n = 0, q
+    while n > 1:
         n //= p
         e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
     return make_field(p, e)

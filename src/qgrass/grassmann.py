@@ -59,8 +59,12 @@ def _as_rng(seed):
     return random.Random(int(seed))
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(m, l, q):
-    """Number of l-dimensional subspaces of an m-dimensional space, exactly."""
+    """Number of l-dimensional subspaces of an m-dimensional space, exactly.
+
+    Cached per shape, since every budget check reads it.
+    """
     if l < 0 or l > m:
         return 0
     num = 1
@@ -70,10 +74,6 @@ def gaussian_binomial(m, l, q):
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-# the size every budget check reads, computed once per shape
-_grassmannian_size = lru_cache(maxsize=None)(gaussian_binomial)
 
 
 def check_alpha(alpha, m, allow_empty=False):
@@ -118,7 +118,7 @@ def check_enumeration_budget(gf, m, l, limit=None):
     The budget is the limit argument when given, otherwise the global
     bound.  The size comes from the closed form, so nothing is built.
     """
-    total = _grassmannian_size(m, l, gf.q)
+    total = gaussian_binomial(m, l, gf.q)
     bound = limit if limit is not None else enumeration_bound()
     if total > bound:
         raise BudgetExceededError(
@@ -210,7 +210,7 @@ def rank_subspace(W):
 
 def unrank_subspace(gf, m, l, r):
     q = gf.q
-    total = _grassmannian_size(m, l, q)
+    total = gaussian_binomial(m, l, q)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} outside [0, {total})")
     # cells are few; linear scan beats bisect bookkeeping at these sizes
@@ -232,6 +232,22 @@ def random_subspace(gf, m, l, rng=None):
 
 
 # -- flags -------------------------------------------------------------------
+
+
+_JSON_KINDS = {int: "an int", bool: "a bool", list: "a list of ints"}
+
+
+def _json_value(data, key, kind, default=None):
+    """data[key], or default when key is absent and a default is given.
+
+    The value must be exactly of type kind, and a list a list of ints:
+    the JSON readers take no float or string for an int, no number or
+    string for a bool, and no bool for an int.
+    """
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
+        raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -297,13 +313,13 @@ class Flag:
 
     @classmethod
     def from_json_dict(cls, data):
-        gf = field_from_order(int(data["q"]))
-        m = int(data["m"])
-        alpha = tuple(int(a) for a in data["alpha"])
+        gf = field_from_order(_json_value(data, "q", int))
+        m = _json_value(data, "m", int)
+        alpha = tuple(_json_value(data, "alpha", list))
         subs = tuple(
             Subspace.from_rows(gf, rows, ambient=m) for rows in data["subspaces"]
         )
-        return cls(gf, m, alpha, subs, bool(data.get("includes_zero", False)))
+        return cls(gf, m, alpha, subs, _json_value(data, "includes_zero", bool, False))
 
 
 def standard_flag(gf, m, alpha):

@@ -30,16 +30,16 @@ image's pivots against the variety's own floors.
 import itertools
 
 from .field import field_from_order
-from .grassmann import Flag, _as_rng
+from .grassmann import Flag, _as_rng, _json_value
 from .linalg import (
     Subspace,
     _code_rows,
     _echelon_step,
     _identity,
     _inverse,
+    _matmul,
     _pivots,
     _slot_filler,
-    matmul,
     random_invertible,
 )
 from .schubert import SchubertVariety, _images_within, dual_index_set
@@ -99,7 +99,7 @@ class SemilinearMap:
         B = W.basis
         if self.frobenius_power:
             B = self.gf.frobenius(B, self.frobenius_power)
-        S = Subspace._span(self.gf, matmul(self.gf, B, self.matrix), self.m)
+        S = Subspace._span(self.gf, _matmul(self.gf, B, self.matrix), self.m)
         if self.dual:
             S = S.perp()
         return S
@@ -179,13 +179,13 @@ class SemilinearMap:
 
     @classmethod
     def from_json_dict(cls, data):
-        gf = field_from_order(int(data["q"]))
+        gf = field_from_order(_json_value(data, "q", int))
         return cls(
             gf,
-            int(data["m"]),
+            _json_value(data, "m", int),
             data["matrix"],
-            int(data.get("frobenius_power", 0)),
-            bool(data.get("dual", False)),
+            _json_value(data, "frobenius_power", int, 0),
+            _json_value(data, "dual", bool, False),
         )
 
 
@@ -205,7 +205,7 @@ def compose(outer, inner):
         right = _transpose(_inverse(gf, outer.matrix))
     else:
         right = outer.matrix
-    mat = matmul(gf, left, right)
+    mat = _matmul(gf, left, right)
     return SemilinearMap._trusted(gf, outer.m, mat, k, dual)
 
 

@@ -24,10 +24,10 @@ matrix's rank is the dim of Subspace.from_rows(gf, mat), its null
 space that span's perp, and U & V is (U.perp() + V.perp()).perp().
 matmul combines rows with the same row operation on extension fields
 and takes Python-int dot products with one % per entry on prime
-fields, so no sum can overflow.  intersection_dim and matrix_inverse
-check their arguments and hand them to a private kernel
-(_intersection_dim, _inverse), which the package calls directly on
-subspaces and matrices it built itself.
+fields, so no sum can overflow.  intersection_dim, matmul and
+matrix_inverse check their arguments, codes included, and hand them to
+a private kernel (_intersection_dim, _matmul, _inverse), which the
+package calls directly on subspaces and matrices it built itself.
 
 One function, _row_list, lists the canonical order base + sum x_j g_j
 (g_0 most significant, each x_j in code order) of cell rows and subspace
@@ -165,11 +165,25 @@ def _intersection_dim(U, V):
 
 
 def matmul(gf, a, b):
-    """The product of two code matrices, as a list of row lists."""
+    """The product of two code matrices, as a list of row lists.
+
+    Each row of a must be as long as b has rows, and both are checked as
+    from_rows checks rows: equally long rows of int codes in [0, q).
+    """
     n = len(b)
     for i, row in enumerate(a):
         if len(row) != n:
             raise ValueError(f"row {i} of length {len(row)} times {n} rows")
+    a, _ = _code_rows(gf, a, n)
+    if b:
+        b, _ = _code_rows(gf, b)
+        if len(b) != n:
+            raise ValueError("expected a 2-d matrix of codes")
+    return _matmul(gf, a, b)
+
+
+def _matmul(gf, a, b):
+    """matmul without the checks on its arguments: a's rows as long as b is tall."""
     if gf.e == 1:
         p = gf.p
         cols = list(zip(*b))
@@ -298,13 +312,13 @@ def _code_rows(gf, rows, ambient=None):
     """Spanning rows as a tuple of int tuples, checked; returns (rows, m).
 
     Takes nested sequences; a single vector is one row.  The rows must be
-    equally long and hold codes in [0, q).  An empty set of rows takes
-    its length from ambient.
+    equally long and hold codes in [0, q), each exactly an int.  An
+    empty set of rows takes its length from ambient.
     """
     if rows and not isinstance(rows[0], (list, tuple)):
         rows = [rows]
     try:
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(map(tuple, rows))
     except TypeError:
         raise ValueError("expected a 2-d matrix of codes") from None
     m = len(rows[0]) if rows else ambient
@@ -316,8 +330,9 @@ def _code_rows(gf, rows, ambient=None):
     for row in rows:
         if len(row) != m:
             raise ValueError("rows of different lengths")
-        if row and (min(row) < 0 or max(row) >= q):
-            raise ValueError(f"entries must be codes in [0, {q})")
+        for x in row:
+            if type(x) is not int or not 0 <= x < q:
+                raise ValueError(f"entries must be codes in [0, {q})")
     return rows, m
 
 
@@ -399,17 +414,11 @@ class Subspace:
         (vec,), _ = _code_rows(self.gf, [vec], self.m)
         return list(self._residual(vec))
 
-    def contains_vector(self, vec):
-        return not any(self.reduce(vec))
-
     def __le__(self, other):
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
         return not any(any(other._residual(row)) for row in self.basis)
-
-    def __lt__(self, other):
-        return self.dim < other.dim and self.__le__(other)
 
     def __add__(self, other):
         self._check_ambient(other)

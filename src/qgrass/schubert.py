@@ -49,6 +49,7 @@ from .field import field_from_order
 from .grassmann import (
     Flag,
     _grassmannian_layout,
+    _json_value,
     _walk_cell,
     adapted_basis,
     check_alpha,
@@ -57,7 +58,7 @@ from .grassmann import (
     rank_subspace,
     standard_flag,
 )
-from .linalg import Subspace, _intersection_dim, _inverse, _pivots, matmul
+from .linalg import Subspace, _intersection_dim, _inverse, _matmul, _pivots
 
 
 def alpha_nc(alpha):
@@ -195,10 +196,6 @@ class SchubertVariety:
         return len(self.flag.alpha)
 
     @property
-    def alpha_nc(self):
-        return alpha_nc(self.alpha)
-
-    @property
     def nc_positions(self):
         """0-based positions of the members at non-redundant dimensions."""
         return _nc_positions(self.alpha)
@@ -305,10 +302,10 @@ class SchubertVariety:
     def from_json_dict(cls, data):
         if "flag" in data:
             flag = Flag.from_json_dict(data["flag"])
-            gf = field_from_order(int(data["q"]))
-            if flag.gf != gf or flag.m != int(data["m"]):
+            gf = field_from_order(_json_value(data, "q", int))
+            if flag.gf != gf or flag.m != _json_value(data, "m", int):
                 raise ValueError("flag and variety headers disagree")
-            if tuple(flag.alpha) != tuple(int(a) for a in data["alpha"]):
+            if flag.alpha != tuple(_json_value(data, "alpha", list)):
                 raise ValueError("flag and variety dimension tuples disagree")
         else:
             flag = Flag.from_json_dict(data)
@@ -341,9 +338,9 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     if frobenius_power:
         rows = gf.frobenius(rows, frobenius_power)
     if matrix is not None:
-        rows = matmul(gf, rows, matrix)
+        rows = _matmul(gf, rows, matrix)
     rows = list(zip(*_inverse(gf, rows))) if dual else rows[::-1]
-    rows = matmul(gf, rows, [row[::-1] for row in target._adapted_inverse()])
+    rows = _matmul(gf, rows, [row[::-1] for row in target._adapted_inverse()])
     floors = _floors(target.alpha, m)
     for _, cell, _ in _schubert_cells(omega.alpha, m, dual):
         for point in _walk_cell(gf, rows, cell):

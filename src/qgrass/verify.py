@@ -41,14 +41,15 @@ from .group import (
 from .linalg import (
     Subspace,
     _intersection_dim,
+    _matmul,
     _pivots,
-    matmul,
     random_matrix,
 )
 from .schubert import (
     SchubertVariety,
     _images_within,
     _nc_positions,
+    alpha_nc,
     dual_index_set,
     equal_fast,
     equal_oracle,
@@ -459,7 +460,7 @@ def _in_adapted_coordinates(omega, L):
     on omega afterwards reuses them.
     """
     gf = omega.gf
-    M = matmul(gf, omega._adapted_inverse(), matmul(gf, L, omega._adapted()))
+    M = _matmul(gf, omega._adapted_inverse(), _matmul(gf, L, omega._adapted()))
     return SemilinearMap._trusted(gf, omega.m, M, 0, False)
 
 
@@ -470,7 +471,7 @@ def _flag_stabilizer(omega, rng):
     an adapted basis; the zero blocks keep each of those prefixes stable.
     """
     gf, m = omega.gf, omega.m
-    bounds = [d for d in omega.alpha_nc if d < m]
+    bounds = [d for d in alpha_nc(omega.alpha) if d < m]
     while True:
         L = random_matrix(gf, m, m, rng)
         for d in bounds:
@@ -487,7 +488,7 @@ def _member_mover(omega, rng):
     dimension: every other member's prefix keeps both or neither.
     """
     m = omega.m
-    cands = [a for a in omega.alpha_nc if a < m]
+    cands = [a for a in alpha_nc(omega.alpha) if a < m]
     if not cands:
         return None
     a = cands[rng.randrange(len(cands))]

@@ -393,6 +393,19 @@ def test_gen_eq_image_aut_pipeline(tmp_path, capsys):
     assert set(json.loads(out)) == {"oracle"}
 
 
+def test_aut_check_refuses_a_string_for_the_dual_bool(tmp_path, capsys):
+    flag, tau = tmp_path / "flag.json", tmp_path / "tau.json"
+    assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", str(flag))[0] == 0
+    identity = {"q": 2, "m": 4, "matrix": [[int(i == j) for j in range(4)] for i in range(4)], "frobenius_power": 0}
+    tau.write_text(json.dumps(dict(identity, dual=False)))
+    rc, out, _ = run(capsys, "aut-check", str(tau), str(flag), "--both")
+    assert rc == 0 and json.loads(out) == {"fast": True, "oracle": True, "agree": True}
+    # "false" is a non-empty string, not the bool false: refused, not read as true
+    tau.write_text(json.dumps(dict(identity, dual="false")))
+    rc, out, err = run(capsys, "aut-check", str(tau), str(flag), "--both")
+    assert rc == 2 and out == "" and err == "error: 'dual' must be a bool, got 'false'\n"
+
+
 def test_eq_witness_for_varieties_of_different_point_dimension(tmp_path, capsys):
     paths = []
     for alpha in ("2,4", "3"):

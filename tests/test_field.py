@@ -255,3 +255,43 @@ def test_field_from_order():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             field_from_order(bad)
+
+
+def _sieve(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = [False] * n
+    primes = []
+    for k in range(2, n):
+        if not composite[k]:
+            primes.append(k)
+            for j in range(k * k, n, k):
+                composite[j] = True
+    return primes
+
+
+def test_field_from_order_accepts_exactly_the_prime_powers(monkeypatch):
+    n = 1 << 12
+    powers = {}
+    for p in _sieve(n):
+        q, e = p, 1
+        while q < n:
+            powers[q] = (p, e)
+            q, e = q * p, e + 1
+    # the factoring is under test, not the fields: make_field hands back (p, e)
+    monkeypatch.setattr("qgrass.field.make_field", lambda p, e: (p, e))
+    for q in range(n):
+        if q in powers:
+            assert field_from_order(q) == powers[q], q
+        else:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                field_from_order(q)
+
+
+def test_gf_takes_exactly_the_primes_below_1000():
+    primes = set(_sieve(1000))
+    for p in range(1000):
+        if p in primes:
+            assert GF(p).p == p
+        else:
+            with pytest.raises(ValueError, match=f"^characteristic {p} is not prime$"):
+                GF(p)

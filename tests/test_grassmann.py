@@ -123,7 +123,7 @@ def test_random_subspace_is_seeded_and_spread(gf2):
 def test_draws_without_an_rng_are_valid(gf2):
     # rng=None draws from a fresh, unseeded random.Random
     fl = random_flag(gf2, 4, (2, 4))
-    assert fl.alpha == (2, 4) and fl[0] < fl[1] == Subspace.full(gf2, 4)
+    assert fl.alpha == (2, 4) and fl[0] != fl[1] and fl[0] <= fl[1] == Subspace.full(gf2, 4)
     assert Flag.from_json_dict(fl.to_json_dict()) == fl
     W = random_subspace(gf2, 4, 2)
     assert W.dim == 2 and W == Subspace(gf2, W.basis, ambient=4)
@@ -175,7 +175,7 @@ def test_random_flag_reproducible(gf3):
     assert f1 == f2
     assert f1.alpha == (1, 2, 4)
     for i in range(2):
-        assert f1[i] < f1[i + 1]
+        assert f1[i] != f1[i + 1] and f1[i] <= f1[i + 1]
 
 
 def test_flag_json_round_trip(gf2):
@@ -184,6 +184,23 @@ def test_flag_json_round_trip(gf2):
     assert data["q"] == 2 and data["alpha"] == [2, 3]
     back = Flag.from_json_dict(data)
     assert back == fl
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("q", 2.7, "an int"),
+        ("m", True, "an int"),
+        ("alpha", [1.5, 3], "a list of ints"),
+        ("alpha", "23", "a list of ints"),
+        ("includes_zero", "no", "a bool"),
+        ("includes_zero", 1, "a bool"),
+    ],
+)
+def test_flag_json_takes_only_ints_and_bools_where_they_are_meant(gf2, key, value, kind):
+    data = dict(random_flag(gf2, 4, (2, 3), rng=5).to_json_dict(), **{key: value})
+    with pytest.raises(ValueError, match=f"^'{key}' must be {kind}, got "):
+        Flag.from_json_dict(data)
 
 
 def test_dual_flag_is_an_involution(gf2, gf3):

@@ -154,6 +154,22 @@ def test_map_json_round_trip(gf4):
     assert back.dual and back.m == 3
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("dual", "false"), ("dual", 0), ("frobenius_power", 1.9), ("frobenius_power", True), ("m", 3.0), ("q", "4")],
+)
+def test_map_json_takes_only_ints_and_bools_where_they_are_meant(gf4, key, value):
+    data = dict(random_semilinear(gf4, 3, rng=11).to_json_dict(), **{key: value})
+    with pytest.raises(ValueError, match=f"^'{key}' must be an? (int|bool), got {value!r}$"):
+        SemilinearMap.from_json_dict(data)
+
+
+def test_map_json_takes_only_int_codes_in_the_matrix(gf4):
+    data = dict(random_semilinear(gf4, 3, rng=11).to_json_dict(), matrix=[[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match=r"codes in \[0, 4\)"):
+        SemilinearMap.from_json_dict(data)
+
+
 def test_covariant_image_matches_pointwise(gf2, gf3):
     for gf, seed in [(gf2, 1), (gf3, 2)]:
         omega = SchubertVariety(random_flag(gf, 4, (2, 3), rng=seed))

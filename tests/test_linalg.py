@@ -70,7 +70,7 @@ def test_rref_structure_over_gf4(gf4):
         # original rows lie in the span of the reduced rows
         S = Subspace.from_rows(gf4, R[:rk], ambient=len(mat[0]))
         for row in mat:
-            assert S.contains_vector(row)
+            assert not any(S.reduce(row))
 
 
 def test_row_space_is_canonical(gf3):
@@ -125,6 +125,20 @@ def test_matmul_matches_naive(gf4):
 def test_matmul_names_the_ragged_row(gf2, a, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         matmul(gf2, a, _eye(2))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_matmul_takes_only_int_codes_in_either_factor(p, e):
+    gf = make_field(p, e)
+    for bad in (1.5, 5, -1, True, "1"):
+        with pytest.raises(ValueError, match=rf"^entries must be codes in \[0, {gf.q}\)$"):
+            matmul(gf, [[bad, 0]], _eye(2))
+        with pytest.raises(ValueError, match=rf"^entries must be codes in \[0, {gf.q}\)$"):
+            matmul(gf, _eye(2), [[1, 0], [bad, 1]])
+    assert matmul(gf, (), _eye(2)) == [] and matmul(gf, [[]], []) == [[]]
+    # a flat vector is no 2 x 2 factor, though it has two entries
+    with pytest.raises(ValueError, match="^expected a 2-d matrix of codes$"):
+        matmul(gf, [[1, 0]], [1, 0])
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2)])
@@ -201,7 +215,7 @@ def test_sum_and_containment(gf2):
         S = A + B
         assert A <= S and B <= S
         assert (A & B) <= A
-        assert not (S < S)
+        assert not (S != S and S <= S)
         assert S <= S
     assert not (Subspace.full(gf2, 5) <= A)  # a larger dimension
     with pytest.raises(TypeError):
@@ -237,7 +251,7 @@ def test_vector_enumeration(gf3):
     assert len(vecs) == 9
     assert len(set(vecs)) == 9
     assert vecs[0] == (0, 0, 0, 0)
-    assert all(A.contains_vector(v) for v in vecs)
+    assert all(not any(A.reduce(v)) for v in vecs)
     nz = list(A.vectors(nonzero=True))
     assert len(nz) == 8
     span = bf.span_set(A.to_rows(), 3, 4)
@@ -282,7 +296,7 @@ def test_reduce_residual(gf2, gf3):
     res = A.reduce([2, 2, 1])
     # residual has zeros on pivot coordinates
     assert int(res[0]) == 0 and int(res[1]) == 0
-    assert A.contains_vector([2, 2, 0]) == (not any(A.reduce([2, 2, 0])))
+    assert not any(A.reduce([2, 2, 0]))  # 2 * row 0 + 2 * row 1
     with pytest.raises(ValueError):
         A.reduce([2, 2])  # short vector
     assert A.reduce((2, 2, 1)) == res and type(A.reduce((0, 0, 0))) is list
@@ -294,9 +308,8 @@ def test_reduce_residual(gf2, gf3):
         (A, [5, -1, 0]),
         (Subspace.full(gf3, 2), [5, -1]),
     ]:
-        for check in (S.reduce, S.contains_vector):
-            with pytest.raises(ValueError, match=rf"codes in \[0, {S.gf.q}\)"):
-                check(vec)
+        with pytest.raises(ValueError, match=rf"codes in \[0, {S.gf.q}\)"):
+            S.reduce(vec)
 
 
 def _assert_int_tuples(W):
@@ -349,6 +362,26 @@ def test_subspace_rejects_ragged_and_out_of_range_rows(p, e):
             Subspace(gf, [[1, 0, bad]])
         with pytest.raises(ValueError):
             Subspace.from_rows(gf, [[1, 0, bad]], ambient=3)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_rows_take_only_int_codes(p, e):
+    """A float, a string or a bool is refused, not truncated to a code."""
+    gf = make_field(p, e)
+    codes = rf"^entries must be codes in \[0, {gf.q}\)$"
+    for bad in (0.9, 1.0, "1", True, False, None):
+        with pytest.raises(ValueError, match=codes):
+            Subspace.from_rows(gf, [[1, 0, bad]])
+        with pytest.raises(ValueError, match=codes):
+            Subspace(gf, [[1, 0, bad]])
+        with pytest.raises(ValueError, match=codes):
+            Subspace.full(gf, 3).reduce([bad, 0, 0])
+        with pytest.raises(ValueError, match=codes):
+            SemilinearMap(gf, 2, [[1, 0], [0, bad]])
+    with pytest.raises(ValueError, match=codes):
+        Subspace.from_rows(gf, [[True, 0.9, "1"]])
+    with pytest.raises(ValueError, match="^expected a 2-d matrix of codes$"):
+        Subspace.from_rows(gf, [[1, 0, 0], 1])
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])

@@ -21,6 +21,11 @@ def test_removed_names_are_gone_and_every_export_resolves():
     assert list(inspect.signature(SchubertVariety.point_set).parameters) == ["self"]
     assert list(inspect.signature(random_semilinear).parameters) == ["gf", "m", "rng", "dual"]
     assert inspect.signature(random_semilinear).parameters["dual"].default is False
+    # not any(S.reduce(v)) tests a vector, S != T and S <= T a proper
+    # subspace, and alpha_nc(omega.alpha) lists the non-redundant entries
+    assert not hasattr(linalg.Subspace, "contains_vector")
+    assert linalg.Subspace.__lt__ is object.__lt__
+    assert not hasattr(SchubertVariety, "alpha_nc")
 
     assert len(qgrass.__all__) == len(set(qgrass.__all__)) == 45
     for name in qgrass.__all__:

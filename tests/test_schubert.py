@@ -127,7 +127,7 @@ def test_minimal_and_full_conditions_agree(gf2):
     rng = random.Random(13)
     for alpha in [(1, 2), (1, 3), (1, 2, 4), (2, 3, 4)]:
         omega = SchubertVariety(random_flag(gf2, 4, alpha, rng=rng.randrange(2**30)))
-        assert len(omega.nc_positions) == len(omega.alpha_nc)
+        assert len(omega.nc_positions) == len(alpha_nc(alpha))
         for W in enumerate_grassmannian(gf2, 4, len(alpha)):
             full = all(intersection_dim(W, S) > i for i, S in enumerate(omega.flag.subspaces))
             assert omega.contains(W) == full
@@ -211,6 +211,13 @@ def test_variety_json_round_trip(gf3):
         SchubertVariety.from_json_dict(bad)  # the flag's m is not the variety's
 
 
+@pytest.mark.parametrize("key,value", [("q", 3.0), ("m", 4.0), ("alpha", [2, 3.0])])
+def test_variety_json_header_takes_only_ints(gf3, key, value):
+    data = SchubertVariety(random_flag(gf3, 4, (2, 3), rng=8)).to_json_dict()
+    with pytest.raises(ValueError, match=f"^'{key}' must be "):
+        SchubertVariety.from_json_dict(dict(data, **{key: value}))
+
+
 def test_descriptor_identity(gf2):
     o1 = SchubertVariety.standard(gf2, 4, (1, 3))
     o2 = SchubertVariety.standard(gf2, 4, (1, 3))
@@ -272,7 +279,7 @@ def test_witness_at_the_top_condition_needs_no_scan(q, m, l, monkeypatch):
         alpha = tuple(sorted(rng.sample(range(1, m), l)))
         o1 = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
         o2 = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
-        nc = set(o1.alpha_nc)
+        nc = set(alpha_nc(alpha))
         diffs = [i for i, a in enumerate(alpha) if a in nc and o1.flag[i] != o2.flag[i]]
         if l - 1 not in diffs:
             continue

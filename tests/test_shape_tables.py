@@ -22,7 +22,7 @@ import bruteforce as bf
 from qgrass.field import make_field
 from qgrass.grassmann import _grassmannian_layout, _walk_cell, enumerate_grassmannian
 from qgrass.linalg import Subspace, _identity, _row_chunks, _row_list
-from qgrass.schubert import SchubertVariety, _nc_positions, _schubert_cells, cell_count_polynomial
+from qgrass.schubert import SchubertVariety, _nc_positions, _schubert_cells, alpha_nc, cell_count_polynomial
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 
@@ -135,7 +135,7 @@ def test_shape_tables_are_shared_tuples_no_caller_can_change():
     assert _frozen(tuple(walked)) and len(walked) == omega.count_points()
     assert list(omega._walk()) == walked
     assert _identity(4)[0] == (1, 0, 0, 0)
-    assert omega.nc_positions == (0, 1) and omega.alpha_nc == (2, 4)
+    assert omega.nc_positions == (0, 1) and alpha_nc(omega.alpha) == (2, 4)
 
 
 def test_the_cells_of_the_top_tuple_are_the_grassmannian_layout():
