@@ -46,7 +46,7 @@ import itertools
 from functools import cached_property, lru_cache
 from operator import xor
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _exact
 
 # Fields at or above this order are refused outright: every structure in
 # this package enumerates vectors or subspaces sooner or later, and a huge
@@ -468,8 +468,8 @@ def make_field(p, e=1):
 
 
 def field_from_order(q):
-    """GF instance for a prime-power order q, factoring q automatically."""
-    q = int(q)
+    """GF instance for a prime-power order q, an int, factoring q automatically."""
+    _exact(q, "q", int)
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -19,7 +19,9 @@ layout.  A cell's rows hold column indices, and _walk_cell reads them
 on a basis: G(l, m) on the identity, a Schubert variety on its flag's
 adapted basis reversed (schubert._schubert_cells), an annihilator walk
 on an inverse transpose.  Each tuple of rows the walk yields is one
-point, so a count is the walk, counted: nothing is spanned.
+point, so a count is the walk, counted: nothing is spanned.  The walk
+is itertools' own iterators chained, and _count sums over it in C, so
+neither runs a Python frame per point.
 
 What depends only on the shape is built once per process, as immutable
 tuples shared by every caller: the cells of G(l, m), which the walk,
@@ -30,13 +32,14 @@ the canonical order (_cell_offsets).  What depends on a flag is built
 per variety.
 """
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, product, repeat
+from operator import is_not
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _exact
 from .field import field_from_order
 from .linalg import Subspace, _echelon_step, _identity, _row_chunks, _row_list, random_invertible
 
@@ -77,8 +80,10 @@ def gaussian_binomial(m, l, q):
 
 
 def check_alpha(alpha, m, allow_empty=False):
-    """Validate a strictly increasing tuple of dimensions in [1, m]."""
-    alpha = tuple(int(a) for a in alpha)
+    """Validate a strictly increasing tuple of int dimensions in [1, m]."""
+    alpha = tuple(alpha)
+    if any(type(a) is not int for a in alpha):
+        raise ValueError(f"'alpha' must hold ints, got {alpha!r}")
     if not alpha:
         if allow_empty:
             return alpha
@@ -91,25 +96,40 @@ def check_alpha(alpha, m, allow_empty=False):
 
 
 def _walk_cell(gf, basis, rows):
-    """Yield the row tuples of one cell read on basis, row 0 slowest.
+    """An iterator over the row tuples of one cell read on basis, row 0 slowest.
 
     rows holds one (pivot, free columns) pair of indices per row, as
     _grassmannian_layout lists them: row i ranges over basis[pivot] +
     sum x_j basis[j] over its free columns j.  The later rows' choices
     are listed once, flat, and itertools.product multiplies each chunk
     of row 0's choices out against them; row 0 is read in chunks
-    (_row_chunks), since in a cell of G(1, m) it is the whole cell.  On
-    an invertible basis distinct tuples span distinct points, so
-    counting the tuples counts the cell.
+    (_row_chunks), since in a cell of G(1, m) it is the whole cell.  The
+    chunks are chained in C, so no Python frame runs per tuple; the
+    tuples and their order are product(*row_lists)'s.  A cell with no
+    rows, the one cell of G(0, m), holds the one empty tuple.  On an
+    invertible basis distinct tuples span distinct points, so counting
+    the tuples counts the cell.
     """
     if not rows:
-        yield ()
-        return
+        return iter(((),))
+    chunks, later = _cell_choices(gf, basis, rows)
+    return chain.from_iterable(map(product, chunks, *map(repeat, later)))
+
+
+def _cell_choices(gf, basis, rows):
+    """Row 0's choices as _row_chunks reads them, and each later row's as one list."""
     (c, free), *rest = rows
     later = [_row_list(gf, basis[b], [basis[j] for j in js]) for b, js in rest]
-    product = itertools.product
-    for firsts in _row_chunks(gf, basis[c], [basis[j] for j in free]):
-        yield from product(firsts, *later)
+    return _row_chunks(gf, basis[c], [basis[j] for j in free]), later
+
+
+def _count(walk):
+    """How many tuples a walk yields, each one counted as it goes by.
+
+    Every walked tuple, the empty one too, is not None, so the sum runs
+    in C and holds no tuple past its turn.
+    """
+    return sum(map(is_not, walk, repeat(None)))
 
 
 def check_enumeration_budget(gf, m, l, limit=None):
@@ -152,7 +172,7 @@ def _grassmannian_layout(m, l):
     free columns.  A cell holds q ** len(free) points.
     """
     layout = []
-    for piv in itertools.combinations(range(m), l):
+    for piv in combinations(range(m), l):
         free = tuple((i, j) for i, c in enumerate(piv) for j in range(c + 1, m) if j not in piv)
         rows = tuple((c, tuple(j for k, j in free if k == i)) for i, c in enumerate(piv))
         layout.append((piv, rows, free))
@@ -160,22 +180,24 @@ def _grassmannian_layout(m, l):
 
 
 def enumerate_grassmannian(gf, m, l, limit=None):
-    """Yield every l-dimensional subspace of GF(q)^m in canonical order.
+    """An iterator over the l-dimensional subspaces of GF(q)^m, in canonical order.
 
     Refuses to start if the total exceeds the enumeration budget (the
     limit argument when given, otherwise the global bound).
     """
     trusted = Subspace._trusted
     eye = _identity(m)
-    for piv, rows, _ in _grassmannian_cells(gf, m, l, limit):
-        for basis in _walk_cell(gf, eye, rows):
-            yield trusted(gf, basis, piv, m)
+    return chain.from_iterable(
+        map(trusted, repeat(gf), _walk_cell(gf, eye, rows), repeat(piv), repeat(m))
+        for piv, rows, _ in _grassmannian_cells(gf, m, l, limit)
+    )
 
 
 def _count_grassmannian(gf, m, l, limit=None):
     """Count G(l, m) by walking its cells, under the same budget."""
     eye = _identity(m)
-    return sum(1 for _, rows, _ in _grassmannian_cells(gf, m, l, limit) for _ in _walk_cell(gf, eye, rows))
+    cells = _grassmannian_cells(gf, m, l, limit)
+    return _count(chain.from_iterable(_walk_cell(gf, eye, rows) for _, rows, _ in cells))
 
 
 @lru_cache(maxsize=None)
@@ -234,20 +256,14 @@ def random_subspace(gf, m, l, rng=None):
 # -- flags -------------------------------------------------------------------
 
 
-_JSON_KINDS = {int: "an int", bool: "a bool", list: "a list of ints"}
-
-
 def _json_value(data, key, kind, default=None):
     """data[key], or default when key is absent and a default is given.
 
-    The value must be exactly of type kind, and a list a list of ints:
-    the JSON readers take no float or string for an int, no number or
-    string for a bool, and no bool for an int.
+    The value must be exactly of type kind, and a list a list of ints
+    (_exact).  The readers pass q, frobenius_power and dual on as they
+    are, since the constructors apply the same rule.
     """
-    value = data[key] if default is None else data.get(key, default)
-    if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
-        raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+    return _exact(data[key] if default is None else data.get(key, default), key, kind)
 
 
 @dataclass(frozen=True)
@@ -313,7 +329,7 @@ class Flag:
 
     @classmethod
     def from_json_dict(cls, data):
-        gf = field_from_order(_json_value(data, "q", int))
+        gf = field_from_order(data["q"])
         m = _json_value(data, "m", int)
         alpha = tuple(_json_value(data, "alpha", list))
         subs = tuple(

@@ -24,11 +24,12 @@ parts to schubert._images_within, which reads the variety's cells, the
 G(l, m) cells that clear its floors, on the mapped adapted basis
 (theta^k permutes a cell's free entries, and a contravariant image
 reads the annihilators' cells on the inverse transpose) and tests each
-image's pivots against the variety's own floors.
+image point against the variety's own floors, one reduction a point.
 """
 
 import itertools
 
+from .errors import _exact
 from .field import field_from_order
 from .grassmann import Flag, _as_rng, _json_value
 from .linalg import (
@@ -58,12 +59,12 @@ class SemilinearMap:
         matrix, ncols = _code_rows(gf, matrix, m)
         if len(matrix) != m:
             raise ValueError(f"matrix must be {m}x{m}, got {len(matrix)}x{ncols}")
-        k = int(frobenius_power)
+        k = _exact(frobenius_power, "frobenius_power", int)
         if not 0 <= k < gf.e:
             raise ValueError(f"frobenius power {k} outside [0, {gf.e})")
         if len(_pivots(gf, matrix)) != m:
             raise ValueError("matrix is singular")
-        _fill(self, gf, m, matrix, k, bool(dual))
+        _fill(self, gf, m, matrix, k, _exact(dual, "dual", bool))
 
     @classmethod
     def _trusted(cls, gf, m, matrix, frobenius_power, dual):
@@ -179,13 +180,13 @@ class SemilinearMap:
 
     @classmethod
     def from_json_dict(cls, data):
-        gf = field_from_order(_json_value(data, "q", int))
+        gf = field_from_order(data["q"])
         return cls(
             gf,
             _json_value(data, "m", int),
             data["matrix"],
-            _json_value(data, "frobenius_power", int, 0),
-            _json_value(data, "dual", bool, False),
+            data.get("frobenius_power", 0),
+            data.get("dual", False),
         )
 
 

@@ -15,8 +15,9 @@ its rows are an RREF basis by spanning them once.  A question that
 needs only a rank or the pivot columns gets no RREF: _pivots reduces
 each row forward against the rows kept so far (_echelon_step) and
 reads the pivots off the kept rows' leading columns.  The rank tests
-of the maps and stabilizers, a point's pivots in the image walk and
-intersection_dim run on it.  Rows that are already reduced are not
+of the maps and stabilizers and intersection_dim run on it; the image
+walk (schubert._cell_within) calls _echelon_step itself, once per
+choice of a cell's leading rows.  Rows that are already reduced are not
 reduced again: intersection_dim reduces the smaller basis against the
 larger one's RREF rows and eliminates only what is left, and perp,
 the one annihilator, reads it off a subspace's own RREF basis.  A

@@ -24,10 +24,17 @@ them, with one intersection_dim per non-redundant member.
 The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
 image's pivots against a target's floors, the same test the cells are
-kept by.  point_set stays for what needs the set itself:
-alpha-uniqueness and the stabilizer census's oracle, which tests
-thousands of maps against one variety, most of them failing at their
-first point.
+kept by.  It reduces each choice of a cell's first l - 1 rows once
+and carries it down the cell.  With P those rows' pivots, thr(P) is
+the smallest last pivot that clears the floors with P, and clearing
+is monotone in that pivot, so the last pivots that do are exactly
+those off P from thr(P) on: each last-row choice costs one reduction
+and a look left of thr(P).  Every point is still tested, and the walk
+stops at the first one off the target.
+
+point_set stays for what needs the set itself: alpha-uniqueness and
+the stabilizer census's oracle, which tests thousands of maps against
+one variety, most of them failing at their first point.
 
 Which cells a dimension tuple keeps and its non-redundant positions
 depend on (alpha, m) alone, so they are built once per shape, as
@@ -43,11 +50,14 @@ run on it.
 """
 
 from functools import lru_cache
+from itertools import chain, combinations, repeat
 from operator import ge
 
 from .field import field_from_order
 from .grassmann import (
     Flag,
+    _cell_choices,
+    _count,
     _grassmannian_layout,
     _json_value,
     _walk_cell,
@@ -58,7 +68,7 @@ from .grassmann import (
     rank_subspace,
     standard_flag,
 )
-from .linalg import Subspace, _intersection_dim, _inverse, _matmul, _pivots
+from .linalg import Subspace, _echelon_step, _intersection_dim, _inverse, _matmul
 
 
 def alpha_nc(alpha):
@@ -104,6 +114,25 @@ def _floors(alpha, m):
 def _clears(pivots, floors):
     """Whether each pivot is at least its floor: the point is on the variety."""
     return all(map(ge, pivots, floors))
+
+
+def _threshold(pivots, floors, m):
+    """thr(P): the smallest column p off P such that P and p clear the floors.
+
+    m when there is none.  Raising p past another pivot never lowers a
+    sorted entry, so clearing is monotone in p: P and p clear the floors
+    exactly when p is off P and p >= thr(P).
+    """
+    return next((p for p in range(m) if p not in pivots and _clears(sorted((*pivots, p)), floors)), m)
+
+
+@lru_cache(maxsize=None)
+def _thresholds(floors, m):
+    """thr(P) for every set P of len(floors) - 1 columns, keyed by the bitmask of P."""
+    return {
+        sum(1 << p for p in prefix): _threshold(prefix, floors, m)
+        for prefix in combinations(range(m), len(floors) - 1)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -235,27 +264,24 @@ class SchubertVariety:
         return self._basis_inverse
 
     def _walk(self, limit=None):
-        """Yield the points as row tuples, cell by cell, each once.
+        """An iterator over the points as row tuples, cell by cell, each once.
 
         Each cell of _schubert_cells is read on the flag's adapted basis
-        reversed.  The budget, checked before the first cell, is the size
-        of the whole Grassmannian, as for enumerating it.
+        reversed.  The budget, checked before the walk starts, is the
+        size of the whole Grassmannian, as for enumerating it.
         """
         gf = self.gf
         check_enumeration_budget(gf, self.m, self.l, limit)
         basis = self._adapted()[::-1]
-        for _, rows, _ in _schubert_cells(self.alpha, self.m):
-            yield from _walk_cell(gf, basis, rows)
+        cells = _schubert_cells(self.alpha, self.m)
+        return chain.from_iterable(_walk_cell(gf, basis, rows) for _, rows, _ in cells)
 
     def _cell_points(self, limit=None):
-        """Yield the points, each once, in no canonical order.
+        """An iterator over the points, each once, in no canonical order.
 
         The span of a walked tuple puts the point in canonical form.
         """
-        gf, m = self.gf, self.m
-        span = Subspace._span
-        for rows in self._walk(limit):
-            yield span(gf, list(rows), m)
+        return map(Subspace._span, repeat(self.gf), map(list, self._walk(limit)), repeat(self.m))
 
     def points(self, limit=None):
         """Yield the points in canonical Grassmannian order."""
@@ -263,7 +289,7 @@ class SchubertVariety:
 
     def point_set(self):
         # the budget holds on every call, not only the one that fills the
-        # cache; _walk checks it before the first cell
+        # cache; _walk checks it before the walk starts
         if self._point_set is None:
             self._point_set = frozenset(self._cell_points())
         else:
@@ -272,7 +298,7 @@ class SchubertVariety:
 
     def count_points(self, limit=None):
         """Number of points: the walk, counted, not spanned."""
-        return sum(1 for _ in self._walk(limit))
+        return _count(self._walk(limit))
 
     def count_polynomial(self):
         return cell_count_polynomial(self.alpha, self.m)
@@ -302,7 +328,7 @@ class SchubertVariety:
     def from_json_dict(cls, data):
         if "flag" in data:
             flag = Flag.from_json_dict(data["flag"])
-            gf = field_from_order(_json_value(data, "q", int))
+            gf = field_from_order(data["q"])
             if flag.gf != gf or flag.m != _json_value(data, "m", int):
                 raise ValueError("flag and variety headers disagree")
             if flag.alpha != tuple(_json_value(data, "alpha", list)):
@@ -318,19 +344,21 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     With T omega's adapted basis reversed, a point of a cell is C T for
     C in the cell, and its image spans theta^k(C) theta^k(T) M.  theta^k
     fixes 0 and 1 and permutes the field, so theta^k(C) runs over the
-    cell as C does: the images of omega's cells are the walk of
+    cell as C does: the images of omega's cells are the walks of
     _schubert_cells on the rows of N = theta^k(T) M.  A contravariant
     image is the annihilator of C N, which is Y N^-T for Y an
     annihilator of C: with T in its own order, the walk of the dual
     cells on the rows of N^-T.  Each walked tuple is a point.
 
     The rows are first taken into target's adapted coordinates with the
-    columns reversed, so a point's pivots, read by forward elimination
-    without an RREF (_pivots), are its pivots in the basis target's
-    cells are read on, and the point lies on target exactly when they
-    clear target's floors.  No subspace is built, and
-    the walk stops at the first point off target.  The budget, checked
-    before the first cell, is the size of G(l, m), as for point_set.
+    columns reversed, so a point's pivots are its pivots in the basis
+    target's cells are read on, and the point lies on target exactly
+    when they clear target's floors.  Each cell is walked by
+    _cell_within: every choice of the first l - 1 rows is reduced once,
+    row by row, and every last-row choice under it is tested with one
+    reduction.  No subspace is built, and the walk stops at the first
+    point off target.  The budget, checked before the first cell, is the
+    size of G(l, m), as for point_set.
     """
     gf, m = omega.gf, omega.m
     check_enumeration_budget(gf, m, omega.l)
@@ -341,11 +369,42 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
         rows = _matmul(gf, rows, matrix)
     rows = list(zip(*_inverse(gf, rows))) if dual else rows[::-1]
     rows = _matmul(gf, rows, [row[::-1] for row in target._adapted_inverse()])
-    floors = _floors(target.alpha, m)
+    thresholds = _thresholds(_floors(target.alpha, m), m)
     for _, cell, _ in _schubert_cells(omega.alpha, m, dual):
-        for point in _walk_cell(gf, rows, cell):
-            if not _clears(_pivots(gf, point), floors):
+        chunks, later = _cell_choices(gf, rows, cell)
+        *prefix, last = [chain.from_iterable(chunks), *later]
+        if not _cell_within(gf, prefix, last, [], 0, thresholds):
+            return False
+    return True
+
+
+def _cell_within(gf, prefix, last, elim, mask, thresholds):
+    """Whether every point of a cell, under the rows reduced so far, clears the floors.
+
+    prefix holds the choices of the rows still to reduce before the last
+    one, and elim the (pivot, row) pairs _echelon_step kept for the rows
+    above them, whose pivots are the bits of mask.  Each choice of the
+    next row is reduced once and carried down.  Under a full prefix with
+    pivots P, the point is on target exactly when its last row, reduced
+    by elim, is zero left of thr(P): its pivot is then off P and at
+    least thr(P).  The walk stops at the first point off target.
+    """
+    if prefix:
+        rest = prefix[1:]
+        for v in prefix[0]:
+            p, r = _echelon_step(gf, elim, v)
+            if not _cell_within(gf, rest, last, [*elim, (p, r)], mask | 1 << p, thresholds):
                 return False
+        return True
+    t = thresholds[mask]
+    sub_row = gf._sub_row
+    for v in last:
+        for p, r in elim:
+            c = v[p]
+            if c:
+                v = sub_row(v, c, r)
+        if any(v[:t]):
+            return False
     return True
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import bruteforce as bf
 from qgrass.errors import BudgetExceededError
-from qgrass.field import make_field
+from qgrass.field import field_from_order, make_field
 from qgrass.grassmann import (
     Flag,
     _cell_offsets,
@@ -22,7 +22,7 @@ from qgrass.grassmann import (
     unrank_subspace,
 )
 from qgrass.group import SemilinearMap
-from qgrass.linalg import Subspace
+from qgrass.linalg import Subspace, _identity
 
 
 def test_gaussian_binomial_frozen_values():
@@ -201,6 +201,39 @@ def test_flag_json_takes_only_ints_and_bools_where_they_are_meant(gf2, key, valu
     data = dict(random_flag(gf2, 4, (2, 3), rng=5).to_json_dict(), **{key: value})
     with pytest.raises(ValueError, match=f"^'{key}' must be {kind}, got "):
         Flag.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: SemilinearMap(make_field(2), 2, _identity(2), 0, "false"), "dual"),
+        (lambda: SemilinearMap(make_field(2), 2, _identity(2), 0, 0), "dual"),
+        (lambda: SemilinearMap(make_field(2, 2), 2, _identity(2), 1.9), "frobenius_power"),
+        (lambda: SemilinearMap(make_field(2, 2), 2, _identity(2), True), "frobenius_power"),
+        (lambda: field_from_order(2.7), "q"),
+        (lambda: field_from_order("4"), "q"),
+        (lambda: field_from_order(True), "q"),
+        (lambda: standard_flag(make_field(2), 4, (1.9, 3)), "alpha"),
+        (lambda: random_flag(make_field(3), 4, (1, "3"), rng=1), "alpha"),
+        (lambda: Flag(make_field(2), 4, (True,), (Subspace.from_rows(make_field(2), [[1, 0, 0, 0]]),)), "alpha"),
+    ],
+    ids=[
+        "dual-str",
+        "dual-int",
+        "power-float",
+        "power-bool",
+        "q-float",
+        "q-str",
+        "q-bool",
+        "alpha-float",
+        "alpha-str",
+        "alpha-bool",
+    ],
+)
+def test_constructors_take_only_ints_and_bools_where_they_are_meant(build, name):
+    # the rule the JSON readers apply: no int() or bool() coercion
+    with pytest.raises(ValueError, match=f"^'{name}' must "):
+        build()
 
 
 def test_dual_flag_is_an_involution(gf2, gf3):

@@ -9,6 +9,12 @@ o2.point_set() and image.point_set() == {tau(W) for W in pts}.  The
 position test itself is compared with contains and with span sets
 (bruteforce.py), and the dual cells with the annihilators of each
 cell's points.
+
+The walk reduces each choice of a cell's first l - 1 rows once and
+tests each last row against a threshold.  The threshold lemma it rests
+on is checked by brute force over every last pivot, and the walk
+against the per-point walk it replaced, kept here as the reference:
+every point's pivots by forward elimination, against target's floors.
 """
 
 import itertools
@@ -22,12 +28,22 @@ from qgrass.grassmann import Flag, _walk_cell, enumerate_grassmannian, random_fl
 from qgrass.group import (
     SemilinearMap,
     compose,
+    enumerate_invertible,
     image_of_schubert,
     is_automorphism_oracle,
     random_semilinear,
 )
-from qgrass.linalg import Subspace, _identity
-from qgrass.schubert import SchubertVariety, _images_within, _schubert_cells, equal_oracle
+from qgrass.linalg import Subspace, _identity, _inverse, _matmul, _pivots
+from qgrass.schubert import (
+    SchubertVariety,
+    _clears,
+    _floors,
+    _images_within,
+    _schubert_cells,
+    _threshold,
+    _thresholds,
+    equal_oracle,
+)
 from qgrass.verify import _flag_stabilizer, _member_mover, _perp_symmetric_flag, _resample_member
 
 # (p, e, m, l, flags per alpha or None for one flag on every alpha)
@@ -188,3 +204,82 @@ def test_each_perp_cell_walks_the_annihilators_of_its_points(q, m, l):
     for alpha in itertools.combinations(range(1, m + 1), l):
         kept = {dual_pivots(piv) for piv, _, _ in _schubert_cells(alpha, m)}
         assert kept == {piv for piv, _, _ in _schubert_cells(alpha, m, True)}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_a_last_pivot_clears_the_floors_exactly_from_the_threshold_up(m):
+    for l in range(1, m + 1):
+        for alpha in itertools.combinations(range(1, m + 1), l):
+            floors = tuple(m - a for a in reversed(alpha))
+            assert _floors(alpha, m) == floors
+            table = _thresholds(floors, m)
+            assert len(table) == len(list(itertools.combinations(range(m), l - 1)))
+            for k in range(l):
+                for P in itertools.combinations(range(m), k):
+                    thr = _threshold(P, floors, m)
+                    for p in range(m):
+                        clears = all(c >= f for c, f in zip(sorted(P + (p,)), floors))
+                        assert (p not in P and clears) == (p not in P and p >= thr), (alpha, P, p)
+                    if k == l - 1:
+                        assert table[sum(1 << c for c in P)] == thr
+
+
+def _pointwise_within(omega, target, frobenius_power=0, matrix=None, dual=False):
+    """The per-point walk _images_within replaced: every point's pivots, one by one."""
+    gf, m = omega.gf, omega.m
+    rows = omega._adapted()
+    if frobenius_power:
+        rows = gf.frobenius(rows, frobenius_power)
+    if matrix is not None:
+        rows = _matmul(gf, rows, matrix)
+    rows = list(zip(*_inverse(gf, rows))) if dual else rows[::-1]
+    rows = _matmul(gf, rows, [row[::-1] for row in target._adapted_inverse()])
+    floors = _floors(target.alpha, m)
+    return all(
+        _clears(_pivots(gf, point), floors)
+        for _, cell, _ in _schubert_cells(omega.alpha, m, dual)
+        for point in _walk_cell(gf, rows, cell)
+    )
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_the_walk_matches_the_pointwise_walk_on_every_map(p, e, m):
+    gf = make_field(p, e)
+    rng = random.Random(400 * p + 10 * e + m)
+    matrices = list(enumerate_invertible(gf, m))
+    seen = set()
+    for l in range(1, m + 1):
+        alphas = list(itertools.combinations(range(1, m + 1), l))
+        for alpha in alphas:
+            omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+            other = SchubertVariety(random_flag(gf, m, rng.choice(alphas), rng=rng))
+            duals = (False, True) if m == 2 * l else (False,)
+            for target in (omega, other):
+                for M in matrices:
+                    for k in range(e):
+                        for dual in duals:
+                            want = _pointwise_within(omega, target, k, M, dual)
+                            assert _images_within(omega, target, k, M, dual) == want, (alpha, M, k, dual)
+                            seen.add((dual, want))
+    assert seen == {(dual, want) for dual in ((False, True) if m % 2 == 0 else (False,)) for want in (False, True)}
+
+
+@pytest.mark.parametrize("p,e,m,l,sampled", [*SHAPES, (3, 1, 6, 3, 5)])
+def test_the_walk_matches_the_pointwise_walk_on_sampled_maps(p, e, m, l, sampled):
+    gf = make_field(p, e)
+    rng = random.Random(500 * p + 10 * e + m)
+    alphas = list(itertools.combinations(range(1, m + 1), l))
+    seen = set()
+    for alpha in _alphas(m, l, sampled, rng):
+        for _ in range(2):
+            omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
+            other = SchubertVariety(random_flag(gf, m, rng.choice(alphas), rng=rng))
+            for tau in _maps(omega, rng):
+                parts = (tau.frobenius_power, tau.matrix, tau.dual)
+                for target in (omega, other):
+                    want = _pointwise_within(omega, target, *parts)
+                    assert _images_within(omega, target, *parts) == want, (alpha, tau)
+                    seen.add((tau.dual, want))
+    assert {(False, True), (False, False)} <= seen
+    if m == 2 * l:
+        assert (True, False) in seen

@@ -20,8 +20,14 @@ import pytest
 
 import bruteforce as bf
 from qgrass.field import make_field
-from qgrass.grassmann import _grassmannian_layout, _walk_cell, enumerate_grassmannian
-from qgrass.linalg import Subspace, _identity, _row_chunks, _row_list
+from qgrass.grassmann import (
+    _count_grassmannian,
+    _grassmannian_layout,
+    _walk_cell,
+    enumerate_grassmannian,
+    gaussian_binomial,
+)
+from qgrass.linalg import Subspace, _identity, _row_chunks, _row_list, random_invertible
 from qgrass.schubert import SchubertVariety, _nc_positions, _schubert_cells, alpha_nc, cell_count_polynomial
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
@@ -78,6 +84,23 @@ def test_cell_walk_is_the_product_of_the_row_choices(ngens, p, e):
         k += 1 + len(gens)
     assert list(_walk_cell(gf, basis, cell[:1])) == [(v,) for v in choices[0]]
     assert list(_walk_cell(gf, basis, cell)) == list(itertools.product(*choices))
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])
+def test_every_cell_walk_is_product_of_its_row_lists_in_order(p, e):
+    gf = make_field(p, e)
+    rng = random.Random(f"cells/{gf.q}")
+    for m in range(1, 6):
+        basis = random_invertible(gf, m, rng)
+        for l in range(min(3, m) + 1):
+            for _, rows, _ in _grassmannian_layout(m, l):
+                choices = [_reference(gf, basis[c], [basis[j] for j in free]) for c, free in rows]
+                assert list(_walk_cell(gf, basis, rows)) == list(itertools.product(*choices))
+    # the one cell of G(0, m) holds one point, the empty tuple of rows
+    for m in range(6):
+        assert list(_walk_cell(gf, _identity(m), ())) == [()]
+        assert _count_grassmannian(gf, m, 0) == gaussian_binomial(m, 0, gf.q) == 1
+        assert [S.dim for S in enumerate_grassmannian(gf, m, 0)] == [0]
 
 
 @pytest.mark.parametrize("ngens, p, e", CASES)
