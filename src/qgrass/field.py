@@ -26,13 +26,16 @@ of about sqrt(q) entries.  In characteristic 2 that sum is an XOR;
 otherwise it is two lookups in a table of digit-wise sums of half-width
 codes, plus one digit mod p when e is odd.
 
-Each GF picks once, at construction, its scalar operations and the two
-row operations the elimination kernel in linalg runs on Python lists: %
+Each GF picks once, at construction, the two row operations the
+elimination kernel in linalg runs on Python lists, and its negation: %
 arithmetic for prime fields (XOR rows for GF(2)), lookups in the tables
-for the rest.  The
-public add, sub, neg, mul and frobenius take codes, or rows or matrices
-of codes (a code next to a row goes with every entry), and answer in
-kind: an int for ints, nested lists for sequences.
+for the rest.  Every other operation comes from those: a sum or a
+difference is a one-entry row minus a multiple of another, and a
+product scales a one-entry row, so the scalar operations run the code
+the kernel runs.  The public add, sub, neg, mul and frobenius take
+codes, or rows or matrices of codes (a code next to a row goes with
+every entry), and answer in kind: an int for ints, nested lists for
+sequences.
 
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
@@ -279,24 +282,18 @@ class GF:
             self._tables["zech"] = [log_plus_one[x] for x in powers]
 
     def _choose_ops(self):
-        """Fix the scalar operations and the two row operations.
+        """Fix the negation and the two row operations.
 
         Rows are Python lists of codes.  scale_row(row, c) is c * row and
         sub_row(row, f, piv) is row - f * piv, for nonzero c and f.  Prime
         fields use % (GF(2) subtracts by XOR, f being 1), extensions the
-        log tables.
+        log tables.  Every other operation is derived from these three.
         """
         p, n = self.p, self.q - 1
         if self.e == 1:
 
-            def add(a, b):
-                return (a + b) % p
-
             def neg(a):
                 return -a % p
-
-            def mul(a, b):
-                return a * b % p
 
             def scale_row(row, c):
                 return [x * c % p for x in row]
@@ -314,17 +311,11 @@ class GF:
         else:
             exp, log = self._tables["exp"], self._tables["log"]
 
-            def mul(a, b):
-                return exp[log[a] + log[b]] if a and b else 0
-
             def scale_row(row, c):
                 lc = log[c]
                 return [exp[lc + log[x]] for x in row]
 
             if p == 2:
-
-                def add(a, b):
-                    return a ^ b
 
                 def neg(a):
                     return a
@@ -336,14 +327,6 @@ class GF:
             else:
                 zech = self._tables["zech"]
                 half = n // 2
-
-                def add(a, b):
-                    if not a:
-                        return b
-                    if not b:
-                        return a
-                    la = log[a]
-                    return exp[la + zech[(log[b] - la) % n]]
 
                 def neg(a):
                     return exp[log[a] + half]  # -1 = g^(n/2)
@@ -363,11 +346,15 @@ class GF:
                         out.append(x)
                     return out
 
-        self._add = add
         self._neg = neg
-        self._mul = mul
         self._scale_row = scale_row
         self._sub_row = sub_row
+
+    def _add(self, a, b):
+        return self._sub_row([a], self._neg(1), [b])[0]
+
+    def _mul(self, a, b):
+        return self._scale_row([b], a)[0] if a else 0
 
     @cached_property
     def _negs(self):
@@ -400,8 +387,8 @@ class GF:
         return _entrywise(self._add, a, b)
 
     def sub(self, a, b):
-        add, neg = self._add, self._neg
-        return _entrywise(lambda x, y: add(x, neg(y)), a, b)
+        sub_row = self._sub_row
+        return _entrywise(lambda x, y: sub_row([x], 1, [y])[0], a, b)
 
     def neg(self, a):
         return _entrywise(self._neg, a)

@@ -54,12 +54,13 @@ def enumeration_bound():
     return DEFAULT_ENUM_BOUND
 
 
-def _as_rng(seed):
-    if seed is None:
+def _as_rng(rng):
+    """rng itself, a fresh random.Random for None, or one seeded by an exact int."""
+    if rng is None:
         return random.Random()
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(int(seed))
+    if isinstance(rng, random.Random):
+        return rng
+    return random.Random(_exact(rng, "rng", int))
 
 
 @lru_cache(maxsize=None)
@@ -311,9 +312,6 @@ class Flag:
         self = object.__new__(cls)
         self.__dict__.update(gf=gf, m=m, alpha=alpha, subspaces=subspaces, includes_zero=False)
         return self
-
-    def __len__(self):
-        return len(self.alpha)
 
     def __getitem__(self, i):
         return self.subspaces[i]

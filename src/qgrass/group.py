@@ -140,27 +140,16 @@ class SemilinearMap:
             mat = gf.frobenius(_inverse(gf, self.matrix), k2)
         return SemilinearMap._trusted(gf, self.m, mat, k2, self.dual)
 
+    def _key(self):
+        return (self.gf, self.m, self.frobenius_power, self.dual, self.matrix)
+
     def __eq__(self, other):
         if not isinstance(other, SemilinearMap):
             return NotImplemented
-        return (
-            self.gf == other.gf
-            and self.m == other.m
-            and self.frobenius_power == other.frobenius_power
-            and self.dual == other.dual
-            and self.matrix == other.matrix
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(
-            (
-                self.gf,
-                self.m,
-                self.frobenius_power,
-                self.dual,
-                self.matrix,
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self):
         tags = []
@@ -216,12 +205,14 @@ def random_semilinear(gf, m, rng=None, dual=False):
     dual picks the annihilator part: False or True outright, or None for
     a fair coin drawn after the matrix and the power.
     """
+    if dual is not None:
+        _exact(dual, "dual", bool)
     rng = _as_rng(rng)
     mat = random_invertible(gf, m, rng)
     k = rng.randrange(gf.e)
     if dual is None:
         dual = bool(rng.randrange(2))
-    return SemilinearMap._trusted(gf, m, mat, k, bool(dual))
+    return SemilinearMap._trusted(gf, m, mat, k, dual)
 
 
 def enumerate_invertible(gf, m):

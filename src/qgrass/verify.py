@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _exact
 from .field import field_from_order
 from .grassmann import (
     Flag,
@@ -123,15 +123,17 @@ class CensusReport:
 def _run_campaign(
     theorem_id, trial, keys, q, m, l, seed, mutant, mutants, finish=None, **parameters
 ):
-    """Run ``trial(gf, key, subseed)`` once per key and build the report.
+    """Run ``trial(gf, key, rng)`` once per key and build the report.
 
-    Subseeds are drawn from the master seed in key order.  A trial
+    Subseeds are drawn from the master seed in key order, and each
+    trial draws from its own ``random.Random(subseed)``.  A trial
     returns a dict with its "cases", its "failures" and any further
     counters; each counter is added to the report parameter of the same
-    name, which the campaign passes in with its starting value.
-    ``finish()``, when given, returns failures found across trials.
-    Failures are recorded in canonical order, at most
-    MAX_RECORDED_FAILURES of them.
+    name, which the campaign passes in with its starting value.  The
+    runner records the subseed as the "seed" of every failure a trial
+    returns, so the trial can be replayed from it.  ``finish()``, when
+    given, returns failures found across trials.  Failures are recorded
+    in canonical order, at most MAX_RECORDED_FAILURES of them.
     """
     if mutant is not None and mutant not in mutants:
         raise ValueError(f"unknown mutant {mutant!r}; valid: {sorted(mutants)}")
@@ -145,8 +147,11 @@ def _run_campaign(
     cases = 0
     failures = []
     for key in keys:
-        result = trial(gf, key, master.getrandbits(48))
+        subseed = master.getrandbits(48)
+        result = trial(gf, key, random.Random(subseed))
         cases += result.pop("cases")
+        for f in result["failures"]:
+            f["seed"] = subseed
         failures.extend(result.pop("failures"))
         for name, count in result.items():
             parameters[name] += count
@@ -161,6 +166,11 @@ def _run_campaign(
         failures=failures[:MAX_RECORDED_FAILURES],
         elapsed=time.perf_counter() - started,
     )
+
+
+def _failures(record, checks):
+    """record, naming the problem, for each {problem: failed} entry that failed."""
+    return [{**record, "problem": problem} for problem, failed in checks.items() if failed]
 
 
 def _all_alphas(m, l):
@@ -210,8 +220,7 @@ def verify_redundancy(
     if mode == "sample" and sample_points < 1:
         raise ValueError(f"sample_points={sample_points} leaves nothing to test")
 
-    def trial(gf, alpha, s):
-        rng = random.Random(s)
+    def trial(gf, alpha, rng):
         members = random_flag(gf, m, alpha, rng=rng).subspaces
         reduced_at = _nc_positions(alpha)
         if mutant == "drop-nonredundant-condition":
@@ -231,7 +240,6 @@ def verify_redundancy(
                 failures.append(
                     {
                         "alpha": list(alpha),
-                        "seed": s,
                         "point": W.to_rows(),
                         "reduced": reduced,
                         "full": full,
@@ -297,8 +305,7 @@ def verify_flag_equality(
     alphas = _all_alphas(m, l)
     kinds = ("identical", "redundant-resample", "nc-differ", "independent")
 
-    def trial(gf, idx, s):
-        rng = random.Random(s)
+    def trial(gf, idx, rng):
         alpha = alphas[rng.randrange(len(alphas))]
         kind = kinds[idx % len(kinds)]
         nc = _nc_positions(alpha)
@@ -325,23 +332,6 @@ def verify_flag_equality(
         else:
             fast = equal_fast(o1, o2)
         oracle = equal_oracle(o1, o2)
-        failures = []
-        record = {
-            "trial": idx,
-            "seed": s,
-            "kind": kind,
-            "alpha": list(alpha),
-            "fast": fast,
-            "oracle": oracle,
-        }
-        if fast != oracle:
-            failures.append({**record, "problem": "fast-oracle-disagreement"})
-        if kind == "identical" and not oracle:
-            failures.append({**record, "problem": "identical-pair-unequal"})
-        if kind == "redundant-resample" and not oracle:
-            failures.append({**record, "problem": "redundant-change-was-seen"})
-        if kind == "nc-differ" and oracle:
-            failures.append({**record, "problem": "nc-change-was-invisible"})
         negative = not oracle
         got_witness = False
         if negative:
@@ -349,8 +339,23 @@ def verify_flag_equality(
             got_witness = W is not None and (
                 o1.contains(W) != o2.contains(W)
             )
-            if not got_witness:
-                failures.append({**record, "problem": "no-verified-witness"})
+        record = {
+            "trial": idx,
+            "kind": kind,
+            "alpha": list(alpha),
+            "fast": fast,
+            "oracle": oracle,
+        }
+        failures = _failures(
+            record,
+            {
+                "fast-oracle-disagreement": fast != oracle,
+                "identical-pair-unequal": kind == "identical" and not oracle,
+                "redundant-change-was-seen": kind == "redundant-resample" and not oracle,
+                "nc-change-was-invisible": kind == "nc-differ" and oracle,
+                "no-verified-witness": negative and not got_witness,
+            },
+        )
         return {
             "cases": 1,
             "failures": failures,
@@ -403,8 +408,7 @@ def verify_dual_image(
         raise ValueError("contravariant images need m = 2l")
     alphas = _all_alphas(m, l)
 
-    def trial(gf, idx, s):
-        rng = random.Random(s)
+    def trial(gf, idx, rng):
         tau = random_semilinear(gf, m, rng=rng, dual=True)
         failures = []
         cases = 0
@@ -413,7 +417,6 @@ def verify_dual_image(
             cases += 1
             record = {
                 "trial": idx,
-                "seed": s,
                 "alpha": list(alpha),
             }
             try:
@@ -556,8 +559,7 @@ def verify_covariant_criterion(
     alphas = _all_alphas(m, l)
     kinds = ("random", "stabilizing", "mover", "twisted")
 
-    def trial(gf, idx, s):
-        rng = random.Random(s)
+    def trial(gf, idx, rng):
         alpha = alphas[rng.randrange(len(alphas))]
         kind = kinds[idx % len(kinds)]
         flag = random_flag(gf, m, alpha, rng=rng)
@@ -584,19 +586,20 @@ def verify_covariant_criterion(
         else:
             fast = is_automorphism_fast(tau, omega)
         oracle = is_automorphism_oracle(tau, omega)
-        failures = []
         record = {
             "trial": idx,
-            "seed": s,
             "kind": kind,
             "alpha": list(alpha),
             "fast": fast,
             "oracle": oracle,
         }
-        if fast != oracle:
-            failures.append({**record, "problem": "fast-oracle-disagreement"})
-        if expected is not None and fast != expected:
-            failures.append({**record, "problem": "constructed-case-surprised"})
+        failures = _failures(
+            record,
+            {
+                "fast-oracle-disagreement": fast != oracle,
+                "constructed-case-surprised": expected is not None and fast != expected,
+            },
+        )
         return {"cases": 1, "failures": failures}
 
     return _run_campaign(
@@ -646,8 +649,7 @@ def verify_automorphism_criterion(
             return dual_index_set(omega.alpha, omega.m) == omega.alpha
         return is_automorphism_fast(tau, omega)
 
-    def trial(gf, idx, s):
-        rng = random.Random(s)
+    def trial(gf, idx, rng):
         kind = kinds[idx % len(kinds)]
         expected = None
         if not middle and kind in (
@@ -692,21 +694,23 @@ def verify_automorphism_criterion(
                 tau = random_semilinear(gf, m, rng=rng)
             else:
                 expected = False
-        failures = []
-        record = {"trial": idx, "seed": s, "kind": kind, "alpha": list(omega.alpha)}
+        record = {"trial": idx, "kind": kind, "alpha": list(omega.alpha)}
         try:
             fast = fast_check(tau, omega)
         except ValueError as err:
-            failures.append({**record, "problem": "fast-raised", "error": str(err)})
+            failures = [{**record, "problem": "fast-raised", "error": str(err)}]
             return {"cases": 1, "failures": failures}
         oracle = is_automorphism_oracle(tau, omega)
         record["fast"] = fast
         record["oracle"] = oracle
         record["contravariant"] = tau.dual
-        if fast != oracle:
-            failures.append({**record, "problem": "fast-oracle-disagreement"})
-        if expected is not None and oracle != expected:
-            failures.append({**record, "problem": "constructed-case-surprised"})
+        failures = _failures(
+            record,
+            {
+                "fast-oracle-disagreement": fast != oracle,
+                "constructed-case-surprised": expected is not None and oracle != expected,
+            },
+        )
         return {"cases": 1, "failures": failures}
 
     return _run_campaign(
@@ -740,8 +744,7 @@ def verify_alpha_uniqueness(
     alphas = _all_alphas(m, l)
     buckets = {}
 
-    def trial(gf, alpha, s):
-        rng = random.Random(s)
+    def trial(gf, alpha, rng):
         pts = SchubertVariety(random_flag(gf, m, alpha, rng=rng)).point_set()
         key = (len(pts),) if mutant == "bucket-by-point-count" else (len(pts), pts)
         new = key not in buckets
@@ -791,6 +794,8 @@ def stabilizer_census(
     """
     if oracle not in ("full", "subsample", "none"):
         raise ValueError(f"unknown oracle setting {oracle!r}")
+    _exact(include_frobenius, "include_frobenius", bool)
+    _exact(include_dual, "include_dual", bool)
     gf, m, l = omega.gf, omega.m, omega.l
     if include_dual and m != 2 * l:
         raise ValueError("contravariant elements need m = 2l")
@@ -804,13 +809,14 @@ def stabilizer_census(
             bound=budget,
         )
     started = time.perf_counter()
-    oracle_targets = None
-    if oracle == "subsample":
-        rng = random.Random(seed)
-        count = min(subsample, size)
-        oracle_targets = set(rng.sample(range(size), count))
+    if oracle == "full":
+        targets = range(size)
+    elif oracle == "subsample":
+        targets = set(random.Random(seed).sample(range(size), min(subsample, size)))
+    else:
+        targets = ()
     # the oracle's point set, built only when the oracle runs at least once
-    pts = omega.point_set() if oracle == "full" or oracle_targets else None
+    pts = omega.point_set() if targets else None
     fast_count = 0
     oracle_count = 0
     oracle_checked = 0
@@ -822,10 +828,7 @@ def stabilizer_census(
                 tau = SemilinearMap._trusted(gf, m, M, k, dual)
                 fast = is_automorphism_fast(tau, omega)
                 fast_count += fast
-                run_oracle = oracle == "full" or (
-                    oracle_targets is not None and idx in oracle_targets
-                )
-                if run_oracle:
+                if idx in targets:
                     truth = all(tau(W) in pts for W in pts)
                     oracle_checked += 1
                     oracle_count += truth

@@ -21,8 +21,10 @@ from qgrass.grassmann import (
     standard_flag,
     unrank_subspace,
 )
-from qgrass.group import SemilinearMap
+from qgrass.group import SemilinearMap, random_semilinear
 from qgrass.linalg import Subspace, _identity
+from qgrass.schubert import SchubertVariety
+from qgrass.verify import stabilizer_census
 
 
 def test_gaussian_binomial_frozen_values():
@@ -150,7 +152,7 @@ def test_standard_flag_members(gf2):
     assert fl[1].basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert fl[fl.alpha.index(3)] == fl[1]
     assert 2 not in fl.alpha
-    assert len(fl) == 2
+    assert len(fl.subspaces) == 2
 
 
 def test_flag_validation(gf2, gf3):
@@ -216,6 +218,14 @@ def test_flag_json_takes_only_ints_and_bools_where_they_are_meant(gf2, key, valu
         (lambda: standard_flag(make_field(2), 4, (1.9, 3)), "alpha"),
         (lambda: random_flag(make_field(3), 4, (1, "3"), rng=1), "alpha"),
         (lambda: Flag(make_field(2), 4, (True,), (Subspace.from_rows(make_field(2), [[1, 0, 0, 0]]),)), "alpha"),
+        (lambda: random_flag(make_field(2), 4, (2, 4), rng=2.7), "rng"),
+        (lambda: random_flag(make_field(2), 4, (2, 4), rng="5"), "rng"),
+        (lambda: random_flag(make_field(2), 4, (2, 4), rng=True), "rng"),
+        (lambda: random_subspace(make_field(2), 4, 2, rng=1.0), "rng"),
+        (lambda: random_semilinear(make_field(2), 2, rng=1, dual="false"), "dual"),
+        (lambda: random_semilinear(make_field(2), 2, rng=1, dual=0), "dual"),
+        (lambda: stabilizer_census(SchubertVariety.standard(make_field(2), 2, (1, 2)), include_dual="no"), "include_dual"),
+        (lambda: stabilizer_census(SchubertVariety.standard(make_field(2), 2, (1, 2)), include_frobenius=1), "include_frobenius"),
     ],
     ids=[
         "dual-str",
@@ -228,6 +238,14 @@ def test_flag_json_takes_only_ints_and_bools_where_they_are_meant(gf2, key, valu
         "alpha-float",
         "alpha-str",
         "alpha-bool",
+        "rng-float",
+        "rng-str",
+        "rng-bool",
+        "subspace-rng-float",
+        "random-dual-str",
+        "random-dual-int",
+        "census-dual-str",
+        "census-frobenius-int",
     ],
 )
 def test_constructors_take_only_ints_and_bools_where_they_are_meant(build, name):

@@ -42,6 +42,7 @@ from qgrass.schubert import (
     _schubert_cells,
     _threshold,
     _thresholds,
+    dual_index_set,
     equal_oracle,
 )
 from qgrass.verify import _flag_stabilizer, _member_mover, _perp_symmetric_flag, _resample_member
@@ -204,6 +205,16 @@ def test_each_perp_cell_walks_the_annihilators_of_its_points(q, m, l):
     for alpha in itertools.combinations(range(1, m + 1), l):
         kept = {dual_pivots(piv) for piv, _, _ in _schubert_cells(alpha, m)}
         assert kept == {piv for piv, _, _ in _schubert_cells(alpha, m, True)}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_dual_cells_are_the_cells_of_the_dual_tuple(m):
+    # the annihilator-cell rule the contravariant oracle walks against the
+    # reflected complement the fast criterion reads: two derivations that
+    # share no code, so the oracle must keep its own rule
+    for l in range(1, m + 1):
+        for alpha in itertools.combinations(range(1, m + 1), l):
+            assert _schubert_cells(alpha, m, True) == _schubert_cells(dual_index_set(alpha, m), m)
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -231,6 +231,39 @@ def test_report_bytes_match_the_frozen_digest(campaign, shape, options, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# each campaign under its mutant, red on every row
+MUTANT_RUNS = [
+    ("redundancy", (2, 4, 2), dict(flags_per_alpha=3, seed=11, mutant="drop-nonredundant-condition")),
+    ("flag-equality", (2, 4, 2), dict(trials=40, seed=2, mutant="alpha-for-alpha-nc")),
+    ("dual-image", (2, 4, 2), dict(trials=4, seed=6, mutant="dual-formula-m-minus-j")),
+    ("covariant-criterion", (2, 4, 2), dict(trials=60, seed=4, mutant="fix-every-member")),
+    ("automorphism-criterion", (2, 4, 2), dict(trials=60, seed=8, mutant="skip-contravariant-set-check")),
+    ("alpha-uniqueness", (2, 4, 2), dict(flags_per_alpha=2, seed=0, mutant="bucket-by-point-count")),
+]
+
+
+@pytest.mark.parametrize("campaign, shape, options", MUTANT_RUNS, ids=[c for c, _, _ in MUTANT_RUNS])
+def test_every_trial_failure_carries_its_trials_subseed(campaign, shape, options):
+    # the master seed draws one 48-bit subseed per key, in key order; a
+    # failure is replayed from the subseed it records, so that subseed
+    # must be its own trial's
+    rep = CAMPAIGNS[campaign](*shape, **options)
+    assert rep.verdict == "fail"
+    _, m, l = shape
+    if "trials" in options:
+        keys = range(options["trials"])
+    else:
+        alphas = itertools.combinations(range(1, m + 1), l)
+        keys = [alpha for alpha in alphas for _ in range(options["flags_per_alpha"])]
+    master = random.Random(options["seed"])
+    key_of = {master.getrandbits(48): key for key in keys}
+    for f in rep.failures:
+        if f.get("problem") == "point-set-shared-across-tuples":  # found across trials by finish()
+            assert "seed" not in f
+        else:
+            assert key_of[f["seed"]] == (f["trial"] if "trial" in f else tuple(f["alpha"]))
+
+
 def test_report_json_shape():
     rep = verify_alpha_uniqueness(2, 3, 1, flags_per_alpha=2, seed=0)
     d = rep.to_json_dict()
