@@ -2,6 +2,12 @@
 
 Exit codes: 0 success (or a passing check), 1 failing verification,
 2 usage or input errors, 3 exceeded enumeration budgets.
+
+One argparse parser per process holds a parser per verb.  A command
+line that starts with a verb is parsed once, by that verb's parser
+alone.  The whole parser runs only when there is no verb, an unknown
+one, -h, or strings the verb's parser leaves over; it then prints the
+help or the usage error.
 """
 
 import argparse
@@ -297,10 +303,11 @@ def _add_field_args(sub):
 
 
 @functools.cache
-def build_parser():
-    """The one parser of this process, built on first use.
+def _parsers():
+    """The whole parser and its verb -> parser map, built once per process.
 
-    parse_args keeps nothing between calls, so main reuses it.
+    The map is the subparsers action's own choices: each value is the
+    parser that the whole parser hands a verb's arguments to.
     """
     parser = argparse.ArgumentParser(
         prog="qgrass",
@@ -397,13 +404,42 @@ def build_parser():
     s.add_argument("-o", "--output")
     s.set_defaults(func=_cmd_gen_map)
 
-    return parser
+    return parser, subs.choices
+
+
+def build_parser():
+    """The one parser of this process, built on first use.
+
+    Parsing keeps nothing between calls, so main reuses it.
+    """
+    return _parsers()[0]
+
+
+def _parse(argv):
+    """argv parsed once, by its verb's parser when argv starts with a verb.
+
+    That parser is the one the whole parser would hand the rest of argv
+    to, so it takes the same options, applies the same defaults and
+    raises the same usage errors.  No argv, a first string that is no
+    verb (or -h), and strings the verb leaves over go to the whole
+    parser, which prints the help or the usage error.
+    """
+    parser, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one command line (default sys.argv[1:]) and return its exit code.
+
+    argv is parsed once, on its verb's own parser (_parse).
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

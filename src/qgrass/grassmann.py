@@ -33,7 +33,6 @@ per variety.
 """
 
 import os
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
@@ -41,7 +40,7 @@ from operator import is_not
 
 from .errors import BudgetExceededError, _exact
 from .field import field_from_order
-from .linalg import Subspace, _echelon_step, _identity, _row_chunks, _row_list, random_invertible
+from .linalg import Subspace, _as_rng, _echelon_step, _identity, _row_chunks, _row_list, random_invertible
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -52,15 +51,6 @@ def enumeration_bound():
     if raw:
         return int(raw)
     return DEFAULT_ENUM_BOUND
-
-
-def _as_rng(rng):
-    """rng itself, a fresh random.Random for None, or one seeded by an exact int."""
-    if rng is None:
-        return random.Random()
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(_exact(rng, "rng", int))
 
 
 @lru_cache(maxsize=None)
@@ -257,14 +247,13 @@ def random_subspace(gf, m, l, rng=None):
 # -- flags -------------------------------------------------------------------
 
 
-def _json_value(data, key, kind, default=None):
-    """data[key], or default when key is absent and a default is given.
+def _json_value(data, key, kind):
+    """data[key], exactly of type kind, and a list a list of ints (_exact).
 
-    The value must be exactly of type kind, and a list a list of ints
-    (_exact).  The readers pass q, frobenius_power and dual on as they
-    are, since the constructors apply the same rule.
+    The readers pass q, frobenius_power, dual and includes_zero on as
+    they are, since the constructors apply the same rule.
     """
-    return _exact(data[key] if default is None else data.get(key, default), key, kind)
+    return _exact(data[key], key, kind)
 
 
 @dataclass(frozen=True)
@@ -284,6 +273,7 @@ class Flag:
     includes_zero: bool = False
 
     def __post_init__(self):
+        _exact(self.includes_zero, "includes_zero", bool)
         alpha = check_alpha(self.alpha, self.m, allow_empty=True)
         object.__setattr__(self, "alpha", alpha)
         subs = tuple(self.subspaces)
@@ -333,7 +323,7 @@ class Flag:
         subs = tuple(
             Subspace.from_rows(gf, rows, ambient=m) for rows in data["subspaces"]
         )
-        return cls(gf, m, alpha, subs, _json_value(data, "includes_zero", bool, False))
+        return cls(gf, m, alpha, subs, data.get("includes_zero", False))
 
 
 def standard_flag(gf, m, alpha):
@@ -351,7 +341,6 @@ def random_flag(gf, m, alpha, rng=None):
     is the whole space, so nothing is checked or spanned twice.
     """
     alpha = check_alpha(alpha, m)
-    rng = _as_rng(rng)
     T = random_invertible(gf, m, rng)
     subs = tuple(
         Subspace._span(gf, T[:a], m) if a < m else Subspace.full(gf, m) for a in alpha

@@ -31,9 +31,10 @@ import itertools
 
 from .errors import _exact
 from .field import field_from_order
-from .grassmann import Flag, _as_rng, _json_value
+from .grassmann import Flag, _json_value
 from .linalg import (
     Subspace,
+    _as_rng,
     _code_rows,
     _echelon_step,
     _identity,

@@ -43,8 +43,11 @@ with _echelon_step; a dependent row ends the matrix, whose remaining
 entries are still drawn so that the stream stays the same.
 """
 
+import random
 from functools import lru_cache
 from operator import mul
+
+from .errors import _exact
 
 
 def _eliminate(gf, rows, ncols):
@@ -273,25 +276,37 @@ def _draw_codes(rng, q, count):
     return codes
 
 
-def random_matrix(gf, nrows, ncols, rng):
+def _as_rng(rng):
+    """rng itself, a fresh random.Random for None, or one seeded by an exact int."""
+    if rng is None:
+        return random.Random()
+    if isinstance(rng, random.Random):
+        return rng
+    return random.Random(_exact(rng, "rng", int))
+
+
+def random_matrix(gf, nrows, ncols, rng=None):
     """A uniform code matrix, its entries drawn row by row.
 
     The entries are those nrows * ncols calls of rng.randrange(q) would
-    give, from the same stream, without calling it.
+    give, from the same stream, without calling it.  rng is a
+    random.Random, an int seed or None (_as_rng).
     """
+    rng = _as_rng(rng)
     q = gf.q
     return [_draw_codes(rng, q, ncols) for _ in range(nrows)]
 
 
-def random_invertible(gf, n, rng):
+def random_invertible(gf, n, rng=None):
     """A uniform invertible n x n code matrix: the first full-rank draw.
 
-    Its entries are drawn as random_matrix draws them.  Each row is
-    reduced against the rows kept so far as it is drawn; at the first
-    dependent row the rest of that matrix is drawn unreduced, so the
-    stream is the one a whole-matrix rank test would leave, and the next
-    matrix is drawn.
+    Its entries are drawn as random_matrix draws them, from rng as
+    random_matrix takes it.  Each row is reduced against the rows kept
+    so far as it is drawn; at the first dependent row the rest of that
+    matrix is drawn unreduced, so the stream is the one a whole-matrix
+    rank test would leave, and the next matrix is drawn.
     """
+    rng = _as_rng(rng)
     if n < 1:
         raise ValueError(f"an invertible matrix needs n >= 1, got n = {n}")
     q = gf.q

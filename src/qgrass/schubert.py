@@ -496,5 +496,6 @@ def equality_witness(o1, o2):
             if o1.contains(W) != o2.contains(W):
                 return W
         return None
-    # different point dimensions never collide; any point of o1 works
-    return next(iter(o1.points()))
+    # different point dimensions never collide; o1's canonical first point
+    # works, and ranks are unique, so the least one is found without a sort
+    return min(o1._cell_points(), key=rank_subspace)

@@ -133,7 +133,8 @@ def _run_campaign(
     runner records the subseed as the "seed" of every failure a trial
     returns, so the trial can be replayed from it.  ``finish()``, when
     given, returns failures found across trials.  Failures are recorded
-    in canonical order, at most MAX_RECORDED_FAILURES of them.
+    in canonical order, at most MAX_RECORDED_FAILURES of them.  The
+    master seed must be exactly an int.
     """
     if mutant is not None and mutant not in mutants:
         raise ValueError(f"unknown mutant {mutant!r}; valid: {sorted(mutants)}")
@@ -143,7 +144,7 @@ def _run_campaign(
     gf = field_from_order(q)
     started = time.perf_counter()
     parameters = {"q": q, "m": m, "l": l, "seed": seed, "mutant": mutant, **parameters}
-    master = random.Random(seed)
+    master = random.Random(_exact(seed, "seed", int))
     cases = 0
     failures = []
     for key in keys:
@@ -796,6 +797,8 @@ def stabilizer_census(
         raise ValueError(f"unknown oracle setting {oracle!r}")
     _exact(include_frobenius, "include_frobenius", bool)
     _exact(include_dual, "include_dual", bool)
+    _exact(subsample, "subsample", int)
+    _exact(seed, "seed", int)
     gf, m, l = omega.gf, omega.m, omega.l
     if include_dual and m != 2 * l:
         raise ValueError("contravariant elements need m = 2l")

@@ -418,7 +418,9 @@ def test_eq_witness_for_varieties_of_different_point_dimension(tmp_path, capsys)
     assert (doc["fast"], doc["oracle"], doc["agree"]) == (False, False, True)
     witness = doc["witness"]
     assert (witness["in_first"], witness["in_second"]) == (True, False)
-    assert len(witness["point"]) == 2
+    # the first variety's canonical first point
+    rc, out, _ = run(capsys, "points", "--q", "2", "--m", "4", "--alpha", "2,4", "--flag", paths[0])
+    assert rc == 0 and witness["point"] == json.loads(out)["points"][0]
 
 
 def test_image_of_contravariant_needs_middle(tmp_path, capsys):
@@ -604,3 +606,77 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     assert json.loads(results[6][1]) != json.loads(results[7][1])
     for argv, (rc, out) in zip(sequence, results):
         assert (rc, _untimed(out)) == _fresh(argv), argv
+
+
+# (argv, whether the whole parser must run): no verb, an unknown one, -h
+# or strings the verb's parser leaves over.  Every other row, errors
+# included, is parsed by the verb's parser alone.
+PARSE_TABLE = [
+    ([], True),
+    (["-h"], True),
+    (["--help"], True),
+    (["no-such-verb", "--q", "2"], True),
+    (["--q", "2", "count"], True),
+    (["count", "--q", "2", "--m", "4", "--l", "2"], False),
+    (["count", "--q=2", "--m", "4", "--alpha", "2,4", "--poly"], False),
+    (["count", "--q", "two", "--m", "4", "--l", "2"], False),
+    (["count", "--q", "2", "--l", "2"], False),
+    (["count", "-h"], False),
+    (["count", "--q", "2", "--m", "4", "--l", "2", "extra"], True),
+    (["count", "--q", "2", "--m", "4", "--l", "2", "--", "extra"], True),
+    (["points", "--q", "3", "--m", "3", "--l", "1", "--count-only"], False),
+    (["points", "--q", "2", "--m", "3", "--l", "-1"], False),
+    (["alpha-nc", "--alpha", "2,4", "--m", "5"], False),
+    (["dual-alpha", "--alpha", "2,4", "--m", "5", "--bogus"], True),
+    (["eq", "{flag}", "{other}", "--oracle", "--witness"], False),
+    (["eq", "{flag}", "{line}", "--witness"], False),
+    (["eq", "--", "{flag}", "{flag}"], False),
+    (["eq", "{flag}"], False),
+    (["eq", "{flag}", "{flag}", "{flag}"], True),
+    (["image", "{tau}", "{flag}"], False),
+    (["aut-check", "{tau}", "{flag}", "--both"], False),
+    (["aut-check", "{tau}", "{flag}", "--fast", "--oracle"], False),
+    (["verify", "redundancy", "--q", "2", "--m", "4", "--l", "2", "--flags-per-alpha", "1"], False),
+    (["verify", "no-such", "--q", "2", "--m", "3", "--l", "1"], False),
+    (["verify", "dual-image", "--q", "2", "--m", "4", "--l", "2", "--flags-per-alpha", "1"], False),
+    (["census", "--q", "4", "--m", "2", "--alpha", "1", "--oracle", "every"], False),
+    (["census", "--q", "2", "--m", "2", "--alpha", "1", "--include-dual"], False),
+    (["gen-flag", "--q", "3", "--m", "3", "--alpha", "1,3", "--seed", "4"], False),
+    (["gen-map", "--q", "4", "--m", "2", "--dual", "--allow-dual"], False),
+    (["gen-map", "--q", "4", "--m", "2", "--seed", "2", "--allow-dual"], False),
+]
+
+
+@pytest.fixture(scope="module")
+def parse_files(tmp_path_factory):
+    """The files PARSE_TABLE names: flags of two shapes, a second flag, a map."""
+    tmp = tmp_path_factory.mktemp("parse")
+    gf = field_from_order(2)
+    docs = {
+        "flag": qgrass.random_flag(gf, 4, (2, 4), rng=5).to_json_dict(),
+        "other": qgrass.random_flag(gf, 4, (2, 4), rng=9).to_json_dict(),
+        "line": qgrass.random_flag(gf, 4, (3,), rng=1).to_json_dict(),
+        "tau": qgrass.random_semilinear(gf, 4, rng=3).to_json_dict(),
+    }
+    for name, doc in docs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp / f"{name}.json") for name in docs}
+
+
+@pytest.mark.parametrize("argv,whole", PARSE_TABLE, ids=[" ".join(argv) or "(none)" for argv, _ in PARSE_TABLE])
+def test_main_parses_as_the_whole_parser_does(parse_files, capsys, monkeypatch, argv, whole):
+    """main prints and returns what parsing with the whole parser gives.
+
+    The reference is main with _parse replaced by the whole parser's
+    parse_args, then the same dispatch.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [a.format(**parse_files) for a in argv]
+    parser = build_parser()
+    whole_ran = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda a: whole_ran.append(a) or parse_args(a))
+    got = run(capsys, *argv)
+    assert bool(whole_ran) == whole
+    monkeypatch.setattr(cli, "_parse", parser.parse_args)
+    assert run(capsys, *argv) == got

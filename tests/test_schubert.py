@@ -193,6 +193,27 @@ def test_witness_for_distinct_dimension_tuples(gf2):
     assert o1.contains(W) != o2.contains(W)
 
 
+def test_witness_for_different_point_dimensions_is_the_first_point(gf3):
+    # points of different dimensions never coincide, so any point of the
+    # first variety separates; the witness is its canonical first one
+    rng = random.Random(20)
+    for _ in range(5):
+        o1 = SchubertVariety(random_flag(gf3, 3, (2, 3), rng=rng))
+        o2 = SchubertVariety(random_flag(gf3, 3, (3,), rng=rng))
+        for oa, ob in ((o1, o2), (o2, o1)):
+            W = equality_witness(oa, ob)
+            assert W == next(oa.points()) and oa.contains(W)
+
+
+def test_a_scan_that_separates_nothing_returns_none(gf2, monkeypatch):
+    # distinct tuples never give one point set, so the scan always finds a
+    # point; under a membership that takes every point it finds none
+    monkeypatch.setattr(SchubertVariety, "contains", lambda self, W: True)
+    o1 = SchubertVariety.standard(gf2, 4, (1, 2))
+    o2 = SchubertVariety.standard(gf2, 4, (1, 3))
+    assert equality_witness(o1, o2) is None
+
+
 def test_variety_json_round_trip(gf3):
     omega = SchubertVariety(random_flag(gf3, 4, (2, 3), rng=8))
     data = omega.to_json_dict()
