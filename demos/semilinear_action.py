@@ -58,7 +58,7 @@ print("  oracle:   ", is_automorphism_oracle(sigma, std))
 # composition and inversion stay in normal form
 rho = random_semilinear(gf, m, rng=random.Random(7), dual=True)
 both = rho * sigma
-print("\ncomposition of two annihilator maps is covariant:", both.is_covariant)
+print("\ncomposition of two annihilator maps is covariant:", not both.dual)
 round_trip = rho * rho.inverse()
 W = Subspace.from_rows(gf, [[1, 0, 1, 0]])
 print("inverse really inverts:", round_trip(W) == W)

@@ -407,14 +407,6 @@ def _parsers():
     return parser, subs.choices
 
 
-def build_parser():
-    """The one parser of this process, built on first use.
-
-    Parsing keeps nothing between calls, so main reuses it.
-    """
-    return _parsers()[0]
-
-
 def _parse(argv):
     """argv parsed once, by its verb's parser when argv starts with a verb.
 

@@ -247,15 +247,6 @@ def random_subspace(gf, m, l, rng=None):
 # -- flags -------------------------------------------------------------------
 
 
-def _json_value(data, key, kind):
-    """data[key], exactly of type kind, and a list a list of ints (_exact).
-
-    The readers pass q, frobenius_power, dual and includes_zero on as
-    they are, since the constructors apply the same rule.
-    """
-    return _exact(data[key], key, kind)
-
-
 @dataclass(frozen=True)
 class Flag:
     """A strictly nested chain of subspaces with prescribed dimensions.
@@ -318,8 +309,8 @@ class Flag:
     @classmethod
     def from_json_dict(cls, data):
         gf = field_from_order(data["q"])
-        m = _json_value(data, "m", int)
-        alpha = tuple(_json_value(data, "alpha", list))
+        m = _exact(data["m"], "m", int)
+        alpha = tuple(_exact(data["alpha"], "alpha", list))
         subs = tuple(
             Subspace.from_rows(gf, rows, ambient=m) for rows in data["subspaces"]
         )

@@ -31,7 +31,7 @@ import itertools
 
 from .errors import _exact
 from .field import field_from_order
-from .grassmann import Flag, _json_value
+from .grassmann import Flag
 from .linalg import (
     Subspace,
     _as_rng,
@@ -44,7 +44,7 @@ from .linalg import (
     _slot_filler,
     random_invertible,
 )
-from .schubert import SchubertVariety, _images_within, dual_index_set
+from .schubert import SchubertVariety, _binding, _images_within, dual_index_set
 
 
 def _transpose(mat):
@@ -91,10 +91,6 @@ class SemilinearMap:
     def perp_map(cls, gf, m):
         return cls._trusted(gf, m, _identity(m), 0, True)
 
-    @property
-    def is_covariant(self):
-        return not self.dual
-
     # -- action -------------------------------------------------------------
 
     def _on_subspace(self, W):
@@ -118,14 +114,14 @@ class SemilinearMap:
 
     def __call__(self, x):
         if isinstance(x, Subspace):
-            if x.gf != self.gf or x.m != self.m:
-                raise ValueError("subspace in the wrong ambient space")
-            return self._on_subspace(x)
-        if isinstance(x, Flag):
-            if x.gf != self.gf or x.m != self.m:
-                raise ValueError("flag in the wrong ambient space")
-            return self._on_flag(x)
-        raise TypeError(f"cannot apply a semilinear map to {type(x).__name__}")
+            kind, act = "subspace", self._on_subspace
+        elif isinstance(x, Flag):
+            kind, act = "flag", self._on_flag
+        else:
+            raise TypeError(f"cannot apply a semilinear map to {type(x).__name__}")
+        if x.gf != self.gf or x.m != self.m:
+            raise ValueError(f"{kind} in the wrong ambient space")
+        return act(x)
 
     # -- group structure ----------------------------------------------------
 
@@ -173,7 +169,7 @@ class SemilinearMap:
         gf = field_from_order(data["q"])
         return cls(
             gf,
-            _json_value(data, "m", int),
+            _exact(data["m"], "m", int),
             data["matrix"],
             data.get("frobenius_power", 0),
             data.get("dual", False),
@@ -259,17 +255,10 @@ def image_of_schubert(tau, omega):
     completion of the flag gives the same variety; the verification
     campaigns hold this to account pointwise.
     """
-    if tau.gf != omega.gf or tau.m != omega.m:
-        raise ValueError("map and variety in different ambient spaces")
-    if tau.is_covariant:
+    _check_action(tau, omega)
+    if not tau.dual:
         return SchubertVariety(tau(omega.flag))
-    m, l = omega.m, omega.l
-    if m != 2 * l:
-        raise ValueError(
-            "a contravariant map sends these points to dimension "
-            f"{m - l}; need m = 2l to stay in the same Grassmannian"
-        )
-    return _reflected_image(tau, omega, dual_index_set(omega.alpha, m))
+    return _reflected_image(tau, omega, dual_index_set(omega.alpha, omega.m))
 
 
 def _reflected_image(tau, omega, beta):
@@ -285,9 +274,10 @@ def _reflected_image(tau, omega, beta):
 
 
 def _check_action(tau, omega):
+    """The one rule for a map acting on a variety: same space, and m = 2l if contravariant."""
     if tau.gf != omega.gf or tau.m != omega.m:
         raise ValueError("map and variety in different ambient spaces")
-    if not tau.is_covariant and omega.m != 2 * omega.l:
+    if tau.dual and omega.m != 2 * omega.l:
         raise ValueError(
             "a contravariant map cannot preserve this Grassmannian "
             "unless m = 2l"
@@ -297,21 +287,21 @@ def _check_action(tau, omega):
 def is_automorphism_fast(tau, omega):
     """Does tau map the variety onto itself?  Decided from the flag alone.
 
-    Covariant: tau must fix every member at a non-redundant dimension.
+    Only the binding members (schubert._binding) are read: the
+    whole-space member is skipped for both variances, since it never
+    constrains anything.  Covariant: tau must fix each binding member.
     Contravariant: the dimension tuple must equal its own reflected
-    complement, and tau must permute the non-redundant members of
-    dimension below m among themselves (each lands at the complementary
-    dimension).  The full-space member, when present, is excluded: its
-    image is the zero space, while the image variety's top member is
-    forced back to the full space, so it can never constrain anything.
+    complement, and tau must permute the binding members among
+    themselves (each lands at the complementary dimension).
     """
     _check_action(tau, omega)
     flag, alpha, m = omega.flag, omega.alpha, omega.m
-    if tau.is_covariant:
-        return all(tau(flag[i]) == flag[i] for i in omega.nc_positions)
+    binding = _binding(alpha, m)
+    if not tau.dual:
+        return all(tau(flag[i]) == flag[i] for i in binding)
     if dual_index_set(alpha, m) != alpha:
         return False
-    members = {flag[i] for i in omega.nc_positions if alpha[i] < m}
+    members = {flag[i] for i in binding}
     return {tau(S) for S in members} == members
 
 

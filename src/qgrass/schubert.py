@@ -19,7 +19,7 @@ reversed basis (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
 Amer. Math. Monthly 79, 1972), so the variety is the G(l, m) cells
 whose pivots clear its floors (_schubert_cells), walked on that basis.
 Membership by rank (contains) checks single points, witnesses among
-them, with one intersection_dim per non-redundant member.
+them, with one intersection_dim per binding member (_binding).
 
 The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
@@ -53,13 +53,13 @@ from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import ge
 
+from .errors import _exact
 from .field import field_from_order
 from .grassmann import (
     Flag,
     _cell_choices,
     _count,
     _grassmannian_layout,
-    _json_value,
     _walk_cell,
     adapted_basis,
     check_alpha,
@@ -99,6 +99,18 @@ def _nc_positions(alpha):
     """0-based positions of alpha's non-redundant entries, once per tuple."""
     ncset = set(alpha_nc(alpha))
     return tuple(i for i, a in enumerate(alpha) if a in ncset)
+
+
+@lru_cache(maxsize=None)
+def _binding(alpha, m):
+    """Positions of the members every criterion reads: non-redundant, below m.
+
+    A member at m is the whole space, which binds nothing: every point
+    meets it in dimension l, every covariant map fixes it, and the
+    contravariant image of a self-dual tuple has the whole space at m
+    again (the annihilator of the zero space).
+    """
+    return tuple(i for i in _nc_positions(alpha) if alpha[i] < m)
 
 
 def _floors(alpha, m):
@@ -243,13 +255,13 @@ class SchubertVariety:
     def contains(self, W):
         """Whether a point of the Grassmannian lies on the variety.
 
-        W is checked once.  Then only the members S_i at non-redundant
-        positions are tested, one intersection_dim each, for meeting W in
-        dimension at least i + 1; they imply the other conditions.
+        W is checked once.  Then only the binding members S_i (_binding)
+        are tested, one intersection_dim each, for meeting W in dimension
+        at least i + 1; they imply the other conditions.
         """
         self._check_point(W)
         members = self.flag.subspaces
-        return all(_intersection_dim(W, members[i]) > i for i in self.nc_positions)
+        return all(_intersection_dim(W, members[i]) > i for i in _binding(self.alpha, self.m))
 
     def _adapted(self):
         """The flag's adapted basis as row tuples, built on first use."""
@@ -329,9 +341,9 @@ class SchubertVariety:
         if "flag" in data:
             flag = Flag.from_json_dict(data["flag"])
             gf = field_from_order(data["q"])
-            if flag.gf != gf or flag.m != _json_value(data, "m", int):
+            if flag.gf != gf or flag.m != _exact(data["m"], "m", int):
                 raise ValueError("flag and variety headers disagree")
-            if flag.alpha != tuple(_json_value(data, "alpha", list)):
+            if flag.alpha != tuple(_exact(data["alpha"], "alpha", list)):
                 raise ValueError("flag and variety dimension tuples disagree")
         else:
             flag = Flag.from_json_dict(data)
@@ -433,12 +445,12 @@ def equal_fast(o1, o2):
     """Point-set equality via descriptors, without enumerating anything.
 
     Distinct dimension tuples always give distinct varieties, and for a
-    shared tuple only the members at non-redundant dimensions matter.
+    shared tuple only the binding members (_binding) matter.
     """
     _check_comparable(o1, o2)
     if o1.alpha != o2.alpha:
         return False
-    return all(o1.flag[i] == o2.flag[i] for i in o1.nc_positions)
+    return all(o1.flag[i] == o2.flag[i] for i in _binding(o1.alpha, o1.m))
 
 
 def _witness_candidates(oa, ob, s):
@@ -483,7 +495,7 @@ def equality_witness(o1, o2):
     """
     _check_comparable(o1, o2)
     if o1.alpha == o2.alpha:
-        diffs = [i for i in o1.nc_positions if o1.flag[i] != o2.flag[i]]
+        diffs = [i for i in _binding(o1.alpha, o1.m) if o1.flag[i] != o2.flag[i]]
         if not diffs:
             return None
         s = max(diffs)

@@ -47,9 +47,9 @@ from .linalg import (
 )
 from .schubert import (
     SchubertVariety,
+    _binding,
     _images_within,
     _nc_positions,
-    alpha_nc,
     dual_index_set,
     equal_fast,
     equal_oracle,
@@ -174,6 +174,12 @@ def _failures(record, checks):
     return [{**record, "problem": problem} for problem, failed in checks.items() if failed]
 
 
+def _check_sizes(**sizes):
+    """Every campaign's first step: its shape and sizes are exactly ints (_exact)."""
+    for name, value in sizes.items():
+        _exact(value, name, int)
+
+
 def _all_alphas(m, l):
     return list(itertools.combinations(range(1, m + 1), l))
 
@@ -212,6 +218,7 @@ def verify_redundancy(
     flag with that tuple can give, and the rest of the flags_per_alpha
     loop only repeats it.
     """
+    _check_sizes(q=q, m=m, l=l, flags_per_alpha=flags_per_alpha, sample_points=sample_points)
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     alphas = _all_alphas(m, l)
@@ -303,6 +310,7 @@ def verify_flag_equality(
     separating point.  The mutant compares members at every dimension
     (not just the non-redundant ones) and must flag false inequalities.
     """
+    _check_sizes(q=q, m=m, l=l, trials=trials)
     alphas = _all_alphas(m, l)
     kinds = ("identical", "redundant-resample", "nc-differ", "independent")
 
@@ -311,12 +319,10 @@ def verify_flag_equality(
         kind = kinds[idx % len(kinds)]
         nc = _nc_positions(alpha)
         red_positions = [i for i in range(len(alpha)) if i not in nc]
-        # the member at the ambient dimension is the whole space; nothing
-        # to vary there
-        nc_positions = [i for i in nc if alpha[i] < m]
+        binding = _binding(alpha, m)
         if kind == "redundant-resample" and not red_positions:
             kind = "independent"
-        if kind == "nc-differ" and not nc_positions:
+        if kind == "nc-differ" and not binding:
             kind = "independent"
         f1 = random_flag(gf, m, alpha, rng=rng)
         if kind == "identical":
@@ -324,7 +330,7 @@ def verify_flag_equality(
         elif kind == "redundant-resample":
             f2 = _resample_member(f1, red_positions[rng.randrange(len(red_positions))], rng)
         elif kind == "nc-differ":
-            f2 = _resample_member(f1, nc_positions[rng.randrange(len(nc_positions))], rng)
+            f2 = _resample_member(f1, binding[rng.randrange(len(binding))], rng)
         else:
             f2 = random_flag(gf, m, alpha, rng=rng)
         o1, o2 = SchubertVariety(f1), SchubertVariety(f2)
@@ -405,6 +411,7 @@ def verify_dual_image(
     dimension tuple and must fail (sometimes by building an invalid
     flag, which counts).
     """
+    _check_sizes(q=q, m=m, l=l, trials=trials)
     if m != 2 * l:
         raise ValueError("contravariant images need m = 2l")
     alphas = _all_alphas(m, l)
@@ -474,8 +481,8 @@ def _flag_stabilizer(omega, rng):
     Conjugates a random block-triangular matrix into the coordinates of
     an adapted basis; the zero blocks keep each of those prefixes stable.
     """
-    gf, m = omega.gf, omega.m
-    bounds = [d for d in alpha_nc(omega.alpha) if d < m]
+    gf, m, alpha = omega.gf, omega.m, omega.alpha
+    bounds = [alpha[i] for i in _binding(alpha, m)]
     while True:
         L = random_matrix(gf, m, m, rng)
         for d in bounds:
@@ -486,19 +493,34 @@ def _flag_stabilizer(omega, rng):
 
 
 def _member_mover(omega, rng):
-    """Map moving exactly one non-redundant member, or None if impossible.
+    """Map moving exactly one binding member, or None if there is none.
 
     Swaps two adjacent adapted coordinates straddling that member's
     dimension: every other member's prefix keeps both or neither.
     """
-    m = omega.m
-    cands = [a for a in alpha_nc(omega.alpha) if a < m]
+    m, alpha = omega.m, omega.alpha
+    cands = _binding(alpha, m)
     if not cands:
         return None
-    a = cands[rng.randrange(len(cands))]
+    a = alpha[cands[rng.randrange(len(cands))]]
     P = [[int(i == j) for j in range(m)] for i in range(m)]
     P[a - 1], P[a] = P[a], P[a - 1]
     return _in_adapted_coordinates(omega, P)
+
+
+def _covariant_case(kind, omega, rng, random_kind):
+    """(kind, tau, expected): a stabilizer must pass, a single-member move must fail.
+
+    A mover with nothing to move, and any other kind, become random_kind:
+    a random covariant map with no expected verdict.
+    """
+    if kind == "stabilizing":
+        return kind, _flag_stabilizer(omega, rng), True
+    if kind == "mover":
+        tau = _member_mover(omega, rng)
+        if tau is not None:
+            return kind, tau, False
+    return random_kind, random_semilinear(omega.gf, omega.m, rng=rng), None
 
 
 @lru_cache(maxsize=None)
@@ -557,6 +579,7 @@ def verify_covariant_criterion(
     The mutant demands that every member be fixed, redundant ones too,
     and must fail on the constructed stabilizers.
     """
+    _check_sizes(q=q, m=m, l=l, trials=trials)
     alphas = _all_alphas(m, l)
     kinds = ("random", "stabilizing", "mover", "twisted")
 
@@ -565,23 +588,12 @@ def verify_covariant_criterion(
         kind = kinds[idx % len(kinds)]
         flag = random_flag(gf, m, alpha, rng=rng)
         omega = SchubertVariety(flag)
-        expected = None
-        if kind == "stabilizing":
-            tau = _flag_stabilizer(omega, rng)
-            expected = True
-        elif kind == "mover":
-            tau = _member_mover(omega, rng)
-            if tau is None:
-                kind = "random"
-                tau = random_semilinear(gf, m, rng=rng)
-            else:
-                expected = False
-        elif kind == "twisted" and gf.e > 1:
+        if kind == "twisted" and gf.e > 1:
             tau = random_semilinear(gf, m, rng=rng)
             tau = SemilinearMap._trusted(gf, m, tau.matrix, rng.randrange(1, gf.e), False)
+            expected = None
         else:
-            kind = "random" if kind == "twisted" else kind
-            tau = random_semilinear(gf, m, rng=rng)
+            kind, tau, expected = _covariant_case(kind, omega, rng, "random")
         if mutant == "fix-every-member":
             fast = all(tau(S) == S for S in flag.subspaces)
         else:
@@ -632,6 +644,7 @@ def verify_automorphism_criterion(
     mutant skips the member matching for contravariant maps, keeping
     only the tuple self-duality test, and must produce failures.
     """
+    _check_sizes(q=q, m=m, l=l, trials=trials)
     alphas = _all_alphas(m, l)
     middle = m == 2 * l
     self_dual = [a for a in alphas if dual_index_set(a, m) == a]
@@ -652,7 +665,6 @@ def verify_automorphism_criterion(
 
     def trial(gf, idx, rng):
         kind = kinds[idx % len(kinds)]
-        expected = None
         if not middle and kind in (
             "random-contravariant",
             "perp-symmetric",
@@ -678,23 +690,11 @@ def verify_automorphism_criterion(
             pool = non_self_dual if kind == "non-self-dual-contra" else alphas
             alpha = pool[rng.randrange(len(pool))]
             omega = SchubertVariety(random_flag(gf, m, alpha, rng=rng))
-        if kind == "random-covariant":
-            tau = random_semilinear(gf, m, rng=rng)
-        elif kind == "stabilizing":
-            tau = _flag_stabilizer(omega, rng)
-            expected = True
-        elif kind == "random-contravariant":
-            tau = random_semilinear(gf, m, rng=rng, dual=True)
-        elif kind == "non-self-dual-contra":
-            tau = random_semilinear(gf, m, rng=rng, dual=True)
-            expected = False
-        elif kind == "mover":
-            tau = _member_mover(omega, rng)
-            if tau is None:
-                kind = "random-covariant"
-                tau = random_semilinear(gf, m, rng=rng)
+            if kind in ("random-contravariant", "non-self-dual-contra"):
+                tau = random_semilinear(gf, m, rng=rng, dual=True)
+                expected = False if kind == "non-self-dual-contra" else None
             else:
-                expected = False
+                kind, tau, expected = _covariant_case(kind, omega, rng, "random-covariant")
         record = {"trial": idx, "kind": kind, "alpha": list(omega.alpha)}
         try:
             fast = fast_check(tau, omega)
@@ -742,6 +742,7 @@ def verify_alpha_uniqueness(
     The mutant buckets varieties by point count alone and must fail
     wherever two tuples give the same count.
     """
+    _check_sizes(q=q, m=m, l=l, flags_per_alpha=flags_per_alpha)
     alphas = _all_alphas(m, l)
     buckets = {}
 

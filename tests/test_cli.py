@@ -10,7 +10,7 @@ import pytest
 
 import qgrass
 from qgrass import cli, linalg
-from qgrass.cli import build_parser, main
+from qgrass.cli import main
 from qgrass.field import field_from_order
 from qgrass.grassmann import Flag, enumerate_grassmannian, gaussian_binomial
 from qgrass.schubert import SchubertVariety
@@ -583,7 +583,7 @@ def _untimed(out):
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     """Each call in one process prints what a fresh interpreter prints."""
     monkeypatch.setenv("COLUMNS", "80")  # help wraps alike in both
-    assert build_parser() is build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     flag, tau = str(tmp_path / "flag.json"), str(tmp_path / "tau.json")
     run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", flag)
     run(capsys, "gen-map", "--q", "2", "--m", "4", "--seed", "3", "-o", tau)
@@ -672,7 +672,7 @@ def test_main_parses_as_the_whole_parser_does(parse_files, capsys, monkeypatch, 
     """
     monkeypatch.setenv("COLUMNS", "80")
     argv = [a.format(**parse_files) for a in argv]
-    parser = build_parser()
+    parser = cli._parsers()[0]
     whole_ran = []
     parse_args = parser.parse_args
     monkeypatch.setattr(parser, "parse_args", lambda a: whole_ran.append(a) or parse_args(a))

@@ -126,20 +126,24 @@ def test_map_validation(gf2, gf4):
         SemilinearMap(gf2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], frobenius_power=1)
     SemilinearMap(gf4, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], frobenius_power=1)
     tau = SemilinearMap.identity(gf2, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^cannot apply a semilinear map to str$"):
         tau("not a subspace")
-    with pytest.raises(ValueError):
-        tau(Subspace.zero(gf2, 4))
-    # a flag, a map or a variety of GF(2)^4 meets a map of GF(2)^3
-    with pytest.raises(ValueError):
-        tau(standard_flag(gf2, 4, (1, 3)))
+    # a subspace, a flag, a map or a variety of GF(2)^4 or GF(4)^3 meets a
+    # map of GF(2)^3
+    for x, kind in [
+        (Subspace.zero(gf2, 4), "subspace"),
+        (Subspace.full(gf4, 3), "subspace"),
+        (standard_flag(gf2, 4, (1, 3)), "flag"),
+        (standard_flag(gf4, 3, (1,)), "flag"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{kind} in the wrong ambient space$"):
+            tau(x)
     with pytest.raises(ValueError):
         compose(tau, SemilinearMap.identity(gf2, 4))
     omega = SchubertVariety.standard(gf2, 4, (1, 3))
-    with pytest.raises(ValueError):
-        image_of_schubert(tau, omega)
-    with pytest.raises(ValueError):
-        is_automorphism_fast(tau, omega)
+    for act in (image_of_schubert, is_automorphism_fast):
+        with pytest.raises(ValueError, match="^map and variety in different ambient spaces$"):
+            act(tau, omega)
     assert (tau == 0) is False
     with pytest.raises(AttributeError):
         tau.dual = True
@@ -214,14 +218,31 @@ def test_contravariant_image_bytes_match_the_frozen_digest():
 
 
 def test_contravariant_image_needs_middle_grassmannian(gf2):
-    omega = SchubertVariety.standard(gf2, 4, (1,))
-    tau = SemilinearMap.perp_map(gf2, 4)
-    with pytest.raises(ValueError):
-        image_of_schubert(tau, omega)
-    with pytest.raises(ValueError):
-        is_automorphism_fast(tau, omega)
-    with pytest.raises(ValueError):
-        is_automorphism_oracle(tau, omega)
+    # the image and both criteria refuse the pair by one rule, in one message
+    for m in (3, 4):
+        omega = SchubertVariety.standard(gf2, m, (1,))
+        tau = SemilinearMap.perp_map(gf2, m)
+        for act in (image_of_schubert, is_automorphism_fast, is_automorphism_oracle):
+            with pytest.raises(ValueError, match="^a contravariant map cannot preserve this Grassmannian unless m = 2l$"):
+                act(tau, omega)
+
+
+def test_the_criterion_never_maps_the_whole_space_member(gf2, monkeypatch):
+    """A member at dimension m binds nothing, so neither variance reads it."""
+    seen = []
+    on_subspace = SemilinearMap._on_subspace
+    monkeypatch.setattr(SemilinearMap, "_on_subspace", lambda tau, W: seen.append(W.dim) or on_subspace(tau, W))
+    rng = random.Random(3)
+    for alpha in ((2, 4), (1, 4), (1, 3, 4), (2, 3), (4,)):
+        omega = SchubertVariety(random_flag(gf2, 4, alpha, rng=rng))
+        for tau in (SemilinearMap.identity(gf2, 4), random_semilinear(gf2, 4, rng=rng)):
+            is_automorphism_fast(tau, omega)
+    assert sorted(set(seen)) == [1, 2, 3]
+    # (2, 4) is its own reflected complement, so a contravariant map is read too
+    seen.clear()
+    omega = SchubertVariety(Flag(gf2, 4, (2, 4), (self_perp_plane(gf2), Subspace.full(gf2, 4))))
+    assert is_automorphism_fast(SemilinearMap.perp_map(gf2, 4), omega)
+    assert seen == [2]
 
 
 def test_covariant_stabilizer_criterion(gf2):

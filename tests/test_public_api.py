@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import qgrass
-from qgrass import linalg
+from qgrass import cli, linalg
 from qgrass.field import GF, make_field
 from qgrass.group import SemilinearMap, random_semilinear
 from qgrass.linalg import Subspace
@@ -29,6 +29,9 @@ def test_removed_names_are_gone_and_every_export_resolves():
     assert not hasattr(linalg.Subspace, "contains_vector")
     assert linalg.Subspace.__lt__ is object.__lt__
     assert not hasattr(SchubertVariety, "alpha_nc")
+    # a map is covariant when not tau.dual, and cli.main(argv) runs a command
+    assert not hasattr(SemilinearMap, "is_covariant")
+    assert not hasattr(cli, "build_parser")
 
     assert len(qgrass.__all__) == len(set(qgrass.__all__)) == 45
     for name in qgrass.__all__:

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
+import re
 
 import pytest
 
@@ -22,6 +24,8 @@ from qgrass.schubert import SchubertVariety, _images_within, dual_index_set, equ
 from qgrass.verify import (
     CAMPAIGNS,
     VerificationReport,
+    _covariant_case,
+    _member_mover,
     _perp_symmetric_flag,
     _resample_member,
     stabilizer_census,
@@ -473,6 +477,52 @@ def test_campaign_registry():
     }
     rep = CAMPAIGNS["redundancy"](2, 3, 1, flags_per_alpha=2, seed=1)
     assert rep.verdict == "pass"
+
+
+# Each campaign's shape and size arguments are exactly ints, checked
+# before anything reads them (verify._check_sizes).  Kept apart from
+# test_public_api's table, where m would pull in every function that takes one.
+SIZES = ("q", "m", "l", "trials", "flags_per_alpha", "sample_points")
+SIZE_CASES = [
+    (name, param, value)
+    for name, campaign in CAMPAIGNS.items()
+    for param in SIZES
+    if param in inspect.signature(campaign).parameters
+    for value in (2.5, "2", True)
+]
+
+
+@pytest.mark.parametrize("name, param, value", SIZE_CASES, ids=[f"{n}-{p}-{v!r}" for n, p, v in SIZE_CASES])
+def test_every_campaign_takes_only_int_shapes_and_sizes(name, param, value):
+    campaign = CAMPAIGNS[name]
+    size = "trials" if "trials" in inspect.signature(campaign).parameters else "flags_per_alpha"
+    kwargs = {"q": 2, "m": 2, "l": 1, size: 1, param: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{param!r} must be an int, got {value!r}')}$"):
+        campaign(**kwargs)
+
+
+def test_the_size_table_covers_every_campaign_argument():
+    assert len(SIZE_CASES) == 3 * (5 + 4 * 5)
+    for name, campaign in CAMPAIGNS.items():
+        ints = {p for p, v in inspect.signature(campaign).parameters.items() if type(v.default) is int}
+        assert ints - {"seed"} <= {p for n, p, _ in SIZE_CASES if n == name}, name
+
+
+def test_the_covariant_cases():
+    gf = make_field(2)
+    omega = SchubertVariety(random_flag(gf, 4, (2, 4), rng=1))
+    for kind, expected in (("stabilizing", True), ("mover", False)):
+        got_kind, tau, got = _covariant_case(kind, omega, random.Random(0), "random")
+        assert (got_kind, got) == (kind, expected)
+        assert is_automorphism_fast(tau, omega) == is_automorphism_oracle(tau, omega) == expected
+    # on G(1, 2) at (2,) the only non-redundant member is the whole plane:
+    # a mover has nothing to move and draws a random covariant map instead
+    omega = SchubertVariety(random_flag(gf, 2, (2,), rng=1))
+    assert _member_mover(omega, random.Random(0)) is None
+    for kind in ("mover", "random-covariant"):
+        got_kind, tau, got = _covariant_case(kind, omega, random.Random(0), "random-covariant")
+        assert (got_kind, got) == ("random-covariant", None)
+        assert tau == random_semilinear(gf, 2, rng=random.Random(0))
 
 
 # -- a wrong oracle or witness is caught -------------------------------------
