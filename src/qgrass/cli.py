@@ -83,8 +83,9 @@ def _emit(doc, out=None):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in a file, read as strict UTF-8 whatever the locale."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.read().decode())
 
 
 def _load_variety(path):

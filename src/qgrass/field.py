@@ -35,7 +35,11 @@ product scales a one-entry row, so the scalar operations run the code
 the kernel runs.  The public add, sub, neg, mul and frobenius take
 codes, or rows or matrices of codes (a code next to a row goes with
 every entry), and answer in kind: an int for ints, nested lists for
-sequences.
+sequences.  Frobenius has one rule, written once in _frobenius_rows:
+a matrix of codes in, each nonzero entry's log multiplied by p^k.  The
+public frobenius hands it a code as a 1 x 1 matrix and a row as a
+one-row matrix; group's semilinear maps and schubert's image walk hand
+it their matrices whole, so theta^k costs a lookup an entry.
 
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
@@ -415,11 +419,30 @@ class GF:
         return self._tables["exp"][self._tables["log"][a] * n % (self.q - 1)]
 
     def frobenius(self, a, k=1):
-        """Apply x -> x^(p^k) entry by entry; k must lie in [0, e)."""
+        """Apply x -> x^(p^k) to a code, a row or a matrix; k must lie in [0, e).
+
+        Each form goes through _frobenius_rows: a code as a 1 x 1 matrix,
+        a row as a one-row matrix.
+        """
         if not 0 <= k < self.e:
             raise ValueError(f"frobenius power {k} outside [0, {self.e})")
-        pk = self.p**k
-        return _entrywise(lambda x: self.power(x, pk), a)
+        if isinstance(a, int):
+            return self._frobenius_rows(((a,),), k)[0][0]
+        if a and not isinstance(a[0], int):
+            return self._frobenius_rows(a, k)
+        return self._frobenius_rows((a,), k)[0]
+
+    def _frobenius_rows(self, rows, k):
+        """theta^k on every entry of a matrix of codes, as a list of row lists.
+
+        For k in [1, e), a nonzero x goes to exp[log x * p^k mod n] and 0
+        stays 0; k = 0 copies the rows.  The caller vouches for k.
+        """
+        if not k:
+            return [list(row) for row in rows]
+        exp, log = self._tables["exp"], self._tables["log"]
+        pk, n = self.p**k, self.q - 1
+        return [[exp[log[x] * pk % n] if x else 0 for x in row] for row in rows]
 
     def dot(self, u, v):
         """Standard bilinear form sum_i u_i * v_i of two code vectors."""
@@ -457,6 +480,12 @@ def make_field(p, e=1):
 def field_from_order(q):
     """GF instance for a prime-power order q, an int, factoring q automatically."""
     _exact(q, "q", int)
+    return make_field(*_prime_power(q))
+
+
+@lru_cache(maxsize=None)
+def _prime_power(q):
+    """(p, e) with p^e = q, factored once per order; ValueError if q is no prime power."""
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -465,4 +494,4 @@ def field_from_order(q):
     while n > 1:
         n //= p
         e += 1
-    return make_field(p, e)
+    return p, e

@@ -283,15 +283,15 @@ class Flag:
                 raise ValueError("flag members must be nested")
 
     @classmethod
-    def _trusted(cls, gf, m, alpha, subspaces):
-        """A flag built without checks, with no formal zero member.
+    def _trusted(cls, gf, m, alpha, subspaces, includes_zero=False):
+        """A flag built without checks.
 
         The caller vouches that alpha is a strictly increasing tuple of
-        ints in [1, m] and subspaces a tuple of nested Subspaces of
-        GF(q)^m with those dimensions.
+        ints in [1, m], subspaces a tuple of nested Subspaces of GF(q)^m
+        with those dimensions, and includes_zero a bool.
         """
         self = object.__new__(cls)
-        self.__dict__.update(gf=gf, m=m, alpha=alpha, subspaces=subspaces, includes_zero=False)
+        self.__dict__.update(gf=gf, m=m, alpha=alpha, subspaces=subspaces, includes_zero=includes_zero)
         return self
 
     def __getitem__(self, i):

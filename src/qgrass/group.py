@@ -16,8 +16,9 @@ basis.  Only the image's non-redundant members matter, and each of
 those is the image of a member of the flag (or of the zero space).
 
 A map holds its matrix as a tuple of int tuples and acts on the tuple
-basis of a subspace directly: Frobenius entry by entry, then matmul,
-then one elimination.
+basis of a subspace directly: Frobenius on the whole basis through the
+field's log tables (GF._frobenius_rows, skipped at power 0), then
+matmul, then one elimination.
 
 The automorphism oracle maps no subspace.  It hands the map's three
 parts to schubert._images_within, which reads the variety's cells, the
@@ -96,7 +97,7 @@ class SemilinearMap:
     def _on_subspace(self, W):
         B = W.basis
         if self.frobenius_power:
-            B = self.gf.frobenius(B, self.frobenius_power)
+            B = self.gf._frobenius_rows(B, self.frobenius_power)
         S = Subspace._span(self.gf, _matmul(self.gf, B, self.matrix), self.m)
         if self.dual:
             S = S.perp()
@@ -110,7 +111,9 @@ class SemilinearMap:
         images = sorted((self._on_subspace(S) for S in members), key=lambda S: S.dim)
         includes_zero = bool(images) and images[0].dim == 0
         kept = tuple(S for S in images if S.dim > 0)
-        return Flag(self.gf, self.m, tuple(S.dim for S in kept), kept, includes_zero)
+        # an invertible map keeps the chain nested (an annihilator reverses
+        # it, which the sort undoes) and its dimensions distinct
+        return Flag._trusted(self.gf, self.m, tuple(S.dim for S in kept), kept, includes_zero)
 
     def __call__(self, x):
         if isinstance(x, Subspace):
@@ -131,10 +134,9 @@ class SemilinearMap:
     def inverse(self):
         gf = self.gf
         k2 = (-self.frobenius_power) % gf.e
-        if self.dual:
-            mat = _transpose(gf.frobenius(self.matrix, k2))
-        else:
-            mat = gf.frobenius(_inverse(gf, self.matrix), k2)
+        mat = _transpose(self.matrix) if self.dual else _inverse(gf, self.matrix)
+        if k2:
+            mat = gf._frobenius_rows(mat, k2)
         return SemilinearMap._trusted(gf, self.m, mat, k2, self.dual)
 
     def _key(self):
@@ -186,7 +188,9 @@ def compose(outer, inner):
     gf = outer.gf
     k = (outer.frobenius_power + inner.frobenius_power) % gf.e
     dual = outer.dual != inner.dual
-    left = gf.frobenius(inner.matrix, outer.frobenius_power)
+    left = inner.matrix
+    if outer.frobenius_power:
+        left = gf._frobenius_rows(left, outer.frobenius_power)
     if inner.dual:
         # pulling the matrix through an annihilator transposes and inverts
         right = _transpose(_inverse(gf, outer.matrix))

@@ -376,7 +376,7 @@ def _images_within(omega, target, frobenius_power=0, matrix=None, dual=False):
     check_enumeration_budget(gf, m, omega.l)
     rows = omega._adapted()
     if frobenius_power:
-        rows = gf.frobenius(rows, frobenius_power)
+        rows = gf._frobenius_rows(rows, frobenius_power)
     if matrix is not None:
         rows = _matmul(gf, rows, matrix)
     rows = list(zip(*_inverse(gf, rows))) if dual else rows[::-1]

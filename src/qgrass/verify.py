@@ -175,9 +175,16 @@ def _failures(record, checks):
 
 
 def _check_sizes(**sizes):
-    """Every campaign's first step: its shape and sizes are exactly ints (_exact)."""
+    """Every campaign's first step: its shape and sizes are exactly ints (_exact).
+
+    The shape must also name a Grassmannian with points of dimension at
+    least 1: 1 <= l <= m.
+    """
     for name, value in sizes.items():
         _exact(value, name, int)
+    m, l = sizes["m"], sizes["l"]
+    if not 1 <= l <= m:
+        raise ValueError(f"no campaign runs on G({l}, {m}): l must lie in [1, m]")
 
 
 def _all_alphas(m, l):

@@ -321,6 +321,32 @@ def test_a_variety_file_loads_like_its_flag_file(tmp_path, capsys):
     assert rc == 0 and json.loads(out) == {"fast": True, "oracle": True, "agree": True}
 
 
+def test_a_flag_file_is_read_as_strict_utf8(tmp_path, capsys):
+    # CRLF line ends read as the plain file; a byte-order mark and a byte
+    # that is no UTF-8 are input errors, with the messages of json and of
+    # the utf-8 codec
+    plain = tmp_path / "plain.json"
+    assert run(capsys, "gen-flag", "--q", "4", "--m", "4", "--alpha", "2,3", "--seed", "1", "-o", str(plain))[0] == 0
+    text = plain.read_bytes()
+    want = run(capsys, "eq", str(plain), str(plain))
+    assert want[0] == 0 and want[2] == ""
+    cases = {
+        "crlf": (text.replace(b"\n", b"\r\n"), want),
+        "bom": (
+            b"\xef\xbb\xbf" + text,
+            (2, "", "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+        ),
+        "ff": (
+            text[:10] + b"\xff" + text[10:],
+            (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"),
+        ),
+    }
+    for name, (data, expected) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert run(capsys, "eq", str(path), str(path)) == expected, name
+
+
 def test_a_fast_answer_the_oracle_contradicts_exits_1(tmp_path, capsys, monkeypatch):
     flag, tau = tmp_path / "flag.json", tmp_path / "tau.json"
     assert run(capsys, "gen-flag", "--q", "2", "--m", "4", "--alpha", "2,4", "--seed", "5", "-o", str(flag))[0] == 0

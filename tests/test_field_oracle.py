@@ -1,7 +1,8 @@
 """Extension-field arithmetic against the polynomial oracle in bruteforce.py.
 
-Every row and scalar operation of GF(p^e), and the two row operations
-the elimination kernel runs on, must agree code for code with
+Every row and scalar operation of GF(p^e), the two row operations the
+elimination kernel runs on, and the Frobenius row helper that
+semilinear maps run on must agree code for code with
 schoolbook polynomial arithmetic modulo the canonical irreducible.
 Fields up to order 256 are checked on every pair of elements; GF(343)
 and GF(512) pair every element with a seeded sample.
@@ -86,3 +87,18 @@ def test_row_operations_match_polynomial_arithmetic(q):
         assert gf._scale_row(row, c) == [ref.mul(c, x) for x in row]
         want = [ref.sub(x, ref.mul(c, y)) for x, y in zip(row, piv)]
         assert gf._sub_row(row, c, piv) == want
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 243, 256])
+def test_the_frobenius_row_helper_matches_polynomial_arithmetic(q):
+    # every code, zero included, in rows of a matrix with a short last row
+    gf = field_from_order(q)
+    ref = bf.PolyField(gf.p, gf.e)
+    codes = list(range(q))
+    rows = [codes[i : i + 7] for i in range(0, q, 7)]
+    for k in range(1, gf.e):
+        want = [ref.frobenius(a, k) for a in codes]
+        got = gf._frobenius_rows(rows, k)
+        assert [x for row in got for x in row] == want
+        assert [len(row) for row in got] == [len(row) for row in rows]
+        assert gf._frobenius_rows(tuple(map(tuple, rows)), k) == got

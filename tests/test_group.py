@@ -117,6 +117,28 @@ def test_flag_images_and_zero_tracking(gf2):
     assert lin(fl).alpha == (2, 4)
 
 
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2)])
+def test_a_flag_image_is_the_flag_a_checked_build_gives(p, e):
+    # tau(flag) skips Flag's checks; the flag they pass on the same
+    # members, zero member included, must be the same
+    gf = make_field(p, e)
+    rng = random.Random(10 * p + e)
+    zero = Subspace.zero(gf, 4)
+    seen = set()
+    for alpha in itertools.combinations(range(1, 5), 2):
+        for includes_zero, k, dual in itertools.product((False, True), range(e), (False, True)):
+            flag = Flag(gf, 4, alpha, random_flag(gf, 4, alpha, rng=rng).subspaces, includes_zero)
+            tau = SemilinearMap(gf, 4, random_semilinear(gf, 4, rng=rng).matrix, k, dual)
+            image = tau(flag)
+            members = sorted(map(tau, [zero] * includes_zero + list(flag.subspaces)), key=lambda S: S.dim)
+            kept = tuple(S for S in members if S.dim)
+            checked = Flag(gf, 4, tuple(S.dim for S in kept), kept, len(kept) < len(members))
+            assert image == checked, (alpha, includes_zero, k, dual)
+            assert type(image.alpha) is tuple and type(image.includes_zero) is bool
+            seen.add((image.includes_zero, k, dual))
+    assert len(seen) == 8  # a zero member in and out of each kind of image
+
+
 def test_map_validation(gf2, gf4):
     with pytest.raises(ValueError):
         SemilinearMap(gf2, 3, [[0] * 3] * 3)

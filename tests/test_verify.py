@@ -508,6 +508,28 @@ def test_the_size_table_covers_every_campaign_argument():
         assert ints - {"seed"} <= {p for n, p, _ in SIZE_CASES if n == name}, name
 
 
+# shapes with no points of dimension 1 to m: each campaign refuses them
+# by name, before anything is drawn (verify._check_sizes)
+BAD_SHAPES = [(2, 3), (0, 0), (2, 0), (2, -1), (0, 1), (-1, 1)]
+SHAPE_CASES = [(name, m, l) for name in CAMPAIGNS for m, l in BAD_SHAPES]
+
+
+@pytest.mark.parametrize("name, m, l", SHAPE_CASES, ids=[f"{n}-m{m}-l{l}" for n, m, l in SHAPE_CASES])
+def test_every_campaign_refuses_a_shape_outside_1_to_m(name, m, l):
+    campaign = CAMPAIGNS[name]
+    size = "trials" if "trials" in inspect.signature(campaign).parameters else "flags_per_alpha"
+    message = f"no campaign runs on G({l}, {m}): l must lie in [1, m]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        campaign(q=2, m=m, l=l, **{size: 1})
+
+
+def test_a_shape_outside_1_to_m_is_a_usage_error_and_l_equal_to_m_runs(capsys):
+    rc = main(["verify", "flag-equality", "--q", "2", "--m", "2", "--l", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", "error: no campaign runs on G(3, 2): l must lie in [1, m]\n")
+    assert main(["verify", "flag-equality", "--q", "2", "--m", "2", "--l", "2", "--trials", "3"]) == 0
+
+
 def test_the_covariant_cases():
     gf = make_field(2)
     omega = SchubertVariety(random_flag(gf, 4, (2, 4), rng=1))
