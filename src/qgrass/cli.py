@@ -88,14 +88,6 @@ def _load_json(path):
         return json.loads(fh.read().decode())
 
 
-def _load_variety(path):
-    return SchubertVariety.from_json_dict(_load_json(path))
-
-
-def _load_map(path):
-    return SemilinearMap.from_json_dict(_load_json(path))
-
-
 def _flag_for(args, gf, m, alpha):
     choice = getattr(args, "flag", None) or "standard"
     if choice == "standard":
@@ -193,8 +185,7 @@ def _cmd_dual_alpha(args):
 
 
 def _cmd_eq(args):
-    o1 = _load_variety(args.first)
-    o2 = _load_variety(args.second)
+    o1, o2 = (SchubertVariety.from_json_dict(_load_json(p)) for p in (args.first, args.second))
     fast = equal_fast(o1, o2)
     doc = {"fast": fast}
     rc = 0
@@ -218,16 +209,16 @@ def _cmd_eq(args):
 
 
 def _cmd_image(args):
-    tau = _load_map(args.map)
-    omega = _load_variety(args.variety)
+    tau = SemilinearMap.from_json_dict(_load_json(args.map))
+    omega = SchubertVariety.from_json_dict(_load_json(args.variety))
     image = image_of_schubert(tau, omega)
     _emit(image.to_json_dict())
     return 0
 
 
 def _cmd_aut_check(args):
-    tau = _load_map(args.map)
-    omega = _load_variety(args.variety)
+    tau = SemilinearMap.from_json_dict(_load_json(args.map))
+    omega = SchubertVariety.from_json_dict(_load_json(args.variety))
     doc = {}
     rc = 0
     if args.mode in ("fast", "both"):

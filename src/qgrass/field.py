@@ -35,11 +35,13 @@ product scales a one-entry row, so the scalar operations run the code
 the kernel runs.  The public add, sub, neg, mul and frobenius take
 codes, or rows or matrices of codes (a code next to a row goes with
 every entry), and answer in kind: an int for ints, nested lists for
-sequences.  Frobenius has one rule, written once in _frobenius_rows:
-a matrix of codes in, each nonzero entry's log multiplied by p^k.  The
-public frobenius hands it a code as a 1 x 1 matrix and a row as a
-one-row matrix; group's semilinear maps and schubert's image walk hand
-it their matrices whole, so theta^k costs a lookup an entry.
+sequences.  Each takes a code only if it is exactly an int in [0, q)
+(_form), wherever it stands.  Frobenius has one rule, written once in
+_frobenius_rows: a matrix of codes in, each nonzero entry's log
+multiplied by p^k.  The public frobenius hands it a code as a 1 x 1
+matrix and a row as a one-row matrix; group's semilinear maps and
+schubert's image walk hand it their matrices whole, so theta^k costs a
+lookup an entry.
 
 The modulus is never chosen randomly: for each (p, e) we take the
 lexicographically smallest monic irreducible polynomial of degree e,
@@ -128,30 +130,50 @@ def _smallest_irreducible(p, e):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def _entrywise(fn, *args):
-    """fn on int codes, or entry by entry through rows and matrices of codes.
+def _form(q, a):
+    """0 for a code, 1 for a row of codes, 2 for a matrix of them.
 
-    An int next to a sequence goes with every entry, so mul(c, row)
-    scales a row.  Sequences come back as lists.
+    A code is exactly an int in [0, q): no bool, float or string, as
+    errors._exact takes no bool for an int.  A row or a matrix is a list
+    or a tuple.  Anything else raises the ValueError _code_rows raises.
     """
-    seqs = [x for x in args if not isinstance(x, int)]
-    if not seqs:
+    if type(a) is int and 0 <= a < q:
+        return 0
+    if isinstance(a, (list, tuple)):
+        if all(type(x) is int and 0 <= x < q for x in a):
+            return 1
+        if all(isinstance(row, (list, tuple)) and _form(q, row) == 1 for row in a):
+            return 2
+    raise ValueError(f"entries must be codes in [0, {q})")
+
+
+def _entrywise(fn, q, *args):
+    """fn on codes, or entry by entry through rows and matrices of codes.
+
+    Every operand passes _form first.  A code next to a row or a matrix
+    goes with every entry, so mul(c, row) scales a row; the other
+    operands must all be rows, or all matrices, of one length.
+    Sequences come back as lists.
+    """
+    forms = [_form(q, x) for x in args]
+    depth = max(forms)
+    if not depth:
         return fn(*args)
-    n = len(seqs[0])
-    if any(len(x) != n for x in seqs):
+    if any(form not in (0, depth) for form in forms) or len({len(x) for x in args if type(x) is not int}) > 1:
         raise ValueError("operands of different lengths")
-    cols = [itertools.repeat(x, n) if isinstance(x, int) else x for x in args]
-    if n and isinstance(seqs[0][0], int):  # rows: fn straight on the entries
+    cols = [x if form else itertools.repeat(x) for x, form in zip(args, forms)]
+    if depth == 1:
         return list(map(fn, *cols))
-    return [_entrywise(fn, *entries) for entries in zip(*cols)]
+    return [_entrywise(fn, q, *rows) for rows in zip(*cols)]
 
 
 class GF:
     """Arithmetic context for GF(p^e) on integer codes.
 
     add, sub, neg, mul and frobenius work on codes and, entry by entry,
-    on rows and matrices of codes.  inv, power and dot take and return
-    ints.  The elements are the codes range(q).
+    on rows and matrices of codes.  inv and power take and return
+    codes, and dot two rows of them.  The elements are the codes
+    range(q), and nothing else is taken for one.
     """
 
     def __init__(self, p, e=1):
@@ -388,20 +410,22 @@ class GF:
     # -- public arithmetic --------------------------------------------------
 
     def add(self, a, b):
-        return _entrywise(self._add, a, b)
+        return _entrywise(self._add, self.q, a, b)
 
     def sub(self, a, b):
         sub_row = self._sub_row
-        return _entrywise(lambda x, y: sub_row([x], 1, [y])[0], a, b)
+        return _entrywise(lambda x, y: sub_row([x], 1, [y])[0], self.q, a, b)
 
     def neg(self, a):
-        return _entrywise(self._neg, a)
+        return _entrywise(self._neg, self.q, a)
 
     def mul(self, a, b):
-        return _entrywise(self._mul, a, b)
+        return _entrywise(self._mul, self.q, a, b)
 
     def inv(self, a):
         """Multiplicative inverse of a single nonzero element."""
+        if _form(self.q, a):
+            raise ValueError("inv takes a single code")
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.e == 1:
@@ -410,6 +434,9 @@ class GF:
 
     def power(self, a, n):
         """a**n for a single element; a negative n inverts a first."""
+        if _form(self.q, a):
+            raise ValueError("power takes a single code")
+        _exact(n, "n", int)
         if n < 0:
             return self.power(self.inv(a), -n)
         if self.e == 1:
@@ -424,13 +451,11 @@ class GF:
         Each form goes through _frobenius_rows: a code as a 1 x 1 matrix,
         a row as a one-row matrix.
         """
-        if not 0 <= k < self.e:
+        if not 0 <= _exact(k, "k", int) < self.e:
             raise ValueError(f"frobenius power {k} outside [0, {self.e})")
-        if isinstance(a, int):
-            return self._frobenius_rows(((a,),), k)[0][0]
-        if a and not isinstance(a[0], int):
-            return self._frobenius_rows(a, k)
-        return self._frobenius_rows((a,), k)[0]
+        form = _form(self.q, a)
+        out = self._frobenius_rows(a if form == 2 else [a] if form else [[a]], k)
+        return out if form == 2 else out[0] if form else out[0][0]
 
     def _frobenius_rows(self, rows, k):
         """theta^k on every entry of a matrix of codes, as a list of row lists.
@@ -446,6 +471,8 @@ class GF:
 
     def dot(self, u, v):
         """Standard bilinear form sum_i u_i * v_i of two code vectors."""
+        if _form(self.q, u) != 1 or _form(self.q, v) != 1:
+            raise ValueError("dot takes two rows of codes")
         if len(u) != len(v):
             raise ValueError("vectors of different lengths")
         add, mul = self._add, self._mul

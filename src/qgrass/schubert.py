@@ -201,6 +201,9 @@ def polynomial_value(coeffs, q):
 class SchubertVariety:
     """A Schubert variety, held as its defining flag (the descriptor).
 
+    gf, m, alpha, l and nc_positions are read off the flag once, at
+    construction, as plain attributes.
+
     Equality and hashing compare descriptors, not point sets: two
     different flags can carve out the same set of points, and deciding
     that is exactly what equal_fast and equal_oracle are for.
@@ -212,6 +215,8 @@ class SchubertVariety:
         if not flag.alpha:
             raise ValueError("a variety needs at least one condition")
         self.flag = flag
+        self.gf, self.m, self.alpha, self.l = flag.gf, flag.m, flag.alpha, len(flag.alpha)
+        self.nc_positions = _nc_positions(flag.alpha)
         self._point_set = None
         self._basis = None
         self._basis_inverse = None
@@ -219,27 +224,6 @@ class SchubertVariety:
     @classmethod
     def standard(cls, gf, m, alpha):
         return cls(standard_flag(gf, m, alpha))
-
-    @property
-    def gf(self):
-        return self.flag.gf
-
-    @property
-    def m(self):
-        return self.flag.m
-
-    @property
-    def alpha(self):
-        return self.flag.alpha
-
-    @property
-    def l(self):
-        return len(self.flag.alpha)
-
-    @property
-    def nc_positions(self):
-        """0-based positions of the members at non-redundant dimensions."""
-        return _nc_positions(self.alpha)
 
     def _check_point(self, W):
         if not isinstance(W, Subspace):
@@ -311,9 +295,6 @@ class SchubertVariety:
     def count_points(self, limit=None):
         """Number of points: the walk, counted, not spanned."""
         return _count(self._walk(limit))
-
-    def count_polynomial(self):
-        return cell_count_polynomial(self.alpha, self.m)
 
     def __eq__(self, other):
         if not isinstance(other, SchubertVariety):

@@ -57,6 +57,7 @@ from .schubert import (
 )
 
 MAX_RECORDED_FAILURES = 50
+SAMPLE_POINTS = 200  # points drawn per flag by the sampled redundancy campaign
 
 
 @dataclass
@@ -202,7 +203,6 @@ def verify_redundancy(
     flags_per_alpha=50,
     seed=0,
     mutant=None,
-    sample_points=200,
 ):
     """Check that the reduced condition list decides membership.
 
@@ -223,17 +223,16 @@ def verify_redundancy(
     tuple differ by such an h, so in exhaustive mode, where W runs over
     all of G(l, m), a tuple's first flag already meets every verdict a
     flag with that tuple can give, and the rest of the flags_per_alpha
-    loop only repeats it.
+    loop only repeats it.  In sample mode each flag meets SAMPLE_POINTS
+    random points instead.
     """
-    _check_sizes(q=q, m=m, l=l, flags_per_alpha=flags_per_alpha, sample_points=sample_points)
+    _check_sizes(q=q, m=m, l=l, flags_per_alpha=flags_per_alpha)
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     alphas = _all_alphas(m, l)
     if mode == "auto":
         budget = len(alphas) * flags_per_alpha * gaussian_binomial(m, l, q)
         mode = "exhaustive" if budget <= 2_000_000 else "sample"
-    if mode == "sample" and sample_points < 1:
-        raise ValueError(f"sample_points={sample_points} leaves nothing to test")
 
     def trial(gf, alpha, rng):
         members = random_flag(gf, m, alpha, rng=rng).subspaces
@@ -245,7 +244,7 @@ def verify_redundancy(
         if mode == "exhaustive":
             points = enumerate_grassmannian(gf, m, l)
         else:
-            points = (random_subspace(gf, m, l, rng) for _ in range(sample_points))
+            points = (random_subspace(gf, m, l, rng) for _ in range(SAMPLE_POINTS))
         for W in points:
             cases += 1
             met = [_intersection_dim(W, S) > i for i, S in enumerate(members)]

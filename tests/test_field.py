@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -220,6 +221,64 @@ def test_large_extensions_on_rows_match_the_oracle():
         flag = random_flag(gf, 5, (2, 3, 5), rng=rng)
         image = tau(flag)
         assert image != flag and tau.inverse()(image) == flag
+
+
+# Every public operation takes a code only if it is exactly an int in
+# [0, q), alone, in a row or in a matrix: q, -1, a bool, a float and a
+# string are each refused with _code_rows's message, wherever they stand.
+def _calls(bad):
+    """(name, call) for every operation and form, with bad as one entry."""
+    row, mat = [0, bad], [[1, 1], [0, bad]]
+    for name in ("add", "sub", "mul"):
+        for a, b in ((bad, 1), (1, bad), (bad, [1, 1]), (row, [1, 1]), ([1, 1], row), (mat, [[1, 1]] * 2)):
+            yield name, lambda gf, name=name, a=a, b=b: getattr(gf, name)(a, b)
+    for a in (bad, row, mat):
+        yield "neg", lambda gf, a=a: gf.neg(a)
+        yield "frobenius", lambda gf, a=a: gf.frobenius(a, gf.e - 1)
+    yield "inv", lambda gf: gf.inv(bad)
+    yield "power", lambda gf: gf.power(bad, 2)
+    yield "dot", lambda gf: gf.dot(row, [1, 1])
+    yield "dot", lambda gf: gf.dot([1, 1], row)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 256])
+def test_every_operation_refuses_what_is_not_a_code(q):
+    gf = field_from_order(q)
+    for bad in (q, -1, True, 2.5, "1"):
+        for name, call in _calls(bad):
+            with pytest.raises(ValueError, match=re.escape(f"entries must be codes in [0, {q})")):
+                call(gf)
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 256])
+def test_every_operation_on_codes_matches_the_oracle_in_every_form(q):
+    gf = field_from_order(q)
+    ref = bf.cached_field(gf.p, gf.e)
+    rng = random.Random(q)
+    els = range(q) if q < 16 else rng.sample(range(q), 24)
+    pairs = [(a, b) for a in els for b in els]
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    for name in ("add", "sub", "mul"):
+        want = [getattr(ref, name)(x, y) for x, y in pairs]
+        op = getattr(gf, name)
+        assert [op(x, y) for x, y in pairs] == op(a, b) == want, name
+        assert op([a[:4], a[4:8]], (b[:4], b[4:8])) == [want[:4], want[4:8]], name
+        assert op(a[5], b) == [getattr(ref, name)(a[5], y) for y in b], name
+    assert gf.neg(a) == [gf.neg(x) for x in a] == [ref.neg(x) for x in a]
+    for k in range(gf.e):
+        want = [ref.frobenius(x, k) for x in a]
+        assert gf.frobenius(a, k) == [gf.frobenius(x, k) for x in a] == want
+        assert gf.frobenius((a[:4], a[4:8]), k) == [want[:4], want[4:8]]
+    for x in els:
+        assert gf.power(x, 5) == ref.power(x, 5)
+        if x:
+            assert ref.mul(x, gf.inv(x)) == 1
+    want = 0
+    for x, y in pairs:
+        want = ref.add(want, ref.mul(x, y))
+    assert gf.dot(a, b) == want
 
 
 def test_constructor_rejects_bad_parameters():

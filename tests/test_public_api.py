@@ -32,6 +32,12 @@ def test_removed_names_are_gone_and_every_export_resolves():
     # a map is covariant when not tau.dual, and cli.main(argv) runs a command
     assert not hasattr(SemilinearMap, "is_covariant")
     assert not hasattr(cli, "build_parser")
+    # cell_count_polynomial(omega.alpha, omega.m) counts a variety's cells,
+    # and each handler reads its files with cli._load_json
+    assert not hasattr(SchubertVariety, "count_polynomial")
+    assert not hasattr(cli, "_load_variety") and not hasattr(cli, "_load_map")
+    # the sampled redundancy campaign draws verify.SAMPLE_POINTS a flag
+    assert "sample_points" not in inspect.signature(qgrass.verify_redundancy).parameters
 
     assert len(qgrass.__all__) == len(set(qgrass.__all__)) == 45
     for name in qgrass.__all__:

@@ -15,7 +15,7 @@ from qgrass.grassmann import (
     random_flag,
     standard_flag,
 )
-from qgrass.group import is_automorphism_fast, is_automorphism_oracle
+from qgrass.group import image_of_schubert, is_automorphism_fast, is_automorphism_oracle, random_semilinear
 from qgrass.linalg import Subspace, intersection_dim
 from qgrass.schubert import (
     SchubertVariety,
@@ -131,6 +131,31 @@ def test_minimal_and_full_conditions_agree(gf2):
         for W in enumerate_grassmannian(gf2, 4, len(alpha)):
             full = all(intersection_dim(W, S) > i for i, S in enumerate(omega.flag.subspaces))
             assert omega.contains(W) == full
+
+
+def test_a_variety_holds_its_flags_shape_as_plain_attributes():
+    # gf, m, alpha, l and nc_positions are set once from the flag, by
+    # every way a variety is built
+    gf = make_field(3)
+    rng = random.Random(29)
+    flag = random_flag(gf, 4, (2, 3), rng=rng)
+    omega = SchubertVariety(flag)
+    built = [
+        omega,
+        SchubertVariety.standard(gf, 5, (1, 2, 4)),
+        SchubertVariety.from_json_dict(omega.to_json_dict()),
+        SchubertVariety.from_json_dict(flag.to_json_dict()),
+        image_of_schubert(random_semilinear(gf, 4, rng, dual=False), omega),
+        image_of_schubert(random_semilinear(gf, 4, rng, dual=True), omega),
+    ]
+    assert [v.alpha for v in built] == [(2, 3), (1, 2, 4), (2, 3), (2, 3), (2, 3), (1, 4)]
+    for v in built:
+        f = v.flag
+        nc = tuple(i for i, a in enumerate(f.alpha) if a + 1 not in f.alpha)
+        assert (v.gf, v.m, v.alpha, v.l, v.nc_positions) == (f.gf, f.m, f.alpha, len(f.alpha), nc)
+        assert {"gf", "m", "alpha", "l", "nc_positions"} <= set(vars(v))
+    for name in ("gf", "m", "alpha", "l", "nc_positions"):
+        assert not hasattr(SchubertVariety, name), name
 
 
 def test_contains_validates_input(gf2, gf3):
@@ -334,6 +359,6 @@ def test_a_variety_builds_its_adapted_basis_and_inverse_once(monkeypatch):
     assert not equal_oracle(omega, other) and not equal_oracle(other, omega)
     W = equality_witness(omega, other)
     assert omega.contains(W) != other.contains(W)
-    assert omega.count_points() == other.count_points() == polynomial_value(omega.count_polynomial(), 3)
+    assert omega.count_points() == other.count_points() == polynomial_value(cell_count_polynomial(omega.alpha, omega.m), 3)
     assert bases == [omega.flag, other.flag]
     assert inverses == [omega._adapted(), other._adapted()]

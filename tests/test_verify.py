@@ -47,9 +47,7 @@ def test_redundancy_campaign_passes():
     assert rep.parameters["mode"] == "exhaustive"
 
 
-def test_redundancy_sampling_with_no_points_is_refused():
-    with pytest.raises(ValueError, match="sample_points=0"):
-        verify_redundancy(2, 4, 2, mode="sample", flags_per_alpha=1, sample_points=0)
+def test_redundancy_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         verify_redundancy(2, 4, 2, mode="bogus", flags_per_alpha=1)
 
@@ -70,11 +68,9 @@ def test_redundancy_mutant_fails():
 
 
 def test_redundancy_sample_mode():
-    rep = verify_redundancy(
-        2, 4, 2, mode="sample", flags_per_alpha=2, sample_points=30, seed=11
-    )
+    rep = verify_redundancy(2, 4, 2, mode="sample", flags_per_alpha=2, seed=11)
     assert rep.verdict == "pass"
-    assert rep.cases_tested == 6 * 2 * 30
+    assert rep.cases_tested == 6 * 2 * 200
 
 
 def test_flag_equality_campaign_passes_and_witnesses():
@@ -188,8 +184,10 @@ def test_reports_are_seed_deterministic():
 GOLDEN_REPORTS = [
     ("redundancy", (2, 4, 2), dict(flags_per_alpha=3, seed=9),
      "ecc6f0cdd74afb0050225d6e9e631f13d8176395cf75e35791aa22cda7f28292"),
-    ("redundancy", (2, 4, 2), dict(mode="sample", flags_per_alpha=2, sample_points=30, seed=11),
-     "a1a3d8724b971d36145f4fe71093bc63309af7a0cc6bb7743d905f7ff418e91e"),
+    # the two sample rows draw 200 points a flag, frozen before that
+    # count stopped being a parameter (sample_points=200, its default)
+    ("redundancy", (2, 4, 2), dict(mode="sample", flags_per_alpha=2, seed=11),
+     "4df44f46d58a4ca3006b0c392992e31f81fd6bc25c3f0d461d37238fdbf9ed9f"),
     ("redundancy", (3, 4, 2), dict(flags_per_alpha=1, seed=11),
      "5502b66b6fa1ee006635892c1a19c3e88c94bfb878e2eb4336ac13011f95855f"),
     # 50 recorded failures with failures_truncated set
@@ -217,8 +215,8 @@ GOLDEN_REPORTS = [
     # digests cover these campaigns over GF(2) only
     ("redundancy", (3, 4, 2), dict(flags_per_alpha=1, seed=5, mutant="drop-nonredundant-condition"),
      "7cac62f9fe4ffc390cc5aeba076fb9c29db2f9decc2e8454723ab0776a084b1f"),
-    ("redundancy", (2, 5, 2), dict(mode="sample", flags_per_alpha=2, sample_points=40, seed=13),
-     "cab8851196be3ada51a1c5ae0378045145ca1d4ddf829294180bacb15669abef"),
+    ("redundancy", (2, 5, 2), dict(mode="sample", flags_per_alpha=2, seed=13),
+     "fb00991bc3cc261c047fb801dd2723d049082a625160b6ebdea9d57e33d20740"),
     ("automorphism-criterion", (3, 4, 2), dict(trials=30, seed=12),
      "044463e615abef6da7f2f2bf895d64e04fa0f14cf0c7cfe1cf728b45ed6cacc8"),
 ]
@@ -482,7 +480,7 @@ def test_campaign_registry():
 # Each campaign's shape and size arguments are exactly ints, checked
 # before anything reads them (verify._check_sizes).  Kept apart from
 # test_public_api's table, where m would pull in every function that takes one.
-SIZES = ("q", "m", "l", "trials", "flags_per_alpha", "sample_points")
+SIZES = ("q", "m", "l", "trials", "flags_per_alpha")
 SIZE_CASES = [
     (name, param, value)
     for name, campaign in CAMPAIGNS.items()
@@ -502,7 +500,7 @@ def test_every_campaign_takes_only_int_shapes_and_sizes(name, param, value):
 
 
 def test_the_size_table_covers_every_campaign_argument():
-    assert len(SIZE_CASES) == 3 * (5 + 4 * 5)
+    assert len(SIZE_CASES) == 3 * (4 + 4 * 5)
     for name, campaign in CAMPAIGNS.items():
         ints = {p for p, v in inspect.signature(campaign).parameters.items() if type(v.default) is int}
         assert ints - {"seed"} <= {p for n, p, _ in SIZE_CASES if n == name}, name
