@@ -19,9 +19,10 @@ layout.  A cell's rows hold column indices, and _walk_cell reads them
 on a basis: G(l, m) on the identity, a Schubert variety on its flag's
 adapted basis reversed (schubert._schubert_cells), an annihilator walk
 on an inverse transpose.  Each tuple of rows the walk yields is one
-point, so a count is the walk, counted: nothing is spanned.  The walk
-is itertools' own iterators chained, and _count sums over it in C, so
-neither runs a Python frame per point.
+point, and the walk is itertools' own iterators chained, so it runs no
+Python frame per point.  A count walks nothing: a cell with f free
+entries yields q ** f tuples, so a count sums those sizes (_count_cells)
+under the walk's budget.
 
 What depends only on the shape is built once per process, as immutable
 tuples shared by every caller: the cells of G(l, m), which the walk,
@@ -36,7 +37,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
-from operator import is_not
 
 from .errors import BudgetExceededError, _exact
 from .field import field_from_order
@@ -48,9 +48,12 @@ DEFAULT_ENUM_BOUND = 10**6
 def enumeration_bound():
     """Active cap on how many subspaces a single call may enumerate."""
     raw = os.environ.get("QGRASS_MAX_ENUM")
-    if raw:
+    if not raw:
+        return DEFAULT_ENUM_BOUND
+    try:
         return int(raw)
-    return DEFAULT_ENUM_BOUND
+    except ValueError:
+        raise ValueError(f"QGRASS_MAX_ENUM must be an int, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +101,8 @@ def _walk_cell(gf, basis, rows):
     chunks are chained in C, so no Python frame runs per tuple; the
     tuples and their order are product(*row_lists)'s.  A cell with no
     rows, the one cell of G(0, m), holds the one empty tuple.  On an
-    invertible basis distinct tuples span distinct points, so counting
-    the tuples counts the cell.
+    invertible basis distinct tuples span distinct points, so the cell
+    holds as many points as the walk yields tuples: q ** len(free).
     """
     if not rows:
         return iter(((),))
@@ -114,13 +117,10 @@ def _cell_choices(gf, basis, rows):
     return _row_chunks(gf, basis[c], [basis[j] for j in free]), later
 
 
-def _count(walk):
-    """How many tuples a walk yields, each one counted as it goes by.
-
-    Every walked tuple, the empty one too, is not None, so the sum runs
-    in C and holds no tuple past its turn.
-    """
-    return sum(map(is_not, walk, repeat(None)))
+def _count_cells(gf, m, l, cells, limit=None):
+    """How many points cells of G(l, m) hold, q ** len(free) each, under the walk's budget."""
+    check_enumeration_budget(gf, m, l, limit)
+    return sum(gf.q ** len(free) for _, _, free in cells)
 
 
 def check_enumeration_budget(gf, m, l, limit=None):
@@ -130,25 +130,13 @@ def check_enumeration_budget(gf, m, l, limit=None):
     bound.  The size comes from the closed form, so nothing is built.
     """
     total = gaussian_binomial(m, l, gf.q)
-    bound = limit if limit is not None else enumeration_bound()
+    bound = _exact(limit, "limit", int) if limit is not None else enumeration_bound()
     if total > bound:
         raise BudgetExceededError(
             f"Grassmannian has {total} points, over the bound {bound}",
             requested=total,
             bound=bound,
         )
-
-
-def _grassmannian_cells(gf, m, l, limit=None):
-    """Yield (pivots, rows, free) for each cell of G(l, m), in canonical order.
-
-    Yields nothing for l outside [0, m]; otherwise checks the budget
-    before the first cell.
-    """
-    if not 0 <= l <= m:
-        return
-    check_enumeration_budget(gf, m, l, limit)
-    yield from _grassmannian_layout(m, l)
 
 
 @lru_cache(maxsize=None)
@@ -173,22 +161,24 @@ def _grassmannian_layout(m, l):
 def enumerate_grassmannian(gf, m, l, limit=None):
     """An iterator over the l-dimensional subspaces of GF(q)^m, in canonical order.
 
-    Refuses to start if the total exceeds the enumeration budget (the
-    limit argument when given, otherwise the global bound).
+    Empty for l outside [0, m].  Otherwise refuses to start if the total
+    exceeds the enumeration budget (the limit argument when given,
+    otherwise the global bound).
     """
+    if not 0 <= l <= m:
+        return iter(())
+    check_enumeration_budget(gf, m, l, limit)
     trusted = Subspace._trusted
     eye = _identity(m)
     return chain.from_iterable(
         map(trusted, repeat(gf), _walk_cell(gf, eye, rows), repeat(piv), repeat(m))
-        for piv, rows, _ in _grassmannian_cells(gf, m, l, limit)
+        for piv, rows, _ in _grassmannian_layout(m, l)
     )
 
 
 def _count_grassmannian(gf, m, l, limit=None):
-    """Count G(l, m) by walking its cells, under the same budget."""
-    eye = _identity(m)
-    cells = _grassmannian_cells(gf, m, l, limit)
-    return _count(chain.from_iterable(_walk_cell(gf, eye, rows) for _, rows, _ in cells))
+    """How many points enumerate_grassmannian yields, none of them walked."""
+    return _count_cells(gf, m, l, _grassmannian_layout(m, l), limit) if 0 <= l <= m else 0
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +214,7 @@ def rank_subspace(W):
 def unrank_subspace(gf, m, l, r):
     q = gf.q
     total = gaussian_binomial(m, l, q)
-    if not 0 <= r < total:
+    if not 0 <= _exact(r, "r", int) < total:
         raise ValueError(f"rank {r} outside [0, {total})")
     # cells are few; linear scan beats bisect bookkeeping at these sizes
     for piv, _, free in _grassmannian_layout(m, l):

@@ -478,7 +478,7 @@ class Subspace:
         """
         gf, d = self.gf, self.dim
         q = gf.q
-        if not 0 <= t < q**d:
+        if not 0 <= _exact(t, "t", int) < q**d:
             raise ValueError(f"index {t} outside [0, {q**d})")
         v = [0] * self.m
         for i in range(d - 1, -1, -1):

@@ -17,9 +17,10 @@ c_(l+1-i) >= m - alpha_i for every i: the pivots clear the floors
 m - alpha_i.  The RREF cells of G(l, m) are the Schubert cells of that
 reversed basis (Fulton, Young Tableaux, ch. 9; Kleiman and Laksov,
 Amer. Math. Monthly 79, 1972), so the variety is the G(l, m) cells
-whose pivots clear its floors (_schubert_cells), walked on that basis.
-Membership by rank (contains) checks single points, witnesses among
-them, with one intersection_dim per binding member (_binding).
+whose pivots clear its floors (_schubert_cells), walked on that basis;
+count_points sums their sizes and walks none.  Membership by rank
+(contains) checks single points, witnesses among them, with one
+intersection_dim per binding member (_binding).
 
 The oracles build no point set either: _images_within walks the
 images of a variety's cells under a semilinear map and tests each
@@ -58,7 +59,7 @@ from .field import field_from_order
 from .grassmann import (
     Flag,
     _cell_choices,
-    _count,
+    _count_cells,
     _grassmannian_layout,
     _walk_cell,
     adapted_basis,
@@ -293,8 +294,8 @@ class SchubertVariety:
         return self._point_set
 
     def count_points(self, limit=None):
-        """Number of points: the walk, counted, not spanned."""
-        return _count(self._walk(limit))
+        """Number of points: the sizes of the cells _walk would walk, under its budget."""
+        return _count_cells(self.gf, self.m, self.l, _schubert_cells(self.alpha, self.m), limit)
 
     def __eq__(self, other):
         if not isinstance(other, SchubertVariety):

@@ -411,11 +411,11 @@ def verify_dual_image(
     Each trial draws one contravariant map and, for every dimension
     tuple, a random flag; the image descriptor's point set must equal
     the pointwise image.  tau is injective, so that is two checks: the
-    descriptor has as many points as the variety (count_points), and
-    tau maps every point of the variety onto the descriptor (the cell
-    walk of schubert._images_within).  The mutant mis-reflects the
-    dimension tuple and must fail (sometimes by building an invalid
-    flag, which counts).
+    descriptor has as many points as the variety (count_points, by
+    cell sizes), and tau maps every point of the variety onto the
+    descriptor (the cell walk of schubert._images_within).  The mutant
+    mis-reflects the dimension tuple and must fail (sometimes by
+    building an invalid flag, which counts).
     """
     _check_sizes(q=q, m=m, l=l, trials=trials)
     if m != 2 * l:
@@ -802,6 +802,7 @@ def stabilizer_census(
     """
     if oracle not in ("full", "subsample", "none"):
         raise ValueError(f"unknown oracle setting {oracle!r}")
+    _exact(budget, "budget", int)
     _exact(include_frobenius, "include_frobenius", bool)
     _exact(include_dual, "include_dual", bool)
     _exact(subsample, "subsample", int)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qgrass
-from qgrass import cli, linalg
+from qgrass import cli, grassmann, linalg, schubert
 from qgrass.cli import main
 from qgrass.field import field_from_order
 from qgrass.grassmann import Flag, enumerate_grassmannian, gaussian_binomial
@@ -110,6 +110,15 @@ def test_points_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_a_bound_that_is_no_int_is_an_input_error_naming_it(capsys, monkeypatch):
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "abc")
+    for shape in (["--l", "2"], ["--alpha", "2,4"]):
+        for mode in (["--count-only"], []):
+            rc, out, err = run(capsys, "points", "--q", "2", "--m", "4", *shape, *mode)
+            assert (rc, out) == (2, "")
+            assert err == "error: QGRASS_MAX_ENUM must be an int, got 'abc'\n"
+
+
 def _count(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
@@ -162,6 +171,9 @@ def test_count_only_builds_no_subspace_and_eliminates_nothing(capsys, monkeypatc
     def refuse(*args):
         raise AssertionError("a point was built")
 
+    def refuse_walk(*args):
+        raise AssertionError("a cell was walked")
+
     monkeypatch.setattr(linalg.Subspace, "_trusted", classmethod(refuse))
     monkeypatch.setattr(linalg.Subspace, "_span", classmethod(refuse))
     eliminate = linalg._eliminate
@@ -169,11 +181,22 @@ def test_count_only_builds_no_subspace_and_eliminates_nothing(capsys, monkeypatc
         module = getattr(qgrass, name)
         if getattr(module, "_eliminate", None) is eliminate:
             monkeypatch.setattr(module, "_eliminate", refuse)
+    # a count sums its cells' sizes: no cell is walked and no row listed
+    for module in (grassmann, schubert):
+        for name in ("_walk_cell", "_row_list"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse_walk)
     for shape in (["--l", "2"], ["--alpha", "2,4"], ["--alpha", "1,3"]):
         argv = ["--q", "3", "--m", "4", *shape]
         assert _count(capsys, "points", *argv, "--count-only") == _count(capsys, "count", *argv)
+    closed_form = _count(capsys, "count", "--q", "3", "--m", "4", "--alpha", "1,3")
+    assert SchubertVariety(flags["1,3"]).count_points() == closed_form
     with pytest.raises(AssertionError, match="a point was built"):
         linalg._eliminate(gf, [[1]], 1)
+    with pytest.raises(AssertionError, match="a cell was walked"):
+        list(enumerate_grassmannian(gf, 4, 2))
+    with pytest.raises(AssertionError, match="a cell was walked"):
+        SchubertVariety(flags["1,3"]).point_set()
 
 
 def test_points_flag_goes_with_alpha(tmp_path, capsys):

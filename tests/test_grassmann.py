@@ -109,6 +109,9 @@ def test_enumeration_budget(gf2, monkeypatch):
     assert enumeration_bound() == 34
     with pytest.raises(BudgetExceededError):
         list(enumerate_grassmannian(gf2, 4, 2))
+    monkeypatch.setenv("QGRASS_MAX_ENUM", "abc")
+    with pytest.raises(ValueError, match="^QGRASS_MAX_ENUM must be an int, got 'abc'$"):
+        enumerate_grassmannian(gf2, 4, 2)
     monkeypatch.delenv("QGRASS_MAX_ENUM")
     assert len(list(enumerate_grassmannian(gf2, 4, 2))) == 35
 

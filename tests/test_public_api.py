@@ -45,9 +45,10 @@ def test_removed_names_are_gone_and_every_export_resolves():
 
 
 # The parameters the one type rule (errors._exact) guards at the public
-# entries: seeds, counts and powers are exactly ints, flags exactly
-# bools, and an rng is a random.Random, None or exactly an int seed.
-INTS = ("seed", "subsample", "frobenius_power", "rng")
+# entries: seeds, counts, ranks, budgets and powers are exactly ints,
+# flags exactly bools, an rng is a random.Random, None or exactly an int
+# seed, and a limit None or exactly an int.
+INTS = ("seed", "subsample", "frobenius_power", "rng", "r", "limit", "budget")
 BOOLS = ("dual", "include_frobenius", "include_dual", "includes_zero")
 WRONG = {"int": (2.5, "2", True), "bool": ("yes",)}
 
@@ -66,13 +67,15 @@ def _entries():
         ("SemilinearMap", SemilinearMap, dict(gf=gf4, m=2, matrix=[[1, 0], [0, 1]], frobenius_power=1, dual=False)),
         ("random_semilinear", random_semilinear, dict(gf=gf2, m=2, rng=1, dual=False)),
         ("random_subspace", qgrass.random_subspace, dict(gf=gf2, m=2, l=1, rng=1)),
+        ("unrank_subspace", qgrass.unrank_subspace, dict(gf=gf2, m=2, l=1, r=2)),
+        ("enumerate_grassmannian", qgrass.enumerate_grassmannian, dict(gf=gf2, m=2, l=1, limit=3)),
         ("random_flag", qgrass.random_flag, dict(gf=gf2, m=2, alpha=(1,), rng=1)),
         ("linalg.random_matrix", linalg.random_matrix, dict(gf=gf2, nrows=2, ncols=2, rng=1)),
         ("linalg.random_invertible", linalg.random_invertible, dict(gf=gf2, n=2, rng=1)),
         (
             "stabilizer_census",
             qgrass.stabilizer_census,
-            dict(omega=omega, include_frobenius=True, include_dual=False, subsample=2, seed=0),
+            dict(omega=omega, budget=6, include_frobenius=True, include_dual=False, subsample=2, seed=0),
         ),
     ]
     for campaign in qgrass.CAMPAIGNS.values():
@@ -103,3 +106,18 @@ def test_every_public_entry_takes_only_ints_and_bools_where_they_are_meant(name,
         for value in WRONG.get(kind, ()):
             with pytest.raises(ValueError, match=f"^'{param}' must be an? {kind}, got {value!r}$"):
                 fn(**dict(kwargs, **{param: value}))
+
+
+def test_an_index_or_a_limit_is_exactly_an_int():
+    gf3 = make_field(3)
+    plane = Subspace.full(gf3, 2)
+    assert plane.vector_at(5) == [1, 2]
+    omega = SchubertVariety.standard(gf3, 3, (2, 3))
+    assert omega.count_points(limit=13) == 13
+    for value in WRONG["int"]:
+        with pytest.raises(ValueError, match=f"^'t' must be an int, got {value!r}$"):
+            plane.vector_at(value)
+        with pytest.raises(ValueError, match=f"^'limit' must be an int, got {value!r}$"):
+            omega.count_points(limit=value)
+        with pytest.raises(ValueError, match=f"^'limit' must be an int, got {value!r}$"):
+            next(omega.points(limit=value))

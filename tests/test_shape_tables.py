@@ -93,9 +93,12 @@ def test_every_cell_walk_is_product_of_its_row_lists_in_order(p, e):
     for m in range(1, 6):
         basis = random_invertible(gf, m, rng)
         for l in range(min(3, m) + 1):
-            for _, rows, _ in _grassmannian_layout(m, l):
-                choices = [_reference(gf, basis[c], [basis[j] for j in free]) for c, free in rows]
-                assert list(_walk_cell(gf, basis, rows)) == list(itertools.product(*choices))
+            for _, rows, free in _grassmannian_layout(m, l):
+                choices = [_reference(gf, basis[c], [basis[j] for j in js]) for c, js in rows]
+                walked = list(_walk_cell(gf, basis, rows))
+                assert walked == list(itertools.product(*choices))
+                # the size a count sums in place of the walk
+                assert len(walked) == gf.q ** len(free)
     # the one cell of G(0, m) holds one point, the empty tuple of rows
     for m in range(6):
         assert list(_walk_cell(gf, _identity(m), ())) == [()]
